@@ -68,19 +68,19 @@ QueryFlock PairFlock() {
   return bench::MustFlock(kPairQuery, FilterCondition::MinSupport(kSupport));
 }
 
-// Mirrors Shell::EvaluateLearned's dispatch (tests/learned_optimizer_test.cc
+// Mirrors Shell::Execute's dispatch (tests/learned_optimizer_test.cc
 // pins every arm bit-equal to the static evaluator, so this bench is pure
 // speed comparison).
-Relation RunArm(const BanditArm& arm, const QueryFlock& flock,
+Relation RunArm(const Strategy& arm, const QueryFlock& flock,
                 const Database& db, const CostModel& model) {
   switch (arm.kind) {
-    case BanditArm::Kind::kPlan: {
+    case Strategy::Kind::kPlan: {
       QueryPlan plan = bench::MustOk(SearchPlanParameterSets(flock, model));
       PlanExecOptions options;
       options.order_chooser = CostBasedOrderChooser();
       return bench::MustOk(ExecutePlan(plan, flock, db, options));
     }
-    case BanditArm::Kind::kDirect: {
+    case Strategy::Kind::kDirect: {
       FlockEvalOptions options;
       for (const std::vector<std::size_t>& order : arm.orders) {
         CqEvalOptions cq_options;
@@ -89,7 +89,7 @@ Relation RunArm(const BanditArm& arm, const QueryFlock& flock,
       }
       return bench::MustOk(EvaluateFlock(flock, db, options));
     }
-    case BanditArm::Kind::kDynamic: {
+    case Strategy::Kind::kDynamic: {
       DynamicOptions options;
       if (!arm.orders.empty()) options.join_order = arm.orders.front();
       options.aggressiveness = arm.knobs.aggressiveness;
@@ -104,15 +104,15 @@ Relation RunArm(const BanditArm& arm, const QueryFlock& flock,
 
 // The arm with the given id from a fresh enumeration (arms are
 // re-enumerated per run, exactly as the shell does).
-BanditArm ArmById(const QueryFlock& flock, const CostModel& model,
-                  const char* id) {
-  std::vector<BanditArm> arms =
+Strategy ArmById(const QueryFlock& flock, const CostModel& model,
+                 const char* id) {
+  std::vector<Strategy> arms =
       EnumerateArms(flock, model, /*dynamic_eligible=*/true, DynamicKnobs{});
-  for (BanditArm& arm : arms) {
+  for (Strategy& arm : arms) {
     if (arm.id == id) return std::move(arm);
   }
   QF_CHECK_MSG(false, "arm id not enumerated");
-  return BanditArm();
+  return Strategy();
 }
 
 void RunStaticArm(benchmark::State& state, const char* id) {
@@ -121,7 +121,7 @@ void RunStaticArm(benchmark::State& state, const char* id) {
   CostModel model(db);
   std::size_t pairs = 0;
   for (auto _ : state) {
-    BanditArm arm = ArmById(flock, model, id);
+    Strategy arm = ArmById(flock, model, id);
     Relation result = RunArm(arm, flock, db, model);
     pairs = result.size();
     benchmark::DoNotOptimize(result);
@@ -150,10 +150,10 @@ void BM_Bandit_Learned(benchmark::State& state) {
   PlanBandit bandit(history);
   // Warm-up: play every arm twice with real timings, outside the timer —
   // the steady state a session reaches after its first few learned RUNs.
-  std::vector<BanditArm> arms =
+  std::vector<Strategy> arms =
       EnumerateArms(flock, model, /*dynamic_eligible=*/true, DynamicKnobs{});
   for (int round = 0; round < 2; ++round) {
-    for (const BanditArm& arm : arms) {
+    for (const Strategy& arm : arms) {
       auto start = std::chrono::steady_clock::now();
       Relation result = RunArm(arm, flock, db, model);
       std::chrono::duration<double, std::milli> wall =
@@ -169,7 +169,7 @@ void BM_Bandit_Learned(benchmark::State& state) {
   std::size_t pairs = 0;
   std::uint64_t explored = 0;
   for (auto _ : state) {
-    std::vector<BanditArm> fresh =
+    std::vector<Strategy> fresh =
         EnumerateArms(flock, model, /*dynamic_eligible=*/true, DynamicKnobs{});
     BanditChoice choice = bandit.Choose(ctx.key, fresh);
     auto start = std::chrono::steady_clock::now();
@@ -196,7 +196,7 @@ void BM_Bandit_ChooseOverhead(benchmark::State& state) {
   QueryFlock flock = PairFlock();
   CostModel model(db);
   PlanContext ctx = MakePlanContext(flock, model);
-  std::vector<BanditArm> arms =
+  std::vector<Strategy> arms =
       EnumerateArms(flock, model, /*dynamic_eligible=*/true, DynamicKnobs{});
   OutcomeHistory history;
   for (std::size_t i = 0; i < arms.size(); ++i) {

@@ -84,7 +84,7 @@ void BM_CostModel_JoinEstimate(benchmark::State& state) {
         "answer(B) :- baskets(B,$1) AND baskets(B,$2) AND $1 < $2",
         FilterCondition::MinSupport(1));
     FlockEvalInfo info;
-    bench::MustOk(EvaluateFlock(flock, BasketsDb(), {}, nullptr, &info));
+    bench::MustOk(EvaluateFlock(flock, BasketsDb(), {}, {}, nullptr, &info));
     return info.answer_rows;
   }();
   state.counters["estimated"] = est;

@@ -72,7 +72,8 @@ void BM_Fig10_MonotonePrefilter(benchmark::State& state) {
   for (auto _ : state) {
     PlanExecInfo info;
     Relation result =
-        bench::MustOk(ExecutePlanOptimized(plan, flock, WeightedDb(), &info));
+        bench::MustOk(
+            ExecutePlanOptimized(plan, flock, WeightedDb(), {}, &info));
     pairs = result.size();
     peak = info.total_peak_rows;
     benchmark::DoNotOptimize(result);

@@ -51,7 +51,7 @@ void BM_Fig1_NaiveSql(benchmark::State& state) {
   for (auto _ : state) {
     FlockEvalInfo info;
     Relation result =
-        bench::MustOk(EvaluateFlock(flock, db, {}, nullptr, &info));
+        bench::MustOk(EvaluateFlock(flock, db, {}, {}, nullptr, &info));
     pairs = result.size();
     peak = info.peak_rows;
     benchmark::DoNotOptimize(result);
@@ -75,7 +75,7 @@ void BM_Fig1_AprioriRewrite(benchmark::State& state) {
   for (auto _ : state) {
     PlanExecInfo info;
     Relation result =
-        bench::MustOk(ExecutePlanOptimized(plan, flock, db, &info));
+        bench::MustOk(ExecutePlanOptimized(plan, flock, db, {}, &info));
     pairs = result.size();
     peak = info.total_peak_rows;
     benchmark::DoNotOptimize(result);

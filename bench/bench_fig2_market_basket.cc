@@ -114,19 +114,18 @@ void BM_Fig2_NaivePairs(benchmark::State& state) {
 void BM_Fig2_FlockDirectThreads(benchmark::State& state) {
   QueryFlock flock = bench::MustFlock(
       kPairQuery, FilterCondition::MinSupport(state.range(0)));
-  FlockEvalOptions options;
-  options.threads = static_cast<unsigned>(state.range(1));
+  const ExecEnv env{.threads = static_cast<unsigned>(state.range(1))};
   {
     Relation serial = bench::MustOk(EvaluateFlock(flock, RetailDb()));
     Relation parallel =
-        bench::MustOk(EvaluateFlock(flock, RetailDb(), options));
+        bench::MustOk(EvaluateFlock(flock, RetailDb(), {}, env));
     QF_CHECK(serial.schema() == parallel.schema());
     QF_CHECK(serial.rows() == parallel.rows());
   }
   std::size_t pairs = 0;
   for (auto _ : state) {
     Relation result =
-        bench::MustOk(EvaluateFlock(flock, RetailDb(), options));
+        bench::MustOk(EvaluateFlock(flock, RetailDb(), {}, env));
     pairs = result.size();
     benchmark::DoNotOptimize(result);
   }
@@ -146,14 +145,14 @@ void BM_Fig2_FlockPlanThreads(benchmark::State& state) {
     Relation serial =
         bench::MustOk(ExecutePlanOptimized(plan, flock, RetailDb()));
     Relation parallel = bench::MustOk(
-        ExecutePlanOptimized(plan, flock, RetailDb(), nullptr, threads));
+        ExecutePlanOptimized(plan, flock, RetailDb(), {.threads = threads}));
     QF_CHECK(serial.schema() == parallel.schema());
     QF_CHECK(serial.rows() == parallel.rows());
   }
   std::size_t pairs = 0;
   for (auto _ : state) {
     Relation result = bench::MustOk(
-        ExecutePlanOptimized(plan, flock, RetailDb(), nullptr, threads));
+        ExecutePlanOptimized(plan, flock, RetailDb(), {.threads = threads}));
     pairs = result.size();
     benchmark::DoNotOptimize(result);
   }
@@ -166,7 +165,7 @@ void BM_Fig2_AprioriThreads(benchmark::State& state) {
   std::size_t pairs = 0;
   for (auto _ : state) {
     std::vector<Itemset> result =
-        AprioriFrequentPairs(data, state.range(0), threads);
+        AprioriFrequentPairs(data, state.range(0), {.threads = threads});
     pairs = result.size();
     benchmark::DoNotOptimize(result);
   }

@@ -83,7 +83,7 @@ void RunPlan(benchmark::State& state, const QueryPlan& plan) {
   for (auto _ : state) {
     PlanExecInfo info;
     Relation result =
-        bench::MustOk(ExecutePlanOptimized(plan, flock, db, &info));
+        bench::MustOk(ExecutePlanOptimized(plan, flock, db, {}, &info));
     pairs = result.size();
     peak = info.total_peak_rows;
     benchmark::DoNotOptimize(result);

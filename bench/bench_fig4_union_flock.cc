@@ -79,7 +79,7 @@ void BM_Fig4_UnionPrefilter(benchmark::State& state) {
   for (auto _ : state) {
     PlanExecInfo info;
     Relation result =
-        bench::MustOk(ExecutePlanOptimized(plan, flock, WebDb(), &info));
+        bench::MustOk(ExecutePlanOptimized(plan, flock, WebDb(), {}, &info));
     pairs = result.size();
     peak = info.total_peak_rows;
     benchmark::DoNotOptimize(result);

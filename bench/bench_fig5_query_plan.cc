@@ -49,7 +49,8 @@ void Run(benchmark::State& state, const QueryPlan& plan) {
   for (auto _ : state) {
     PlanExecInfo info;
     Relation result =
-        bench::MustOk(ExecutePlanOptimized(plan, flock, MedicalDb(), &info));
+        bench::MustOk(
+            ExecutePlanOptimized(plan, flock, MedicalDb(), {}, &info));
     pairs = result.size();
     peak = info.total_peak_rows;
     benchmark::DoNotOptimize(result);
@@ -67,7 +68,7 @@ void BM_Fig5_OneStepDirect(benchmark::State& state) {
   for (auto _ : state) {
     FlockEvalInfo info;
     Relation result =
-        bench::MustOk(EvaluateFlock(flock, db, options, nullptr, &info));
+        bench::MustOk(EvaluateFlock(flock, db, options, {}, nullptr, &info));
     pairs = result.size();
     peak = info.peak_rows;
     benchmark::DoNotOptimize(result);

@@ -59,7 +59,7 @@ void BM_Fig7_Direct(benchmark::State& state) {
   for (auto _ : state) {
     FlockEvalInfo info;
     Relation result =
-        bench::MustOk(EvaluateFlock(flock, GraphDb(), {}, nullptr, &info));
+        bench::MustOk(EvaluateFlock(flock, GraphDb(), {}, {}, nullptr, &info));
     answers = result.size();
     peak = info.peak_rows;
     benchmark::DoNotOptimize(result);
@@ -82,7 +82,7 @@ void BM_Fig7_Cascade(benchmark::State& state) {
   for (auto _ : state) {
     PlanExecInfo info;
     Relation result =
-        bench::MustOk(ExecutePlanOptimized(plan, flock, GraphDb(), &info));
+        bench::MustOk(ExecutePlanOptimized(plan, flock, GraphDb(), {}, &info));
     answers = result.size();
     peak = info.total_peak_rows;
     benchmark::DoNotOptimize(result);
@@ -105,7 +105,7 @@ void BM_Fig7_FullReducer(benchmark::State& state) {
   for (auto _ : state) {
     FlockEvalInfo info;
     Relation result = bench::MustOk(
-        EvaluateFlock(flock, GraphDb(), options, nullptr, &info));
+        EvaluateFlock(flock, GraphDb(), options, {}, nullptr, &info));
     answers = result.size();
     peak = info.peak_rows;
     benchmark::DoNotOptimize(result);

@@ -103,7 +103,7 @@ void BM_Fig9_Dynamic(benchmark::State& state) {
   std::size_t pairs = 0, filters = 0, peak = 0;
   for (auto _ : state) {
     DynamicLog log;
-    Relation result = bench::MustOk(DynamicEvaluate(flock, db, {}, &log));
+    Relation result = bench::MustOk(DynamicEvaluate(flock, db, {}, {}, &log));
     pairs = result.size();
     filters = log.filters_applied;
     peak = log.peak_rows;
@@ -130,13 +130,13 @@ void BM_Fig9_StaticAlwaysThreads(benchmark::State& state) {
   {
     Relation serial = bench::MustOk(ExecutePlanOptimized(plan, flock, db));
     Relation parallel = bench::MustOk(
-        ExecutePlanOptimized(plan, flock, db, nullptr, threads));
+        ExecutePlanOptimized(plan, flock, db, {.threads = threads}));
     QF_CHECK(serial.rows() == parallel.rows());
   }
   std::size_t pairs = 0;
   for (auto _ : state) {
     Relation result = bench::MustOk(
-        ExecutePlanOptimized(plan, flock, db, nullptr, threads));
+        ExecutePlanOptimized(plan, flock, db, {.threads = threads}));
     pairs = result.size();
     benchmark::DoNotOptimize(result);
   }

@@ -61,21 +61,6 @@ void BM_Micro_NaturalJoin(benchmark::State& state) {
                           static_cast<std::int64_t>(out_rows));
 }
 
-void BM_Micro_SortMergeJoin(benchmark::State& state) {
-  std::size_t n = static_cast<std::size_t>(state.range(0));
-  Relation a = RandomRelation(n, n / 10, 1);
-  Relation b = Rename(RandomRelation(n, n / 10, 2), {"K", "W"});
-  std::size_t out_rows = 0;
-  for (auto _ : state) {
-    Relation j = SortMergeJoin(a, b);
-    out_rows = j.size();
-    benchmark::DoNotOptimize(j);
-  }
-  state.counters["out_rows"] = static_cast<double>(out_rows);
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(out_rows));
-}
-
 void BM_Micro_ParallelJoin(benchmark::State& state) {
   std::size_t n = static_cast<std::size_t>(state.range(0));
   unsigned threads = static_cast<unsigned>(state.range(1));
@@ -301,7 +286,6 @@ void BM_Micro_Parser(benchmark::State& state) {
 }
 
 BENCHMARK(BM_Micro_NaturalJoin)->Arg(1000)->Arg(10000)->Arg(100000);
-BENCHMARK(BM_Micro_SortMergeJoin)->Arg(1000)->Arg(10000)->Arg(100000);
 BENCHMARK(BM_Micro_ParallelJoin)
     ->Args({100000, 1})
     ->Args({100000, 2})

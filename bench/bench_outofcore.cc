@@ -71,20 +71,16 @@ const Baseline& UnbudgetedBaseline() {
     QueryFlock flock =
         bench::MustFlock(kPairQuery, FilterCondition::MinSupport(kSupport));
     QueryContext ctx;
-    FlockEvalOptions opts;
-    opts.threads = 1;
-    opts.ctx = &ctx;
-    Relation r = bench::MustOk(EvaluateFlock(flock, TenXDb(), opts));
+    Relation r =
+        bench::MustOk(EvaluateFlock(flock, TenXDb(), {}, {.ctx = &ctx}));
     auto* out = new Baseline{std::move(r), ctx.peak_bytes()};
     QF_CHECK(out->peak_bytes > 0);
     // The before picture: half the peak with no spill environment is a
     // typed hard abort, not a wrong answer and not a crash.
     QueryContext starved;
     starved.set_memory_budget(out->peak_bytes / 2);
-    FlockEvalOptions sopts;
-    sopts.threads = 1;
-    sopts.ctx = &starved;
-    Result<Relation> denied = EvaluateFlock(flock, TenXDb(), sopts);
+    Result<Relation> denied =
+        EvaluateFlock(flock, TenXDb(), {}, {.ctx = &starved});
     QF_CHECK(!denied.ok());
     QF_CHECK(denied.status().code() == StatusCode::kResourceExhausted);
     return out;
@@ -125,10 +121,8 @@ void BM_OutOfCore_Spill(benchmark::State& state) {
     QueryContext ctx;
     ctx.set_memory_budget(budget);
     ctx.set_spill_env(&env);
-    FlockEvalOptions opts;
-    opts.threads = 1;
-    opts.ctx = &ctx;
-    Relation r = bench::MustOk(EvaluateFlock(flock, TenXDb(), opts));
+    Relation r =
+        bench::MustOk(EvaluateFlock(flock, TenXDb(), {}, {.ctx = &ctx}));
     // The whole point: bit-identical under pressure.
     QF_CHECK(r.rows() == base.result.rows());
     QF_CHECK(env.stats.activations.load() > 0);

@@ -79,7 +79,7 @@ int main() {
   std::vector<qf::Itemset> frequent = qf::AprioriFrequentItemsets(
       *data, {.min_support = static_cast<std::size_t>(kSupport),
               .max_size = 3},
-      &stats);
+      {}, &stats);
   std::size_t triples = 0;
   for (const qf::Itemset& s : frequent) triples += s.items.size() == 3;
   std::printf("a-priori miner: %zu frequent triples", triples);

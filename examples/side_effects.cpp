@@ -77,7 +77,7 @@ int main() {
 
   t0 = std::chrono::steady_clock::now();
   qf::PlanExecInfo info;
-  auto fig5_result = qf::ExecutePlanOptimized(*fig5, *flock, db, &info);
+  auto fig5_result = qf::ExecutePlanOptimized(*fig5, *flock, db, {}, &info);
   double fig5_ms = MillisSince(t0);
   std::printf("Fig. 5 plan: %zu pairs in %.1f ms (%.1fx vs direct)\n",
               fig5_result->size(), fig5_ms, direct_ms / fig5_ms);
@@ -100,7 +100,7 @@ int main() {
   // Dynamic filter selection (§4.4), with its decision trace.
   qf::DynamicLog dyn_log;
   t0 = std::chrono::steady_clock::now();
-  auto dynamic_result = qf::DynamicEvaluate(*flock, db, {}, &dyn_log);
+  auto dynamic_result = qf::DynamicEvaluate(*flock, db, {}, {}, &dyn_log);
   double dynamic_ms = MillisSince(t0);
   std::printf("\ndynamic evaluation: %zu pairs in %.1f ms (%.1fx vs "
               "direct)\n%s",

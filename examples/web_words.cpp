@@ -89,7 +89,7 @@ int main() {
 
   t0 = std::chrono::steady_clock::now();
   qf::PlanExecInfo info;
-  auto planned = qf::ExecutePlanOptimized(*plan, *flock, db, &info);
+  auto planned = qf::ExecutePlanOptimized(*plan, *flock, db, {}, &info);
   double plan_ms = MillisSince(t0);
   if (!planned.ok()) {
     std::fprintf(stderr, "%s\n", planned.status().ToString().c_str());

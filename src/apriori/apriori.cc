@@ -346,10 +346,11 @@ Result<BasketData> BasketsFromRelation(const Relation& rel,
 
 std::vector<Itemset> AprioriFrequentItemsets(const BasketData& data,
                                              const AprioriOptions& options,
+                                             const ExecEnv& env,
                                              AprioriStats* stats) {
   std::vector<Itemset> result;
-  OpMetrics* m = options.metrics;
-  TraceSink* tr = m != nullptr ? options.trace : nullptr;
+  OpMetrics* m = env.metrics;
+  TraceSink* tr = env.trace;
   if (m != nullptr && m->op.empty()) m->op = "apriori";
 
   // Level 1: plain counting pass.
@@ -359,7 +360,7 @@ std::vector<Itemset> AprioriFrequentItemsets(const BasketData& data,
                                    : nullptr;
     ScopedOp span(node, tr);
     std::vector<std::size_t> item_counts =
-        CountItems(data, options.threads, node, options.ctx);
+        CountItems(data, env.threads, node, env.ctx);
     for (ItemId item = 0; item < data.item_count(); ++item) {
       if (item_counts[item] >= options.min_support) {
         frequent.push_back({item});
@@ -380,7 +381,7 @@ std::vector<Itemset> AprioriFrequentItemsets(const BasketData& data,
   std::size_t k = 1;
   while (!frequent.empty() &&
          (options.max_size == 0 || k < options.max_size)) {
-    if (options.ctx != nullptr && !options.ctx->ok()) break;
+    if (env.ctx != nullptr && !env.ctx->ok()) break;
     std::vector<std::vector<ItemId>> candidates =
         GenerateCandidates(frequent);
     if (candidates.empty()) break;
@@ -389,8 +390,7 @@ std::vector<Itemset> AprioriFrequentItemsets(const BasketData& data,
                      : nullptr;
     ScopedOp span(node, tr);
     std::vector<std::size_t> counts;
-    CountCandidates(data, candidates, options.threads, counts, node,
-                    options.ctx);
+    CountCandidates(data, candidates, env.threads, counts, node, env.ctx);
     frequent.clear();
     for (std::size_t i = 0; i < candidates.size(); ++i) {
       if (counts[i] >= options.min_support) {
@@ -415,9 +415,8 @@ std::vector<Itemset> AprioriFrequentItemsets(const BasketData& data,
 
 std::vector<Itemset> AprioriFrequentPairs(const BasketData& data,
                                           std::size_t min_support,
-                                          unsigned threads,
-                                          OpMetrics* metrics,
-                                          QueryContext* ctx) {
+                                          const ExecEnv& env) {
+  const auto [threads, metrics, trace, ctx] = env;
   if (metrics != nullptr && metrics->op.empty()) metrics->op = "apriori";
   // Pass 1: singleton counts; the pre-filter of §1.2.
   std::vector<bool> frequent_item(data.item_count(), false);
@@ -425,7 +424,7 @@ std::vector<Itemset> AprioriFrequentPairs(const BasketData& data,
   {
     OpMetrics* node =
         metrics != nullptr ? metrics->AddChild("count_level", "k=1") : nullptr;
-    ScopedOp span(node);
+    ScopedOp span(node, trace);
     std::vector<std::size_t> item_counts =
         CountItems(data, threads, node, ctx);
     for (ItemId i = 0; i < data.item_count(); ++i) {
@@ -442,7 +441,7 @@ std::vector<Itemset> AprioriFrequentPairs(const BasketData& data,
   // Pass 2: count pairs of surviving items only.
   OpMetrics* node =
       metrics != nullptr ? metrics->AddChild("count_level", "k=2") : nullptr;
-  ScopedOp span(node);
+  ScopedOp span(node, trace);
   PairCounts pair_counts = CountPairs(
       data, threads, [&](ItemId item) { return bool{frequent_item[item]}; },
       node, ctx);
@@ -469,14 +468,13 @@ std::vector<Itemset> AprioriFrequentPairs(const BasketData& data,
 
 std::vector<Itemset> NaiveFrequentPairs(const BasketData& data,
                                         std::size_t min_support,
-                                        unsigned threads,
-                                        OpMetrics* metrics,
-                                        QueryContext* ctx) {
+                                        const ExecEnv& env) {
+  const auto [threads, metrics, trace, ctx] = env;
   if (metrics != nullptr && metrics->op.empty()) metrics->op = "naive_pairs";
   OpMetrics* node =
       metrics != nullptr ? metrics->AddChild("count_level", "k=2 (no prefilter)")
                          : nullptr;
-  ScopedOp span(node);
+  ScopedOp span(node, trace);
   // No pre-filter: every co-occurring pair is counted.
   PairCounts pair_counts =
       CountPairs(data, threads, [](ItemId) { return true; }, node, ctx);

@@ -14,8 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "common/metrics.h"
-#include "common/resource.h"
+#include "common/exec_env.h"
 #include "common/status.h"
 #include "relational/relation.h"
 
@@ -48,23 +47,6 @@ struct AprioriOptions {
   std::size_t min_support = 1;
   // Largest itemset size to mine; 0 = keep going until a level is empty.
   std::size_t max_size = 0;
-  // Workers for the counting passes (1 = serial). Baskets are counted in
-  // morsels with per-morsel tables merged by addition — integer counts,
-  // so the supports (and therefore the mined itemsets, which are emitted
-  // in candidate order) are identical for every value.
-  unsigned threads = 1;
-  // Observability (common/metrics.h): one "count_level" child per level
-  // ("k=1", "k=2", ...), with rows_in = baskets scanned, tuples_probed =
-  // candidates counted, rows_out = frequent sets found. `trace` receives
-  // span events; ignored unless `metrics` is set.
-  OpMetrics* metrics = nullptr;
-  TraceSink* trace = nullptr;
-  // Resource governance (common/resource.h): counting passes poll the
-  // context at basket granularity (and at morsel starts) and stop early
-  // once it latches. Because the miners return plain vectors, a governed
-  // caller MUST call ctx->Check() afterwards and discard the (possibly
-  // truncated) result on failure.
-  QueryContext* ctx = nullptr;
 };
 
 struct AprioriStats {
@@ -78,26 +60,32 @@ struct AprioriStats {
 // Levelwise a-priori: L1 from a counting pass; C_{k+1} from joining L_k
 // with itself and pruning candidates with an infrequent k-subset; counting
 // by enumerating candidate-matching subsets of each basket.
+//
+// `env` (shared by the miners below): env.threads workers count baskets
+// in morsels with per-morsel tables merged by addition — integer counts,
+// so the supports (and the itemsets, emitted in candidate order) are
+// identical for every value. env.metrics receives one "count_level" child
+// per level ("k=1", "k=2", ...) with rows_in = baskets scanned,
+// tuples_probed = candidates counted, rows_out = frequent sets found.
+// Counting passes poll env.ctx at basket granularity and stop early once
+// it latches; because the miners return plain vectors, a governed caller
+// MUST call ctx->Check() afterwards and discard a truncated result.
 std::vector<Itemset> AprioriFrequentItemsets(const BasketData& data,
                                              const AprioriOptions& options,
+                                             const ExecEnv& env = {},
                                              AprioriStats* stats = nullptr);
 
 // Frequent pairs only, with the a-priori pre-filter (count singletons,
-// drop infrequent items, then count surviving pairs). `threads` works as
-// in AprioriOptions: same result for every value.
+// drop infrequent items, then count surviving pairs).
 std::vector<Itemset> AprioriFrequentPairs(const BasketData& data,
                                           std::size_t min_support,
-                                          unsigned threads = 1,
-                                          OpMetrics* metrics = nullptr,
-                                          QueryContext* ctx = nullptr);
+                                          const ExecEnv& env = {});
 
 // The unoptimized baseline: counts every co-occurring pair (the Fig. 1 SQL
 // query as a conventional optimizer executes it) and filters at the end.
 std::vector<Itemset> NaiveFrequentPairs(const BasketData& data,
                                         std::size_t min_support,
-                                        unsigned threads = 1,
-                                        OpMetrics* metrics = nullptr,
-                                        QueryContext* ctx = nullptr);
+                                        const ExecEnv& env = {});
 
 // Renders itemsets as a relation over item-name columns I1..Ik plus
 // Support, for comparison against flock results.

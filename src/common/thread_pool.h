@@ -5,8 +5,8 @@
 // Design notes:
 //   * One process-wide pool (ThreadPool::Global()), sized to the hardware,
 //     created lazily and never destroyed. Callers say how much parallelism
-//     they *want* per call (the `threads` knob plumbed through
-//     FlockEvalOptions / PlanExecOptions / AprioriOptions); the pool clamps
+//     they *want* per call (ExecEnv::threads, common/exec_env.h, which
+//     every evaluator takes); the pool clamps
 //     to what the hardware has. Correctness never depends on how many
 //     workers actually run.
 //   * Morsel-driven scheduling: ParallelFor splits [0, n) into fixed-size

@@ -164,7 +164,7 @@ bool ColumnsBound(const std::vector<Term>& terms, const Schema& schema) {
 Result<Relation> EvaluateConjunctiveBindings(
     const ConjunctiveQuery& cq, const PredicateResolver& resolver,
     const std::vector<std::string>& output_columns,
-    const CqEvalOptions& options, std::size_t* peak_rows) {
+    const CqEvalOptions& options, const ExecEnv& env, std::size_t* peak_rows) {
   // Partition subgoals.
   std::vector<const Subgoal*> positives;
   std::vector<PendingComparison> comparisons;
@@ -194,17 +194,14 @@ Result<Relation> EvaluateConjunctiveBindings(
     }
   }
 
-  // Observability: `m` roots this query's operator tree; the trace sink
-  // is only consulted when metrics are on (ScopedOp enforces this too).
-  OpMetrics* m = options.metrics;
-  TraceSink* tr = m != nullptr ? options.trace : nullptr;
-  // Governance: check the context after every operator (truncated output
-  // from a tripped operator must never be mistaken for a result), and
-  // return accounted bytes of dropped intermediates to the pool.
-  QueryContext* ctx = options.ctx;
-  auto governed = [ctx]() {
-    return ctx != nullptr ? ctx->Check() : Status::Ok();
-  };
+  // Observability: `m` roots this query's operator tree. Governance:
+  // check the context after every operator (truncated output from a
+  // tripped operator must never be mistaken for a result), and return
+  // accounted bytes of dropped intermediates to the pool.
+  OpMetrics* m = env.metrics;
+  TraceSink* tr = env.trace;
+  QueryContext* ctx = env.ctx;
+  auto governed = [&env]() { return env.Check(); };
   auto release = [ctx](const Relation& r) {
     if (ctx != nullptr) {
       ctx->Release(static_cast<std::uint64_t>(r.size()) *
@@ -226,7 +223,7 @@ Result<Relation> EvaluateConjunctiveBindings(
                                    : nullptr;
     ScopedOp span(node, tr);
     positive_bindings.push_back(
-        SubgoalBindings(*s, **base, options.threads, node, ctx));
+        SubgoalBindings(*s, **base, env.threads, node, ctx));
     if (Status s2 = governed(); !s2.ok()) return s2;
   }
   for (PendingNegation& pn : negations) {
@@ -241,7 +238,7 @@ Result<Relation> EvaluateConjunctiveBindings(
                      : nullptr;
     ScopedOp span(node, tr);
     pn.bindings =
-        SubgoalBindings(*pn.subgoal, **base, options.threads, node, ctx);
+        SubgoalBindings(*pn.subgoal, **base, env.threads, node, ctx);
     if (Status s2 = governed(); !s2.ok()) return s2;
   }
 
@@ -614,9 +611,9 @@ Result<Relation> EvaluateConjunctiveBindings(
       std::uint64_t dropped = static_cast<std::uint64_t>(current.size()) *
                               ApproxTupleBytes(current.arity());
       current =
-          options.threads > 1
+          env.threads > 1
               ? ParallelNaturalJoin(current, positive_bindings[order[k]],
-                                    options.threads, node, ctx)
+                                    env.threads, node, ctx)
               : NaturalJoin(current, positive_bindings[order[k]], node, ctx);
       if (ctx != nullptr) {
         // The old intermediate and the consumed binding are dead; hand

@@ -15,8 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "common/metrics.h"
-#include "common/resource.h"
+#include "common/exec_env.h"
 #include "common/status.h"
 #include "datalog/ast.h"
 #include "relational/database.h"
@@ -66,26 +65,6 @@ struct CqEvalOptions {
   // join_order when a join tree exists; silently falls back to the normal
   // fold on cyclic queries.
   bool full_reducer = false;
-  // Workers for the subgoal scans and the join fold (1 = serial). The
-  // result is identical — same rows, same order — for every value: the
-  // parallel scan and join both preserve the serial row order (see
-  // relational/ops.h on ParallelNaturalJoin).
-  unsigned threads = 1;
-  // Observability (common/metrics.h). When `metrics` is non-null the
-  // evaluation appends one child node per operator it runs — "scan" per
-  // subgoal, then the fold chain ("join" / "select" / "anti_join", plus
-  // "semi_join" nodes for full-reducer sweeps) and a final "project" — each
-  // carrying row counters and wall time. `trace` additionally receives
-  // span begin/end events; it is ignored unless `metrics` is set. Both
-  // pointers must outlive the call. Null (the default) is allocation-free.
-  OpMetrics* metrics = nullptr;
-  TraceSink* trace = nullptr;
-  // Resource governance (common/resource.h). When non-null every operator
-  // polls the context and charges its output; the evaluation returns the
-  // context's typed error (CANCELLED / DEADLINE_EXCEEDED /
-  // RESOURCE_EXHAUSTED) as soon as it latches, discarding intermediates.
-  // Null (the default) is cost-free.
-  QueryContext* ctx = nullptr;
   // Out-of-core streaming (relational/spill.h). When non-null AND the
   // governor's spill-activation rule fires at the final join, the
   // evaluation streams that join: each joined row has the still-pending
@@ -104,10 +83,20 @@ struct CqEvalOptions {
 // body; unknown predicates, arity mismatches, or an unsafe body yield an
 // error. Tracks the peak intermediate size in `peak_rows` when non-null
 // (used by cost-model validation and the benches).
+//
+// `env`: the subgoal scans and the join fold run morsel-parallel with
+// env.threads workers, preserving the serial row order (relational/ops.h
+// on ParallelNaturalJoin). env.metrics receives one child per operator —
+// "scan" per subgoal, then the fold chain ("join" / "select" /
+// "anti_join", plus "semi_join" nodes for full-reducer sweeps) and a
+// final "project". Under env.ctx every operator polls and charges its
+// output, and the evaluation returns the context's typed error as soon as
+// it latches, discarding intermediates.
 Result<Relation> EvaluateConjunctiveBindings(
     const ConjunctiveQuery& cq, const PredicateResolver& resolver,
     const std::vector<std::string>& output_columns,
-    const CqEvalOptions& options = {}, std::size_t* peak_rows = nullptr);
+    const CqEvalOptions& options = {}, const ExecEnv& env = {},
+    std::size_t* peak_rows = nullptr);
 
 }  // namespace qf
 

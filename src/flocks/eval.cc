@@ -20,7 +20,7 @@ std::vector<std::string> FlockParameterColumns(const QueryFlock& flock) {
 
 Result<Relation> EvaluateFlock(
     const QueryFlock& flock, const Database& db,
-    const FlockEvalOptions& options,
+    const FlockEvalOptions& options, const ExecEnv& env,
     const std::map<std::string, const Relation*>* extra,
     FlockEvalInfo* info) {
   if (!flock.filter.IsMonotone()) {
@@ -50,13 +50,11 @@ Result<Relation> EvaluateFlock(
   // Observability: one pre-allocated "disjunct" child per disjunct, so
   // the concurrent evaluations below write disjoint subtrees (the
   // children vector is never resized during the fan-out).
-  OpMetrics* m = options.metrics;
-  TraceSink* tr = m != nullptr ? options.trace : nullptr;
+  OpMetrics* m = env.metrics;
+  TraceSink* tr = env.trace;
   if (m != nullptr && m->op.empty()) m->op = "flock";
-  QueryContext* ctx = options.ctx;
-  auto governed = [ctx]() {
-    return ctx != nullptr ? ctx->Check() : Status::Ok();
-  };
+  QueryContext* ctx = env.ctx;
+  auto governed = [&env]() { return env.Check(); };
 
   const FilterCondition& filter = flock.filter;
   AggKind agg_kind =
@@ -122,8 +120,6 @@ Result<Relation> EvaluateFlock(
     for (const std::string& h : cq.head_vars) wanted.push_back(h);
     CqEvalOptions cq_options;
     if (d < options.per_disjunct.size()) cq_options = options.per_disjunct[d];
-    if (cq_options.threads <= 1) cq_options.threads = options.threads;
-    cq_options.metrics = disjunct_nodes[d];
     if (disjunct_nodes[d] != nullptr && !cq_options.join_order.empty()) {
       // A pinned (non-text) join order is a plan decision — the learned
       // optimizer's direct arms pass one — so surface it in the tree.
@@ -134,18 +130,18 @@ Result<Relation> EvaluateFlock(
       }
       disjunct_nodes[d]->detail = order;
     }
-    cq_options.trace = tr;
-    cq_options.ctx = ctx;
     if (sink.has_value()) cq_options.sink = &*sink;
     ScopedOp span(disjunct_nodes[d], tr);
-    Result<Relation> bindings = EvaluateConjunctiveBindings(
-        cq, resolver, wanted, cq_options, &disjunct_peaks[d]);
+    Result<Relation> bindings =
+        EvaluateConjunctiveBindings(cq, resolver, wanted, cq_options,
+                                    env.At(disjunct_nodes[d]),
+                                    &disjunct_peaks[d]);
     if (!bindings.ok()) return bindings.status();
     disjunct_answers[d] = Rename(std::move(*bindings), answer_columns);
     return Status::Ok();
   };
   if (Status s = ParallelForStatus(
-          std::min<std::size_t>(options.threads, n_disjuncts), n_disjuncts,
+          std::min<std::size_t>(env.threads, n_disjuncts), n_disjuncts,
           1, [&](std::size_t begin, std::size_t) { return eval_disjunct(begin); });
       !s.ok()) {
     return s;
@@ -234,9 +230,9 @@ Result<Relation> EvaluateFlock(
         m != nullptr ? m->AddChild("group_by", agg_detail) : nullptr;
     ScopedOp span(node, tr);
     grouped =
-        options.threads > 1
+        env.threads > 1
             ? GroupAggregate(answers, param_columns, agg_kind, agg_column,
-                             "_agg", options.threads, node, ctx)
+                             "_agg", env.threads, node, ctx)
             : GroupAggregate(answers, param_columns, agg_kind, agg_column,
                              "_agg", node, ctx);
   }

@@ -30,29 +30,6 @@ struct FlockEvalOptions {
   // Verify SUM filters only see non-negative weights (the monotonicity
   // precondition of the Future Work section).
   bool require_nonnegative_sum = true;
-  // Workers for the evaluation (1 = serial). With more than one:
-  // independent disjuncts of a union flock evaluate concurrently on the
-  // shared pool (common/thread_pool.h), each disjunct's scans and joins
-  // run morsel-parallel, and the group-by/aggregate uses thread-local
-  // tables merged in morsel order. The answer set is identical for every
-  // value, and the result relation is returned in canonically sorted row
-  // order regardless (see DESIGN.md, "Threading model").
-  unsigned threads = 1;
-  // Observability (common/metrics.h). When `metrics` is non-null the
-  // evaluator builds its operator tree under it: one "disjunct" child per
-  // disjunct (holding that disjunct's scans/joins — pre-allocated before
-  // the parallel fan-out, so concurrent disjuncts write disjoint
-  // subtrees), then "union" / "group_by" / "filter" / "project" nodes.
-  // Row counters are identical for every `threads` value; `morsels` and
-  // wall times reflect the actual execution. `trace` receives span events
-  // and must be thread-safe; it is ignored unless `metrics` is set.
-  OpMetrics* metrics = nullptr;
-  TraceSink* trace = nullptr;
-  // Resource governance (common/resource.h): propagated into every
-  // disjunct's CqEvalOptions and into the union/group/filter/project
-  // phases. A latched deadline/cancel/budget failure surfaces as the
-  // context's typed Status. Null (the default) is cost-free.
-  QueryContext* ctx = nullptr;
 };
 
 struct FlockEvalInfo {
@@ -65,12 +42,22 @@ struct FlockEvalInfo {
 // Evaluates `flock` over `db` (plus `extra` predicate overlays, used by
 // plan steps). The result's columns are the flock's parameters, "$"-tagged,
 // in sorted order, and its rows are canonically (lexicographically)
-// sorted — deterministic for every options.threads value. Requires a
+// sorted — deterministic for every env.threads value. Requires a
 // monotone filter; non-monotone filters need the naive evaluator
 // (flocks/naive_eval.h), which can see empty answers.
+//
+// `env`: with more than one thread, independent disjuncts of a union
+// flock evaluate concurrently on the shared pool (common/thread_pool.h),
+// each disjunct's scans and joins run morsel-parallel, and the
+// group-by/aggregate uses thread-local tables merged in morsel order.
+// env.metrics receives one "disjunct" child per disjunct (pre-allocated
+// before the fan-out, so concurrent disjuncts write disjoint subtrees),
+// then "union" / "group_by" / "filter" / "project" nodes; row counters
+// are identical for every thread count. env.ctx governs every disjunct
+// and the union/group/filter/project phases.
 Result<Relation> EvaluateFlock(
     const QueryFlock& flock, const Database& db,
-    const FlockEvalOptions& options = {},
+    const FlockEvalOptions& options = {}, const ExecEnv& env = {},
     const std::map<std::string, const Relation*>* extra = nullptr,
     FlockEvalInfo* info = nullptr);
 

@@ -156,7 +156,7 @@ bool IncrementalEvaluator::DeltaSlice(
 Status IncrementalEvaluator::BuildState(const std::string& name,
                                         const QueryFlock& flock,
                                         const Database& db,
-                                        const IncrementalEvalOptions& opts,
+                                        const ExecEnv& env,
                                         IncrementalFlockState* st) {
   (void)name;
   std::vector<std::string> param_columns = FlockParameterColumns(flock);
@@ -168,8 +168,7 @@ Status IncrementalEvaluator::BuildState(const std::string& name,
   bool check_sum = flock.filter.agg == FilterAgg::kSum;
 
   PredicateResolver resolver(db);
-  OpMetrics* m = opts.metrics;
-  TraceSink* tr = m != nullptr ? opts.trace : nullptr;
+  OpMetrics* m = env.metrics;
   std::size_t n_disjuncts = flock.query.disjuncts.size();
   std::vector<OpMetrics*> disjunct_nodes(n_disjuncts, nullptr);
   if (m != nullptr) disjunct_nodes = m->AddChildren(n_disjuncts, "disjunct");
@@ -181,14 +180,9 @@ Status IncrementalEvaluator::BuildState(const std::string& name,
     const ConjunctiveQuery& cq = flock.query.disjuncts[d];
     std::vector<std::string> wanted = param_columns;
     for (const std::string& h : cq.head_vars) wanted.push_back(h);
-    CqEvalOptions cq_options;
-    cq_options.threads = opts.threads;
-    cq_options.metrics = disjunct_nodes[d];
-    cq_options.trace = tr;
-    cq_options.ctx = opts.ctx;
-    ScopedOp span(disjunct_nodes[d], tr);
-    Result<Relation> bindings =
-        EvaluateConjunctiveBindings(cq, resolver, wanted, cq_options);
+    ScopedOp span(disjunct_nodes[d], env.trace);
+    Result<Relation> bindings = EvaluateConjunctiveBindings(
+        cq, resolver, wanted, {}, env.At(disjunct_nodes[d]));
     if (!bindings.ok()) return bindings.status();
     Relation renamed = Rename(std::move(*bindings), answer_columns);
     for (const Tuple& row : renamed.rows()) {
@@ -197,9 +191,7 @@ Status IncrementalEvaluator::BuildState(const std::string& name,
       }
       st->AbsorbAnswer(row);
     }
-    if (opts.ctx != nullptr) {
-      if (Status s = opts.ctx->Check(); !s.ok()) return s;
-    }
+    if (Status s = env.Check(); !s.ok()) return s;
   }
   st->SealBatch();
 
@@ -218,11 +210,12 @@ Status IncrementalEvaluator::Run(const std::string& name,
                                  const QueryFlock& flock, const Database& db,
                                  const std::map<std::string, Relation>& views,
                                  const IncrementalEvalOptions& opts,
-                                 Relation* result, IncrementalRunInfo* info) {
+                                 const ExecEnv& env, Relation* result,
+                                 IncrementalRunInfo* info) {
   QF_CHECK_MSG(result != nullptr && info != nullptr,
                "incremental Run needs result and info out-params");
   *info = IncrementalRunInfo{};
-  OpMetrics* m = opts.metrics;
+  OpMetrics* m = env.metrics;
   if (m != nullptr && m->op.empty()) m->op = "flock";
   // Added first so the decision leads the EXPLAIN ANALYZE tree; the
   // detail is filled in by `finish` once the decision is known.
@@ -371,7 +364,6 @@ Status IncrementalEvaluator::Run(const std::string& name,
           changed_names.insert(rel);
         }
         PredicateResolver resolver(db, extra);
-        TraceSink* tr = m != nullptr ? opts.trace : nullptr;
         std::vector<Tuple> staging;
         for (std::size_t d = 0; d < flock.query.disjuncts.size(); ++d) {
           const ConjunctiveQuery& cq = flock.query.disjuncts[d];
@@ -385,26 +377,21 @@ Status IncrementalEvaluator::Run(const std::string& name,
             ConjunctiveQuery delta_cq = cq;
             delta_cq.subgoals[j] =
                 Subgoal::Positive(DeltaPredicate(sg.predicate()), sg.args());
-            CqEvalOptions cq_options;
-            cq_options.threads = opts.threads;
-            cq_options.trace = tr;
-            cq_options.ctx = opts.ctx;
-            if (inc_node != nullptr) {
-              cq_options.metrics = inc_node->AddChild(
-                  "disjunct", "delta d" + std::to_string(d) + " " +
-                                  sg.predicate());
-            }
-            ScopedOp span(cq_options.metrics, tr);
+            OpMetrics* node =
+                inc_node != nullptr
+                    ? inc_node->AddChild("disjunct",
+                                         "delta d" + std::to_string(d) + " " +
+                                             sg.predicate())
+                    : nullptr;
+            ScopedOp span(node, env.trace);
             Result<Relation> bindings = EvaluateConjunctiveBindings(
-                delta_cq, resolver, wanted, cq_options);
+                delta_cq, resolver, wanted, {}, env.At(node));
             if (!bindings.ok()) return bindings.status();
             Relation renamed = Rename(std::move(*bindings), answer_columns);
             for (const Tuple& row : renamed.rows()) {
               staging.push_back(row);
             }
-            if (opts.ctx != nullptr) {
-              if (Status s = opts.ctx->Check(); !s.ok()) return s;
-            }
+            if (Status s = env.Check(); !s.ok()) return s;
           }
         }
         // Pre-scan the staged rows BEFORE absorbing: a SUM violation must
@@ -458,7 +445,7 @@ Status IncrementalEvaluator::Run(const std::string& name,
 
   auto st = std::make_unique<IncrementalFlockState>(name, flock,
                                                     opts.window_capacity);
-  if (Status s = BuildState(name, flock, db, opts, st.get()); !s.ok()) {
+  if (Status s = BuildState(name, flock, db, env, st.get()); !s.ok()) {
     return s;
   }
   if (flock.filter.agg == FilterAgg::kSum && !st->sum_exact()) {

@@ -32,8 +32,7 @@
 #include <utility>
 #include <vector>
 
-#include "common/metrics.h"
-#include "common/resource.h"
+#include "common/exec_env.h"
 #include "common/status.h"
 #include "flocks/flock.h"
 #include "mining/incremental.h"
@@ -42,17 +41,6 @@
 namespace qf {
 
 struct IncrementalEvalOptions {
-  // Workers for build/delta binding evaluation (1 = serial). Served
-  // results are identical for every value (the engine contract).
-  unsigned threads = 1;
-  // Observability: when `metrics` is set the run appends an
-  // "incremental" node (decision + state size; one "delta" child per
-  // changed relation with its delta row count) plus the usual disjunct
-  // subtrees for build/delta evaluations.
-  OpMetrics* metrics = nullptr;
-  TraceSink* trace = nullptr;
-  // Per-statement governor for the evaluation work (transient charges).
-  QueryContext* ctx = nullptr;
   // Session memory budget ALL persistent flock states are held against,
   // pooled (the shell passes SET MEMORY's bytes; 0 = unlimited). When a
   // state's projected footprint would overflow the pool, *other* cached
@@ -97,10 +85,16 @@ class IncrementalEvaluator {
   // the ordinary evaluation. Errors (typed governor aborts, SUM
   // violations) surface as non-OK statuses exactly as the full
   // evaluator's would.
+  //
+  // `env` runs the build/delta binding evaluations (served results are
+  // identical for every thread count; env.ctx takes their transient
+  // charges). env.metrics receives an "incremental" node (decision +
+  // state size; one "delta" child per changed relation with its delta
+  // row count) plus the usual disjunct subtrees for build/delta work.
   Status Run(const std::string& name, const QueryFlock& flock,
              const Database& db, const std::map<std::string, Relation>& views,
-             const IncrementalEvalOptions& opts, Relation* result,
-             IncrementalRunInfo* info);
+             const IncrementalEvalOptions& opts, const ExecEnv& env,
+             Relation* result, IncrementalRunInfo* info);
 
   const IncrementalFlockState* state(const std::string& name) const;
   std::size_t state_count() const { return states_.size(); }
@@ -127,7 +121,7 @@ class IncrementalEvaluator {
                   Relation* slice) const;
 
   Status BuildState(const std::string& name, const QueryFlock& flock,
-                    const Database& db, const IncrementalEvalOptions& opts,
+                    const Database& db, const ExecEnv& env,
                     IncrementalFlockState* st);
 
   // Makes `projected` bytes for `subject` fit within the pooled `budget`

@@ -42,7 +42,8 @@ Result<std::map<std::string, std::set<Value>>> ParameterDomains(
 
 Result<Relation> NaiveEvaluateFlock(const QueryFlock& flock,
                                     const Database& db,
-                                    const NaiveEvalOptions& options) {
+                                    const NaiveEvalOptions& options,
+                                    const ExecEnv& env) {
   if (Status s = flock.Validate(&db); !s.ok()) return s;
 
   Result<std::map<std::string, std::set<Value>>> domains =
@@ -76,15 +77,13 @@ Result<Relation> NaiveEvaluateFlock(const QueryFlock& flock,
   }
   PredicateResolver resolver(db);
 
-  CqEvalOptions cq_options;
-  cq_options.ctx = options.ctx;
+  // The oracle stays serial and unobserved whatever the caller's env.
+  const ExecEnv cq_env{.ctx = env.ctx};
 
   // Odometer over the candidate assignments.
   std::vector<std::size_t> index(params.size(), 0);
   while (true) {
-    if (options.ctx != nullptr && !options.ctx->Poll()) {
-      return options.ctx->Check();
-    }
+    if (env.ctx != nullptr && !env.ctx->Poll()) return env.ctx->Check();
     std::map<std::string, Value> assignment;
     for (std::size_t i = 0; i < params.size(); ++i) {
       assignment.emplace(params[i], domain_vectors[i][index[i]]);
@@ -97,7 +96,7 @@ Result<Relation> NaiveEvaluateFlock(const QueryFlock& flock,
     for (const ConjunctiveQuery& cq : flock.query.disjuncts) {
       ConjunctiveQuery ground = SubstituteParameters(cq, assignment);
       Result<Relation> bindings = EvaluateConjunctiveBindings(
-          ground, resolver, ground.head_vars, cq_options);
+          ground, resolver, ground.head_vars, {}, cq_env);
       if (!bindings.ok()) {
         error = true;
         error_status = bindings.status();

@@ -17,7 +17,7 @@
 
 #include <cstddef>
 
-#include "common/resource.h"
+#include "common/exec_env.h"
 #include "common/status.h"
 #include "flocks/flock.h"
 
@@ -29,17 +29,17 @@ struct NaiveEvalOptions {
   // data).
   std::size_t max_assignments = 10'000'000;
   bool require_nonnegative_sum = true;
-  // Resource governance (common/resource.h): checked once per candidate
-  // assignment and threaded into the per-assignment CQ evaluations, so
-  // even the oracle honours deadlines and cancellation.
-  QueryContext* ctx = nullptr;
 };
 
 // Evaluates `flock` by explicit enumeration. Result columns are the
-// "$"-tagged parameters in sorted order, matching EvaluateFlock.
+// "$"-tagged parameters in sorted order, matching EvaluateFlock. env.ctx
+// is checked once per candidate assignment and governs the
+// per-assignment CQ evaluations, so even the oracle honours deadlines
+// and cancellation; the oracle runs serially and records no metrics.
 Result<Relation> NaiveEvaluateFlock(const QueryFlock& flock,
                                     const Database& db,
-                                    const NaiveEvalOptions& options = {});
+                                    const NaiveEvalOptions& options = {},
+                                    const ExecEnv& env = {});
 
 }  // namespace qf
 

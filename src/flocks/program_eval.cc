@@ -46,13 +46,14 @@ Result<Relation> EvaluateFlockWithProgram(const QueryFlock& flock,
                                           const Program& program,
                                           const Database& db,
                                           const FlockEvalOptions& options,
+                                          const ExecEnv& env,
                                           FlockEvalInfo* info) {
   Result<std::map<std::string, Relation>> views =
       MaterializeProgram(program, db);
   if (!views.ok()) return views.status();
   std::map<std::string, const Relation*> extra;
   for (const auto& [name, rel] : *views) extra[name] = &rel;
-  return EvaluateFlock(flock, db, options, &extra, info);
+  return EvaluateFlock(flock, db, options, env, &extra, info);
 }
 
 }  // namespace qf

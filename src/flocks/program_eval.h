@@ -27,7 +27,8 @@ Result<std::map<std::string, Relation>> MaterializeProgram(
 // intermediate predicates alongside the base relations.
 Result<Relation> EvaluateFlockWithProgram(
     const QueryFlock& flock, const Program& program, const Database& db,
-    const FlockEvalOptions& options = {}, FlockEvalInfo* info = nullptr);
+    const FlockEvalOptions& options = {}, const ExecEnv& env = {},
+    FlockEvalInfo* info = nullptr);
 
 }  // namespace qf
 

@@ -13,7 +13,7 @@ namespace qf {
 
 Result<MaximalItemsetsResult> MaximalFrequentItemsets(
     const Database& db, const std::string& relation,
-    const MaximalItemsetsOptions& options) {
+    const MaximalItemsetsOptions& options, const ExecEnv& env) {
   if (!db.Has(relation)) {
     return NotFoundError("unknown relation: " + relation);
   }
@@ -31,9 +31,7 @@ Result<MaximalItemsetsResult> MaximalFrequentItemsets(
       MakeFlock("answer(B) :- " + relation + "(B,$1)",
                 FilterCondition::MinSupport(options.min_support));
   if (!flock1.ok()) return flock1.status();
-  FlockEvalOptions eval_options;
-  eval_options.ctx = options.ctx;
-  Result<Relation> freq = EvaluateFlock(*flock1, db, eval_options);
+  Result<Relation> freq = EvaluateFlock(*flock1, db, {}, env);
   if (!freq.ok()) return freq.status();
   result.levels = 1;
   result.frequent_per_level.push_back(freq->size());
@@ -59,8 +57,7 @@ Result<MaximalItemsetsResult> MaximalFrequentItemsets(
     PlanExecOptions exec_options;
     exec_options.order_chooser = CostBasedOrderChooser();
     exec_options.precomputed_steps = &precomputed;
-    exec_options.ctx = options.ctx;
-    Result<Relation> level = ExecutePlan(*plan, *flock, db, exec_options);
+    Result<Relation> level = ExecutePlan(*plan, *flock, db, exec_options, env);
     if (!level.ok()) return level.status();
 
     result.levels = k;

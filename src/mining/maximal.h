@@ -16,7 +16,7 @@
 #include <string>
 #include <vector>
 
-#include "common/resource.h"
+#include "common/exec_env.h"
 #include "common/status.h"
 #include "relational/database.h"
 #include "relational/relation.h"
@@ -27,9 +27,6 @@ struct MaximalItemsetsOptions {
   double min_support = 1;
   // Safety stop; 0 means run until a level is empty.
   std::size_t max_size = 0;
-  // Resource governance (common/resource.h), threaded through every
-  // level's flock evaluation.
-  QueryContext* ctx = nullptr;
 };
 
 struct MaximalItemsetsResult {
@@ -43,10 +40,11 @@ struct MaximalItemsetsResult {
 
 // Runs the flock sequence over `relation`(`bid_column`, `item_column`) in
 // `db`. The relation's columns must be named "BID" and "Item"-style; only
-// the two named columns are read.
+// the two named columns are read. Every level's flock evaluation runs
+// under `env`.
 Result<MaximalItemsetsResult> MaximalFrequentItemsets(
     const Database& db, const std::string& relation,
-    const MaximalItemsetsOptions& options);
+    const MaximalItemsetsOptions& options, const ExecEnv& env = {});
 
 }  // namespace qf
 

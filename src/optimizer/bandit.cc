@@ -111,15 +111,36 @@ PlanContext MakePlanContext(const QueryFlock& flock, const CostModel& model) {
   return ctx;
 }
 
-std::vector<BanditArm> EnumerateArms(const QueryFlock& flock,
-                                     const CostModel& model,
-                                     bool dynamic_eligible,
-                                     const DynamicKnobs& session_knobs) {
-  std::vector<BanditArm> arms;
+std::optional<Strategy> StrategyForMode(std::string_view mode,
+                                        const DynamicKnobs& session_knobs) {
+  Strategy strategy;
+  if (mode == "PLAN") {
+    strategy.id = "plan:search";
+    strategy.kind = Strategy::Kind::kPlan;
+  } else if (mode == "DIRECT") {
+    strategy.id = "direct:text";
+  } else if (mode == "REDUCED") {
+    strategy.id = "direct:reduced";
+    strategy.full_reducer = true;
+  } else if (mode == "DYNAMIC") {
+    strategy.id = "dyn:text";
+    strategy.kind = Strategy::Kind::kDynamic;
+    strategy.knobs = session_knobs;
+  } else {
+    return std::nullopt;
+  }
+  return strategy;
+}
 
-  BanditArm plan;
+std::vector<Strategy> EnumerateArms(const QueryFlock& flock,
+                                    const CostModel& model,
+                                    bool dynamic_eligible,
+                                    const DynamicKnobs& session_knobs) {
+  std::vector<Strategy> arms;
+
+  Strategy plan;
   plan.id = "plan:search";
-  plan.kind = BanditArm::Kind::kPlan;
+  plan.kind = Strategy::Kind::kPlan;
   arms.push_back(std::move(plan));
 
   std::vector<std::vector<std::size_t>> cost_orders;
@@ -129,25 +150,25 @@ std::vector<BanditArm> EnumerateArms(const QueryFlock& flock,
     if (!IsIdentityOrder(cost_orders.back())) cost_is_text = false;
   }
 
-  BanditArm direct_cost;
+  Strategy direct_cost;
   direct_cost.id = "direct:cost";
-  direct_cost.kind = BanditArm::Kind::kDirect;
+  direct_cost.kind = Strategy::Kind::kDirect;
   direct_cost.orders = cost_orders;
   arms.push_back(std::move(direct_cost));
 
   if (!cost_is_text) {
-    BanditArm direct_text;
+    Strategy direct_text;
     direct_text.id = "direct:text";
-    direct_text.kind = BanditArm::Kind::kDirect;
+    direct_text.kind = Strategy::Kind::kDirect;
     direct_text.orders.assign(flock.query.disjuncts.size(), {});
     arms.push_back(std::move(direct_text));
   }
 
   if (dynamic_eligible) {
     auto dyn = [&](const char* id, const DynamicKnobs& knobs) {
-      BanditArm arm;
+      Strategy arm;
       arm.id = id;
-      arm.kind = BanditArm::Kind::kDynamic;
+      arm.kind = Strategy::Kind::kDynamic;
       arm.orders = {cost_orders.empty() ? std::vector<std::size_t>{}
                                         : cost_orders.front()};
       arm.knobs = knobs;
@@ -169,7 +190,7 @@ std::vector<BanditArm> EnumerateArms(const QueryFlock& flock,
 }
 
 BanditChoice PlanBandit::Choose(std::uint64_t context,
-                                const std::vector<BanditArm>& arms) const {
+                                const std::vector<Strategy>& arms) const {
   BanditChoice choice;
   const std::map<std::string, ArmStats>* cell = history_.FindContext(context);
 

@@ -24,7 +24,9 @@
 #define QF_OPTIMIZER_BANDIT_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "flocks/flock.h"
@@ -43,10 +45,13 @@ struct DynamicKnobs {
   bool operator==(const DynamicKnobs&) const = default;
 };
 
-// One way to run a flock. `id` is the stable history key — renaming an
-// arm orphans its learned history, so ids are part of the persistence
-// contract (DESIGN.md §15).
-struct BanditArm {
+// One way to evaluate a flock (§4): direct evaluation, a legal FILTER
+// plan, or dynamic filter selection. A RUN mode word and a bandit arm are
+// both spellings of a Strategy (StrategyForMode, EnumerateArms), and one
+// executor runs it (Shell::Execute). `id` is the stable history key —
+// renaming an arm orphans its learned history, so arm ids are part of the
+// persistence contract (DESIGN.md §15).
+struct Strategy {
   enum class Kind {
     kPlan,     // §4.3 static plan search + plan executor
     kDirect,   // EvaluateFlock with explicit per-disjunct join orders
@@ -55,11 +60,21 @@ struct BanditArm {
 
   std::string id;
   Kind kind = Kind::kDirect;
-  // Per-disjunct join orders for kDirect (empty inner vector = text
-  // order); for kDynamic only orders[0] is used. Ignored for kPlan.
+  // Per-disjunct join orders for kDirect (missing or empty = text order);
+  // for kDynamic only orders[0] is used. Ignored for kPlan.
   std::vector<std::vector<std::size_t>> orders;
+  // kDirect only: Yannakakis full-reducer evaluation (falls back to the
+  // join fold on cyclic queries).
+  bool full_reducer = false;
   DynamicKnobs knobs;  // kDynamic only
 };
+
+// The strategy a RUN / EXPLAIN ANALYZE mode word names, in text order:
+// PLAN = plan:search, DIRECT = direct:text, REDUCED = direct:reduced,
+// DYNAMIC = dyn:text with the session's §4.4 knobs. nullopt for any other
+// word.
+std::optional<Strategy> StrategyForMode(std::string_view mode,
+                                        const DynamicKnobs& session_knobs);
 
 // The discretized feature vector, hashed. `description` is the
 // human-readable rendering SHOW OPTIMIZER STATE and EXPLAIN ANALYZE use.
@@ -87,10 +102,10 @@ PlanContext MakePlanContext(const QueryFlock& flock, const CostModel& model);
 // presets. Arms are re-enumerated per run: "direct:cost" always means
 // "the cost model's current order", so plans track statistics while the
 // history tracks the strategy.
-std::vector<BanditArm> EnumerateArms(const QueryFlock& flock,
-                                     const CostModel& model,
-                                     bool dynamic_eligible,
-                                     const DynamicKnobs& session_knobs);
+std::vector<Strategy> EnumerateArms(const QueryFlock& flock,
+                                    const CostModel& model,
+                                    bool dynamic_eligible,
+                                    const DynamicKnobs& session_knobs);
 
 // The bandit's decision for one run.
 struct BanditChoice {
@@ -115,7 +130,7 @@ class PlanBandit {
       : history_(history), exploration_(exploration) {}
 
   BanditChoice Choose(std::uint64_t context,
-                      const std::vector<BanditArm>& arms) const;
+                      const std::vector<Strategy>& arms) const;
 
  private:
   const OutcomeHistory& history_;

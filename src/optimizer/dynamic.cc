@@ -54,7 +54,7 @@ const Relation* AnswerUpperBoundView(const Relation& rel,
 
 Result<Relation> DynamicEvaluate(const QueryFlock& flock, const Database& db,
                                  const DynamicOptions& options,
-                                 DynamicLog* log) {
+                                 const ExecEnv& env, DynamicLog* log) {
   if (Status s = flock.Validate(&db); !s.ok()) return s;
   if (flock.query.disjuncts.size() != 1) {
     return UnimplementedError(
@@ -92,13 +92,11 @@ Result<Relation> DynamicEvaluate(const QueryFlock& flock, const Database& db,
         "join_order must be a permutation of the positive subgoals");
   }
 
-  OpMetrics* m = options.metrics;
-  TraceSink* tr = m != nullptr ? options.trace : nullptr;
+  OpMetrics* m = env.metrics;
+  TraceSink* tr = env.trace;
   if (m != nullptr && m->op.empty()) m->op = "dynamic";
-  QueryContext* ctx = options.ctx;
-  auto governed = [ctx]() {
-    return ctx != nullptr ? ctx->Check() : Status::Ok();
-  };
+  QueryContext* ctx = env.ctx;
+  auto governed = [&env]() { return env.Check(); };
 
   // Binding relations per positive subgoal.
   std::vector<Relation> bindings;
@@ -108,7 +106,7 @@ Result<Relation> DynamicEvaluate(const QueryFlock& flock, const Database& db,
                                    : nullptr;
     ScopedOp span(node, tr);
     bindings.push_back(
-        SubgoalBindings(*s, db.Get(s->predicate()), options.threads, node,
+        SubgoalBindings(*s, db.Get(s->predicate()), env.threads, node,
                         ctx));
     if (Status s2 = governed(); !s2.ok()) return s2;
   }
@@ -119,7 +117,7 @@ Result<Relation> DynamicEvaluate(const QueryFlock& flock, const Database& db,
         m != nullptr ? m->AddChild("scan", "NOT " + s->predicate()) : nullptr;
     ScopedOp span(node, tr);
     negation_bindings.push_back(
-        SubgoalBindings(*s, db.Get(s->predicate()), options.threads, node,
+        SubgoalBindings(*s, db.Get(s->predicate()), env.threads, node,
                         ctx));
     if (Status s2 = governed(); !s2.ok()) return s2;
   }

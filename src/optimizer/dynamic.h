@@ -24,8 +24,7 @@
 #include <string>
 #include <vector>
 
-#include "common/metrics.h"
-#include "common/resource.h"
+#include "common/exec_env.h"
 #include "common/status.h"
 #include "flocks/flock.h"
 #include "relational/database.h"
@@ -49,19 +48,6 @@ struct DynamicOptions {
   // §4.4 made operational: a mean ratio below threshold does not help if
   // the mass sits in a few huge groups.
   double min_removed_fraction = 0.2;
-  // Worker threads for the scan/bindings phase (1 = serial; results are
-  // identical for every value).
-  unsigned threads = 1;
-  // Observability (common/metrics.h): the evaluation appends "scan",
-  // "dyn_filter" (one per decision point, with "group_by"/"semi_join"
-  // children when those ran), "join", and the final aggregation nodes.
-  // `trace` receives span events; ignored unless `metrics` is set.
-  OpMetrics* metrics = nullptr;
-  TraceSink* trace = nullptr;
-  // Resource governance (common/resource.h): polled by every operator in
-  // the fold and checked after each decision point, so a runaway dynamic
-  // evaluation aborts with the context's typed Status.
-  QueryContext* ctx = nullptr;
 };
 
 struct DynamicDecision {
@@ -95,8 +81,15 @@ struct DynamicLog {
 // single-disjunct query (per-disjunct pruning of a union against the full
 // threshold would be unsound — §3.4 demands unions of subqueries) and a
 // support-style filter. The result equals EvaluateFlock(flock, db).
+//
+// `env`: env.threads workers run the scan/bindings phase (results are
+// identical for every value). env.metrics receives "scan", "dyn_filter"
+// (one per decision point, with "group_by"/"semi_join" children when
+// those ran), "join", and the final aggregation nodes. env.ctx is polled
+// by every operator in the fold and checked after each decision point.
 Result<Relation> DynamicEvaluate(const QueryFlock& flock, const Database& db,
                                  const DynamicOptions& options = {},
+                                 const ExecEnv& env = {},
                                  DynamicLog* log = nullptr);
 
 // Renders the decisions of a dynamic run in the spirit of the paper's

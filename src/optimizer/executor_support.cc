@@ -33,11 +33,10 @@ StepOrderChooser CostBasedOrderChooser(CostModelConfig config) {
 Result<Relation> ExecutePlanOptimized(const QueryPlan& plan,
                                       const QueryFlock& flock,
                                       const Database& db,
-                                      PlanExecInfo* info, unsigned threads) {
+                                      const ExecEnv& env, PlanExecInfo* info) {
   PlanExecOptions options;
   options.order_chooser = CostBasedOrderChooser();
-  options.threads = threads;
-  return ExecutePlan(plan, flock, db, options, info);
+  return ExecutePlan(plan, flock, db, options, env, info);
 }
 
 }  // namespace qf

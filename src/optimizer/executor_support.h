@@ -19,13 +19,11 @@ namespace qf {
 StepOrderChooser CostBasedOrderChooser(CostModelConfig config = {});
 
 // Convenience wrapper: ExecutePlan with cost-based join ordering.
-// `threads` is PlanExecOptions::threads (1 = serial; any value yields the
-// same result).
 Result<Relation> ExecutePlanOptimized(const QueryPlan& plan,
                                       const QueryFlock& flock,
                                       const Database& db,
-                                      PlanExecInfo* info = nullptr,
-                                      unsigned threads = 1);
+                                      const ExecEnv& env = {},
+                                      PlanExecInfo* info = nullptr);
 
 }  // namespace qf
 

@@ -29,7 +29,7 @@ bool ReferencesAny(const FilterStep& step, const std::set<std::string>& names) {
 Result<Relation> ExecutePlan(const QueryPlan& plan, const QueryFlock& flock,
                              const Database& db,
                              const PlanExecOptions& options,
-                             PlanExecInfo* info) {
+                             const ExecEnv& env, PlanExecInfo* info) {
   if (options.check_legal) {
     if (Status s = CheckLegal(plan, flock); !s.ok()) return s;
   }
@@ -45,8 +45,8 @@ Result<Relation> ExecutePlan(const QueryPlan& plan, const QueryFlock& flock,
   // Observability: pre-allocate one "step" node per plan step, in plan
   // order, before any wave fans out — concurrent steps then write
   // disjoint, stably addressed subtrees.
-  OpMetrics* m = options.metrics;
-  TraceSink* tr = m != nullptr ? options.trace : nullptr;
+  OpMetrics* m = env.metrics;
+  TraceSink* tr = env.trace;
   if (m != nullptr && m->op.empty()) m->op = "plan";
   std::vector<OpMetrics*> step_nodes(n_steps, nullptr);
   if (m != nullptr) {
@@ -98,15 +98,11 @@ Result<Relation> ExecutePlan(const QueryPlan& plan, const QueryFlock& flock,
       } else if (k < options.per_step.size()) {
         eval_options = options.per_step[k];
       }
-      if (eval_options.threads <= 1) eval_options.threads = options.threads;
-      eval_options.metrics = step_nodes[k];
-      eval_options.trace = tr;
-      eval_options.ctx = options.ctx;
       wave_options[k - done] = std::move(eval_options);
     }
 
     Status wave_status = ParallelForStatus(
-        std::min<std::size_t>(options.threads, wave_end - done),
+        std::min<std::size_t>(env.threads, wave_end - done),
         wave_end - done, 1, [&](std::size_t i, std::size_t) -> Status {
           std::size_t k = done + i;
           const FilterStep& step = plan.steps[k];
@@ -114,8 +110,9 @@ Result<Relation> ExecutePlan(const QueryPlan& plan, const QueryFlock& flock,
           QueryFlock step_flock(step.query, flock.filter);
           FlockEvalInfo eval_info;
           ScopedOp span(step_nodes[k], tr);
-          Result<Relation> result = EvaluateFlock(
-              step_flock, db, wave_options[i], &extra, &eval_info);
+          Result<Relation> result =
+              EvaluateFlock(step_flock, db, wave_options[i],
+                            env.At(step_nodes[k]), &extra, &eval_info);
           if (!result.ok()) return result.status();
 
           // EvaluateFlock orders columns by sorted parameter name;
@@ -125,8 +122,7 @@ Result<Relation> ExecutePlan(const QueryPlan& plan, const QueryFlock& flock,
           for (const std::string& p : step.parameters) {
             declared.push_back("$" + p);
           }
-          Relation reordered = Project(*result, declared, nullptr,
-                                       options.ctx);
+          Relation reordered = Project(*result, declared, nullptr, env.ctx);
           reordered.set_name(step.result_name);
           step_infos[k] = {step.result_name, reordered.size(),
                            eval_info.peak_rows, eval_info.answer_rows};
@@ -134,9 +130,7 @@ Result<Relation> ExecutePlan(const QueryPlan& plan, const QueryFlock& flock,
           return Status::Ok();
         });
     if (!wave_status.ok()) return wave_status;
-    if (options.ctx != nullptr) {
-      if (Status s = options.ctx->Check(); !s.ok()) return s;
-    }
+    if (Status s = env.Check(); !s.ok()) return s;
 
     // Publish the wave's results for later waves (single-threaded again).
     for (std::size_t k = done; k < wave_end; ++k) {
@@ -160,11 +154,8 @@ Result<Relation> ExecutePlan(const QueryPlan& plan, const QueryFlock& flock,
                                  : nullptr;
   ScopedOp span(node, tr);
   Relation normalized = Project(materialized[n_steps - 1],
-                                FlockParameterColumns(flock), node,
-                                options.ctx);
-  if (options.ctx != nullptr) {
-    if (Status s = options.ctx->Check(); !s.ok()) return s;
-  }
+                                FlockParameterColumns(flock), node, env.ctx);
+  if (Status s = env.Check(); !s.ok()) return s;
   normalized.SortRows();
   if (m != nullptr) m->rows_out += normalized.size();
   normalized.set_name("flock_result");

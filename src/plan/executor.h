@@ -65,34 +65,25 @@ struct PlanExecOptions {
   // Verify legality before executing (recommended; turn off only in
   // benches that check it once outside the timed region).
   bool check_legal = true;
-  // Workers for plan execution (1 = serial). With more than one, steps
-  // that do not reference each other's results evaluate concurrently in
-  // dependency waves on the shared pool, and each step's flock evaluation
-  // inherits the knob (FlockEvalOptions::threads). The executed plan's
-  // result — and every per-step materialization — is identical for every
-  // value; see DESIGN.md, "Threading model".
-  unsigned threads = 1;
-  // Observability (common/metrics.h). When `metrics` is non-null the
-  // executor builds one "step" child per plan step (in plan order,
-  // pre-allocated before each wave fans out, so concurrent steps write
-  // disjoint subtrees) plus a final "project" child; each step child
-  // holds that step's flock-evaluation tree. `trace` receives span events
-  // and must be thread-safe; ignored unless `metrics` is set.
-  OpMetrics* metrics = nullptr;
-  TraceSink* trace = nullptr;
-  // Resource governance (common/resource.h): propagated into every step's
-  // flock evaluation and checked between dependency waves, so a latched
-  // deadline/cancel/budget failure stops the plan before the next wave
-  // starts and surfaces as the context's typed Status.
-  QueryContext* ctx = nullptr;
 };
 
 // Executes `plan` for `flock` over `db`. The result matches
 // EvaluateFlock(flock, db) for every legal plan (the §4.2 equivalence),
 // with the same canonically sorted row order.
+//
+// `env`: with more than one thread, steps that do not reference each
+// other's results evaluate concurrently in dependency waves, and each
+// step's flock evaluation gets the same env. The result — and every
+// per-step materialization — is identical for every thread count.
+// env.metrics receives one "step" child per plan step (in plan order,
+// pre-allocated before each wave fans out) holding that step's
+// flock-evaluation tree, plus a final "project" child. env.ctx governs
+// every step and is checked between waves, so a latched failure stops
+// the plan before the next wave starts.
 Result<Relation> ExecutePlan(const QueryPlan& plan, const QueryFlock& flock,
                              const Database& db,
                              const PlanExecOptions& options = {},
+                             const ExecEnv& env = {},
                              PlanExecInfo* info = nullptr);
 
 }  // namespace qf

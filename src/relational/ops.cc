@@ -275,76 +275,6 @@ Relation ParallelNaturalJoin(const Relation& a, const Relation& b,
   return out;
 }
 
-Relation SortMergeJoin(const Relation& a, const Relation& b) {
-  JoinLayout layout = ComputeJoinLayout(a, b);
-  Relation out(JoinedSchema(a, b, layout));
-  if (a.empty() || b.empty()) return out;
-  if (layout.a_key.empty()) return NaturalJoin(a, b);  // cross product
-
-  // Sort row indices of both sides by their key projections.
-  auto make_order = [](const Relation& rel,
-                       const std::vector<std::size_t>& key) {
-    std::vector<std::size_t> order(rel.size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::sort(order.begin(), order.end(),
-              [&rel, &key](std::size_t x, std::size_t y) {
-                for (std::size_t k : key) {
-                  const Value& vx = rel.rows()[x][k];
-                  const Value& vy = rel.rows()[y][k];
-                  if (vx < vy) return true;
-                  if (vy < vx) return false;
-                }
-                return false;
-              });
-    return order;
-  };
-  std::vector<std::size_t> oa = make_order(a, layout.a_key);
-  std::vector<std::size_t> ob = make_order(b, layout.b_key);
-
-  auto compare_keys = [&](std::size_t ia, std::size_t ib) {
-    for (std::size_t k = 0; k < layout.a_key.size(); ++k) {
-      const Value& va = a.rows()[ia][layout.a_key[k]];
-      const Value& vb = b.rows()[ib][layout.b_key[k]];
-      if (va < vb) return -1;
-      if (vb < va) return 1;
-    }
-    return 0;
-  };
-
-  std::size_t i = 0, j = 0;
-  while (i < oa.size() && j < ob.size()) {
-    int cmp = compare_keys(oa[i], ob[j]);
-    if (cmp < 0) {
-      ++i;
-    } else if (cmp > 0) {
-      ++j;
-    } else {
-      // Emit the run x run block of equal keys.
-      std::size_t i_end = i;
-      while (i_end + 1 < oa.size() &&
-             compare_keys(oa[i_end + 1], ob[j]) == 0) {
-        ++i_end;
-      }
-      std::size_t j_end = j;
-      while (j_end + 1 < ob.size() &&
-             compare_keys(oa[i], ob[j_end + 1]) == 0) {
-        ++j_end;
-      }
-      for (std::size_t x = i; x <= i_end; ++x) {
-        for (std::size_t y = j; y <= j_end; ++y) {
-          Tuple combined = a.rows()[oa[x]];
-          const Tuple& tb = b.rows()[ob[y]];
-          for (std::size_t r : layout.b_rest) combined.push_back(tb[r]);
-          out.Add(std::move(combined));
-        }
-      }
-      i = i_end + 1;
-      j = j_end + 1;
-    }
-  }
-  return out;
-}
-
 namespace {
 
 void RecordSemiAntiMetrics(OpMetrics* metrics, const Relation& a,

@@ -59,12 +59,6 @@ Relation Rename(const Relation& rel, std::vector<std::string> new_names);
 Relation NaturalJoin(const Relation& a, const Relation& b,
                      OpMetrics* metrics = nullptr, QueryContext* ctx = nullptr);
 
-// Natural join computed by sort-merge instead of hashing: identical
-// result set (row order differs). Wins over the hash join when inputs are
-// large relative to cache, or as a cross-check in tests; the evaluators
-// use the hash join by default.
-Relation SortMergeJoin(const Relation& a, const Relation& b);
-
 // Natural join with the probe side split into fixed-size morsels handed
 // to the shared thread pool (common/thread_pool.h): a shared read-only
 // hash index over `b`, one output buffer per morsel, buffers concatenated

@@ -1,7 +1,5 @@
 #include "relational/spill.h"
 
-#include <algorithm>
-#include <optional>
 #include <utility>
 
 #include "common/check.h"
@@ -50,17 +48,13 @@ void CheckRefRange(std::size_t rows) {
                "flat-hash kernels address at most 2^32-1 rows");
 }
 
-// --- record codecs ---------------------------------------------------
+// --- record codec ----------------------------------------------------
 // Every spill record leads with the row's 64-bit partition-key hash so
-// recursion can redistribute records without decoding the values; join
-// and project records carry the row's original input index next (the tag
-// the k-way merge restores row order by).
+// recursion can redistribute records without decoding the values.
 
-void EncodeRecord(std::string& out, std::uint64_t hash,
-                  const std::uint64_t* tag, const Tuple& row) {
+void EncodeRecord(std::string& out, std::uint64_t hash, const Tuple& row) {
   out.clear();
   PutU64(out, hash);
-  if (tag != nullptr) PutU64(out, *tag);
   for (const Value& v : row) PutValue(out, v);
 }
 
@@ -73,10 +67,9 @@ Status PeekHash(std::string_view record, std::uint64_t* hash) {
 }
 
 Status DecodeRecord(std::string_view record, std::size_t arity,
-                    std::uint64_t* hash, std::uint64_t* tag, Tuple* row) {
+                    std::uint64_t* hash, Tuple* row) {
   ByteReader r(record);
   if (!r.GetU64(hash)) return CorruptRecord();
-  if (tag != nullptr && !r.GetU64(tag)) return CorruptRecord();
   row->clear();
   row->reserve(arity);
   for (std::size_t i = 0; i < arity; ++i) {
@@ -136,70 +129,6 @@ bool ShouldRecurse(QueryContext* ctx, const SpillEnv& env, std::size_t level,
   if (ctx == nullptr || ctx->budget_bytes() == 0) return false;
   if (level + 1 >= env.max_depth) return false;
   return ctx->used_bytes() + load_bytes > ctx->budget_bytes();
-}
-
-// --- join/project order restoration ----------------------------------
-
-struct TaggedRow {
-  std::uint64_t tag = 0;  // original input-row index
-  Tuple row;
-};
-
-// K-way merge by tag. Each part is ascending in tag (equal tags — one
-// probe row's multiple matches — are contiguous within a single part and
-// stay in their relative order), so the result is the global input order.
-void MergeByTag(std::vector<std::vector<TaggedRow>>& parts,
-                std::vector<TaggedRow>& out) {
-  std::size_t total = 0;
-  for (const auto& p : parts) total += p.size();
-  out.reserve(out.size() + total);
-  std::vector<std::size_t> cur(parts.size(), 0);
-  for (;;) {
-    std::size_t best = parts.size();
-    std::uint64_t best_tag = 0;
-    for (std::size_t i = 0; i < parts.size(); ++i) {
-      if (cur[i] < parts[i].size() &&
-          (best == parts.size() || parts[i][cur[i]].tag < best_tag)) {
-        best = i;
-        best_tag = parts[i][cur[i]].tag;
-      }
-    }
-    if (best == parts.size()) break;
-    do {
-      out.push_back(std::move(parts[best][cur[best]]));
-      ++cur[best];
-    } while (cur[best] < parts[best].size() &&
-             parts[best][cur[best]].tag == best_tag);
-  }
-}
-
-// --- join layout (mirrors relational/ops.cc) --------------------------
-
-struct JoinLayout {
-  std::vector<std::size_t> a_key;
-  std::vector<std::size_t> b_key;
-  std::vector<std::size_t> b_rest;
-};
-
-JoinLayout ComputeJoinLayout(const Relation& a, const Relation& b) {
-  JoinLayout layout;
-  for (std::size_t j = 0; j < b.arity(); ++j) {
-    std::optional<std::size_t> i = a.schema().IndexOf(b.schema().column(j));
-    if (i.has_value()) {
-      layout.a_key.push_back(*i);
-      layout.b_key.push_back(j);
-    } else {
-      layout.b_rest.push_back(j);
-    }
-  }
-  return layout;
-}
-
-Schema JoinedSchema(const Relation& a, const Relation& b,
-                    const JoinLayout& layout) {
-  std::vector<std::string> columns = a.schema().columns();
-  for (std::size_t j : layout.b_rest) columns.push_back(b.schema().column(j));
-  return Schema(std::move(columns));
 }
 
 }  // namespace
@@ -390,7 +319,7 @@ Status SpillGroupSink::Push(const Tuple& row) {
   for (std::size_t i = 0; i < key_idx_.size(); ++i) {
     h = TupleHash::HashCombineValue(h, row[i]);
   }
-  EncodeRecord(scratch_, h, nullptr, row);
+  EncodeRecord(scratch_, h, row);
   if (Status s = writers_[PartitionOf(h, 0, env_.fanout)]->Add(scratch_);
       !s.ok()) {
     return status_ = s;
@@ -435,7 +364,7 @@ Status SpillGroupSink::ProcessPartition(const std::string& path,
   while (reader.Next(&rec)) {
     if (Status s = PollCtx(ctx_, ++i); !s.ok()) return s;
     std::uint64_t h = 0;
-    if (Status s = DecodeRecord(rec, arity, &h, nullptr, &row); !s.ok()) {
+    if (Status s = DecodeRecord(rec, arity, &h, &row); !s.ok()) {
       return s;
     }
     bool fresh = seen.Insert(
@@ -485,459 +414,6 @@ Result<Relation> SpillGroupSink::Finish() {
     metrics_->rows_out += out.size();
     metrics_->tuples_probed += probes_;
     metrics_->mem_bytes +=
-        static_cast<std::uint64_t>(out.size()) * ApproxTupleBytes(out.arity());
-  }
-  return out;
-}
-
-// ---------------------------------------------------------------------
-// SpillNaturalJoin.
-
-namespace {
-
-// One side of a leaf partition, loaded back into memory.
-struct LoadedSide {
-  std::vector<std::uint64_t> hashes;
-  std::vector<std::uint64_t> tags;  // empty when the side is untagged
-  std::vector<Tuple> rows;
-};
-
-Status LoadSide(SpillEnv& env, const std::string& path, std::size_t arity,
-                bool tagged, LoadedSide* side, QueryContext* ctx) {
-  SpillReader reader(*env.vfs, path, &env);
-  std::string_view rec;
-  std::size_t i = 0;
-  while (reader.Next(&rec)) {
-    if (Status s = PollCtx(ctx, ++i); !s.ok()) return s;
-    std::uint64_t h = 0, tag = 0;
-    Tuple row;
-    if (Status s =
-            DecodeRecord(rec, arity, &h, tagged ? &tag : nullptr, &row);
-        !s.ok()) {
-      return s;
-    }
-    side->hashes.push_back(h);
-    if (tagged) side->tags.push_back(tag);
-    side->rows.push_back(std::move(row));
-  }
-  return reader.status();
-}
-
-// Joins one (a-partition, b-partition) file pair, appending TaggedRows in
-// ascending a-tag order; recurses when the pair would not fit in budget.
-struct PartitionJoiner {
-  SpillEnv& env;
-  QueryContext* ctx;
-  std::size_t a_arity;
-  std::size_t b_arity;
-  const KeyCols& a_key;  // unused for hashing here (hashes are stored)
-  const KeyCols& b_key;
-  const std::vector<std::size_t>& b_rest;
-  std::uint64_t probes = 0;
-  std::uint64_t mem_bytes = 0;
-
-  Status JoinPair(const std::string& a_path, std::uint64_t a_records,
-                  const std::string& b_path, std::uint64_t b_records,
-                  std::size_t level, std::vector<TaggedRow>& out) {
-    if (a_records == 0 || b_records == 0) return Status::Ok();
-    std::uint64_t load_bytes = a_records * ApproxTupleBytes(a_arity) +
-                               b_records * ApproxTupleBytes(b_arity);
-    if (ShouldRecurse(ctx, env, level, load_bytes)) {
-      std::vector<std::unique_ptr<SpillWriter>> suba, subb;
-      if (Status s = Repartition(env, a_path, level + 1, suba, ctx); !s.ok()) {
-        return s;
-      }
-      if (Status s = Repartition(env, b_path, level + 1, subb, ctx); !s.ok()) {
-        return s;
-      }
-      std::vector<std::vector<TaggedRow>> sub_out(env.fanout);
-      for (std::size_t q = 0; q < env.fanout; ++q) {
-        if (Status s = JoinPair(suba[q]->path(), suba[q]->records(),
-                                subb[q]->path(), subb[q]->records(), level + 1,
-                                sub_out[q]);
-            !s.ok()) {
-          return s;
-        }
-      }
-      MergeByTag(sub_out, out);
-      return Status::Ok();
-    }
-
-    LoadedSide a, b;
-    if (ctx != nullptr && !ctx->Charge(load_bytes)) return ctx->Check();
-    if (Status s = LoadSide(env, a_path, a_arity, /*tagged=*/true, &a, ctx);
-        !s.ok()) {
-      return s;
-    }
-    if (Status s = LoadSide(env, b_path, b_arity, /*tagged=*/false, &b, ctx);
-        !s.ok()) {
-      return s;
-    }
-    CheckRefRange(b.rows.size());
-    // Build over b with the stored key hashes (a_key.Hash == b_key.Hash
-    // for matching keys, so probe hashes agree); probe a in file order,
-    // which is its global input order restricted to this partition.
-    FlatKeyIndex index;
-    index.Reserve(b.rows.size());
-    for (std::size_t r = 0; r < b.rows.size(); ++r) {
-      index.AddRow(
-          static_cast<std::uint32_t>(r), b.hashes[r],
-          [&](std::uint32_t prev) {
-            return b_key.Eq(b.rows[r], b.rows[prev]);
-          },
-          probes);
-    }
-    index.Finalize();
-    const std::size_t out_arity = a_arity + b_rest.size();
-    OpGovernor gov(ctx, ApproxTupleBytes(out_arity));
-    bool live = true;
-    for (std::size_t r = 0; live && r < a.rows.size(); ++r) {
-      if (!gov.TickInput()) break;
-      const Tuple& ta = a.rows[r];
-      FlatKeyIndex::Span span = index.Probe(
-          a.hashes[r],
-          [&](std::uint32_t rb) {
-            return a_key.EqAcross(ta, b_key, b.rows[rb]);
-          },
-          probes);
-      for (const std::uint32_t* p = span.begin; p != span.end; ++p) {
-        if (!gov.Admit()) {
-          live = false;
-          break;
-        }
-        Tuple combined = ta;
-        const Tuple& tb = b.rows[*p];
-        for (std::size_t j : b_rest) combined.push_back(tb[j]);
-        out.push_back(TaggedRow{a.tags[r], std::move(combined)});
-      }
-    }
-    if (!gov.Flush() && ctx != nullptr) return ctx->Check();
-    mem_bytes += gov.total_bytes();
-    if (ctx != nullptr) {
-      ctx->Release(load_bytes);
-      return ctx->Check();
-    }
-    return Status::Ok();
-  }
-};
-
-}  // namespace
-
-Result<Relation> SpillNaturalJoin(Relation a, Relation b, SpillEnv& env,
-                                  OpMetrics* metrics, QueryContext* ctx,
-                                  bool release_inputs) {
-  JoinLayout layout = ComputeJoinLayout(a, b);
-  std::uint64_t input_bytes =
-      static_cast<std::uint64_t>(a.size()) * ApproxTupleBytes(a.arity()) +
-      static_cast<std::uint64_t>(b.size()) * ApproxTupleBytes(b.arity());
-  if (layout.a_key.empty() || a.empty() || b.empty()) {
-    // Cross products and empty inputs have nothing to partition by.
-    Relation out = NaturalJoin(a, b, metrics, ctx);
-    a = Relation();
-    b = Relation();
-    if (ctx != nullptr) {
-      if (release_inputs) ctx->Release(input_bytes);
-      if (Status s = ctx->Check(); !s.ok()) return s;
-    }
-    return out;
-  }
-  env.stats.activations.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t a_arity = a.arity();
-  const std::size_t b_arity = b.arity();
-  const std::uint64_t a_rows = a.size();
-  const std::uint64_t b_rows = b.size();
-  KeyCols a_key(layout.a_key, a_arity);
-  KeyCols b_key(layout.b_key, b_arity);
-  Schema out_schema = JoinedSchema(a, b, layout);
-
-  // Phase 1: partition both inputs to disk...
-  std::vector<std::unique_ptr<SpillWriter>> pa = MakeWriters(env);
-  std::vector<std::unique_ptr<SpillWriter>> pb = MakeWriters(env);
-  std::string scratch;
-  for (std::size_t r = 0; r < a.rows().size(); ++r) {
-    if (Status s = PollCtx(ctx, r + 1); !s.ok()) return s;
-    const Tuple& t = a.rows()[r];
-    std::uint64_t h = a_key.Hash(t);
-    std::uint64_t tag = r;
-    EncodeRecord(scratch, h, &tag, t);
-    if (Status s = pa[PartitionOf(h, 0, env.fanout)]->Add(scratch); !s.ok()) {
-      return s;
-    }
-  }
-  for (std::size_t r = 0; r < b.rows().size(); ++r) {
-    if (Status s = PollCtx(ctx, r + 1); !s.ok()) return s;
-    const Tuple& t = b.rows()[r];
-    std::uint64_t h = b_key.Hash(t);
-    EncodeRecord(scratch, h, nullptr, t);
-    if (Status s = pb[PartitionOf(h, 0, env.fanout)]->Add(scratch); !s.ok()) {
-      return s;
-    }
-  }
-  if (Status s = FinishWriters(pa); !s.ok()) return s;
-  if (Status s = FinishWriters(pb); !s.ok()) return s;
-
-  // ... and drop the in-memory copies: this is the step that frees the
-  // budget the partition joins will run in.
-  a = Relation();
-  b = Relation();
-  if (ctx != nullptr && release_inputs) ctx->Release(input_bytes);
-
-  // Phase 2: join each partition pair; restore probe order by tag merge.
-  PartitionJoiner joiner{env,   ctx,   a_arity,       b_arity,
-                         a_key, b_key, layout.b_rest};
-  std::vector<std::vector<TaggedRow>> parts(env.fanout);
-  for (std::size_t p = 0; p < env.fanout; ++p) {
-    if (Status s = joiner.JoinPair(pa[p]->path(), pa[p]->records(),
-                                   pb[p]->path(), pb[p]->records(), 0,
-                                   parts[p]);
-        !s.ok()) {
-      return s;
-    }
-  }
-  std::vector<TaggedRow> merged;
-  MergeByTag(parts, merged);
-  Relation out(std::move(out_schema));
-  out.mutable_rows().reserve(merged.size());
-  for (TaggedRow& t : merged) out.mutable_rows().push_back(std::move(t.row));
-  if (metrics != nullptr) {
-    metrics->rows_in += a_rows;
-    metrics->rows_in_right += b_rows;
-    metrics->rows_out += out.size();
-    metrics->tuples_probed += joiner.probes;
-    metrics->mem_bytes += joiner.mem_bytes;
-  }
-  return out;
-}
-
-// ---------------------------------------------------------------------
-// SpillProject.
-
-namespace {
-
-struct ProjectPartitioner {
-  SpillEnv& env;
-  QueryContext* ctx;
-  std::size_t arity;  // of the projected rows
-  std::uint64_t probes = 0;
-  std::uint64_t mem_bytes = 0;
-
-  Status Process(const std::string& path, std::uint64_t records,
-                 std::size_t level, std::vector<TaggedRow>& out) {
-    if (records == 0) return Status::Ok();
-    const std::size_t row_bytes = ApproxTupleBytes(arity);
-    if (ShouldRecurse(ctx, env, level, records * row_bytes)) {
-      std::vector<std::unique_ptr<SpillWriter>> subs;
-      if (Status s = Repartition(env, path, level + 1, subs, ctx); !s.ok()) {
-        return s;
-      }
-      std::vector<std::vector<TaggedRow>> sub_out(env.fanout);
-      for (std::size_t q = 0; q < env.fanout; ++q) {
-        if (Status s = Process(subs[q]->path(), subs[q]->records(), level + 1,
-                               sub_out[q]);
-            !s.ok()) {
-          return s;
-        }
-      }
-      MergeByTag(sub_out, out);
-      return Status::Ok();
-    }
-    // Leaf: stream with dedup. Records arrive in ascending tag order, and
-    // every occurrence of a projected value has the same hash — so it
-    // lives in this partition, and keeping the first occurrence here *is*
-    // keeping the globally first one.
-    CheckRefRange(records);
-    FlatTupleSet seen;
-    OpGovernor gov(ctx, row_bytes);
-    SpillReader reader(*env.vfs, path, &env);
-    std::string_view rec;
-    Tuple row;
-    std::size_t base = out.size();
-    std::size_t i = 0;
-    while (reader.Next(&rec)) {
-      if (Status s = PollCtx(ctx, ++i); !s.ok()) return s;
-      std::uint64_t h = 0, tag = 0;
-      if (Status s = DecodeRecord(rec, arity, &h, &tag, &row); !s.ok()) {
-        return s;
-      }
-      bool fresh = seen.Insert(
-          static_cast<std::uint32_t>(out.size() - base), h,
-          [&](std::uint32_t prev) { return out[base + prev].row == row; },
-          probes);
-      if (fresh) {
-        if (!gov.Admit()) return ctx->Check();
-        out.push_back(TaggedRow{tag, std::move(row)});
-      }
-    }
-    if (!reader.status().ok()) return reader.status();
-    if (!gov.Flush() && ctx != nullptr) return ctx->Check();
-    mem_bytes += gov.total_bytes();
-    return Status::Ok();
-  }
-};
-
-}  // namespace
-
-Result<Relation> SpillProject(const Relation& rel,
-                              const std::vector<std::string>& columns,
-                              SpillEnv& env, OpMetrics* metrics,
-                              QueryContext* ctx) {
-  std::vector<std::size_t> indices;
-  indices.reserve(columns.size());
-  for (const std::string& c : columns) {
-    indices.push_back(rel.schema().IndexOfOrDie(c));
-  }
-  KeyCols key(indices, rel.arity());
-  env.stats.activations.fetch_add(1, std::memory_order_relaxed);
-
-  std::vector<std::unique_ptr<SpillWriter>> writers = MakeWriters(env);
-  std::string scratch;
-  Tuple projected;
-  for (std::size_t r = 0; r < rel.rows().size(); ++r) {
-    if (Status s = PollCtx(ctx, r + 1); !s.ok()) return s;
-    const Tuple& t = rel.rows()[r];
-    std::uint64_t h = key.Hash(t);  // == TupleHash of the projected tuple
-    projected = key.Extract(t);
-    std::uint64_t tag = r;
-    EncodeRecord(scratch, h, &tag, projected);
-    if (Status s = writers[PartitionOf(h, 0, env.fanout)]->Add(scratch);
-        !s.ok()) {
-      return s;
-    }
-  }
-  if (Status s = FinishWriters(writers); !s.ok()) return s;
-
-  ProjectPartitioner part{env, ctx, columns.size()};
-  std::vector<std::vector<TaggedRow>> parts(env.fanout);
-  for (std::size_t p = 0; p < env.fanout; ++p) {
-    if (Status s = part.Process(writers[p]->path(), writers[p]->records(), 0,
-                                parts[p]);
-        !s.ok()) {
-      return s;
-    }
-  }
-  std::vector<TaggedRow> merged;
-  MergeByTag(parts, merged);
-  Relation out{Schema(columns)};
-  out.mutable_rows().reserve(merged.size());
-  for (TaggedRow& t : merged) out.mutable_rows().push_back(std::move(t.row));
-  if (metrics != nullptr) {
-    metrics->rows_in += rel.size();
-    metrics->rows_out += out.size();
-    metrics->tuples_probed += part.probes;
-    metrics->mem_bytes += part.mem_bytes;
-  }
-  return out;
-}
-
-// ---------------------------------------------------------------------
-// SpillGroupAggregate.
-
-namespace {
-
-struct GroupPartitioner {
-  SpillEnv& env;
-  QueryContext* ctx;
-  const Relation& rel;  // for the schema only
-  const std::vector<std::string>& group_columns;
-  AggKind kind;
-  const std::string& agg_column;
-  const std::string& output_column;
-
-  Status Process(const std::string& path, std::uint64_t records,
-                 std::size_t level, Relation& out) {
-    if (records == 0) return Status::Ok();
-    const std::size_t arity = rel.arity();
-    const std::size_t row_bytes = ApproxTupleBytes(arity);
-    if (ShouldRecurse(ctx, env, level, records * row_bytes)) {
-      std::vector<std::unique_ptr<SpillWriter>> subs;
-      if (Status s = Repartition(env, path, level + 1, subs, ctx); !s.ok()) {
-        return s;
-      }
-      for (auto& sub : subs) {
-        if (Status s = Process(sub->path(), sub->records(), level + 1, out);
-            !s.ok()) {
-          return s;
-        }
-      }
-      return Status::Ok();
-    }
-    // Leaf: load the partition and hand it to the serial in-memory
-    // kernel. Rows arrive in global input order restricted to this
-    // partition, and each group is whole here, so per-group accumulation
-    // order — float SUM association included — matches the serial kernel
-    // run on the whole input.
-    Relation part(rel.schema());
-    OpGovernor gov(ctx, row_bytes);
-    SpillReader reader(*env.vfs, path, &env);
-    std::string_view rec;
-    Tuple row;
-    std::size_t i = 0;
-    while (reader.Next(&rec)) {
-      if (Status s = PollCtx(ctx, ++i); !s.ok()) return s;
-      std::uint64_t h = 0;
-      if (Status s = DecodeRecord(rec, arity, &h, nullptr, &row); !s.ok()) {
-        return s;
-      }
-      if (!gov.Admit()) return ctx->Check();
-      part.Add(std::move(row));
-      row = Tuple();
-    }
-    if (!reader.status().ok()) return reader.status();
-    if (!gov.Flush() && ctx != nullptr) return ctx->Check();
-    Relation grouped = GroupAggregate(part, group_columns, kind, agg_column,
-                                      output_column, nullptr, ctx);
-    if (ctx != nullptr && !ctx->ok()) return ctx->Check();
-    for (Tuple& t : grouped.mutable_rows()) out.Add(std::move(t));
-    if (ctx != nullptr) ctx->Release(gov.total_bytes());
-    return Status::Ok();
-  }
-};
-
-}  // namespace
-
-Result<Relation> SpillGroupAggregate(
-    const Relation& rel, const std::vector<std::string>& group_columns,
-    AggKind kind, const std::string& agg_column,
-    const std::string& output_column, SpillEnv& env, OpMetrics* metrics,
-    QueryContext* ctx) {
-  std::vector<std::size_t> group_idx;
-  group_idx.reserve(group_columns.size());
-  for (const std::string& c : group_columns) {
-    group_idx.push_back(rel.schema().IndexOfOrDie(c));
-  }
-  KeyCols key(group_idx, rel.arity());
-  env.stats.activations.fetch_add(1, std::memory_order_relaxed);
-
-  std::vector<std::unique_ptr<SpillWriter>> writers = MakeWriters(env);
-  std::string scratch;
-  for (std::size_t r = 0; r < rel.rows().size(); ++r) {
-    if (Status s = PollCtx(ctx, r + 1); !s.ok()) return s;
-    const Tuple& t = rel.rows()[r];
-    std::uint64_t h = key.Hash(t);
-    EncodeRecord(scratch, h, nullptr, t);
-    if (Status s = writers[PartitionOf(h, 0, env.fanout)]->Add(scratch);
-        !s.ok()) {
-      return s;
-    }
-  }
-  if (Status s = FinishWriters(writers); !s.ok()) return s;
-
-  std::vector<std::string> out_columns = group_columns;
-  out_columns.push_back(output_column);
-  Relation out{Schema(std::move(out_columns))};
-  GroupPartitioner part{env,  ctx,        rel,          group_columns,
-                        kind, agg_column, output_column};
-  for (auto& w : writers) {
-    if (Status s = part.Process(w->path(), w->records(), 0, out); !s.ok()) {
-      return s;
-    }
-  }
-  out.SortRows();
-  if (metrics != nullptr) {
-    metrics->rows_in += rel.size();
-    metrics->rows_out += out.size();
-    metrics->tuples_probed += rel.size();  // one upsert per input row
-    metrics->mem_bytes +=
         static_cast<std::uint64_t>(out.size()) * ApproxTupleBytes(out.arity());
   }
   return out;

@@ -1,25 +1,23 @@
-// Out-of-core execution: grace-hash spill variants of the flat-hash
-// kernels, plus the streaming group-by sink the flock evaluator fuses
-// into its final join.
+// Out-of-core execution: checksummed spill files and the grace-hash
+// group-by sink the flock evaluator fuses into its final join. The CQ
+// evaluator streams its final join into that sink (flocks/cq_eval.h);
+// every other operator runs the in-memory kernels of relational/ops.h.
 //
 // The problem (ROADMAP item 3): every relation lives wholly in RAM, so
 // the PR 4 governor's only answer to a large intermediate is a hard
 // RESOURCE_EXHAUSTED. Grace hashing turns that cliff into graceful
-// degradation: when the accountant nears budget, an operator partitions
-// its inputs to checksummed temp files by key hash, drops the in-memory
-// copies, and processes one partition at a time — recursing with a
-// level-salted hash when a partition is itself too big.
+// degradation: when the accountant nears budget, the final join streams
+// its answer rows into checksummed temp files partitioned by group-key
+// hash, and the group-by processes one partition at a time — recursing
+// with a level-salted hash when a partition is itself too big.
 //
 // Determinism contract (DESIGN.md §14): spilling never changes results.
 //   * Rows with equal keys always land in the same partition, and records
 //     are written (and read back) in input order, so per-partition row
 //     order is the global order restricted to the partition.
-//   * SpillNaturalJoin / SpillProject tag rows with their input index and
-//     k-way merge per-partition outputs by that tag, restoring exactly
-//     the row order of NaturalJoin / Project.
-//   * SpillGroupAggregate / SpillGroupSink keep each group whole inside
-//     one partition, so per-group accumulation order equals the serial
-//     GroupAggregate's, bit for bit (including float SUM association).
+//   * SpillGroupSink keeps each group whole inside one partition, so
+//     per-group accumulation order equals the serial GroupAggregate's,
+//     bit for bit (including float SUM association).
 //   * Activation (SpillWanted) depends only on accounted bytes at an
 //     operator boundary, which the determinism contract already makes
 //     thread-invariant — so the decision itself is thread-invariant.
@@ -243,42 +241,6 @@ class SpillGroupSink : public TupleSink {
   std::uint64_t probes_ = 0;  // dedup-set slot probes across partitions
   Status status_;
 };
-
-// ---------------------------------------------------------------------
-// Standalone grace-hash kernels. Each returns exactly the rows, in
-// exactly the order, of its in-memory counterpart in relational/ops.h,
-// and reports the same rows_in/rows_out metrics (tuples_probed counts the
-// per-partition tables, so it may differ from the single-table count —
-// like the serial/parallel split, the decomposition is observable there).
-
-// Grace-hash natural join. Takes its inputs BY VALUE: both are
-// partitioned to disk and freed before any partition is joined — that is
-// the point — and when `release_inputs` is set the kernel Releases their
-// ApproxTupleBytes from `ctx` on the caller's behalf (the caller must
-// then not release them again). Falls back to the in-memory NaturalJoin
-// when the inputs share no column (cross products don't partition).
-Result<Relation> SpillNaturalJoin(Relation a, Relation b, SpillEnv& env,
-                                  OpMetrics* metrics = nullptr,
-                                  QueryContext* ctx = nullptr,
-                                  bool release_inputs = false);
-
-// Grace-hash projection with set-semantics dedup: partitions the
-// projected rows (tagged with their input index) by projected-row hash,
-// dedups per partition, and merges by tag — Project's first-occurrence
-// order, restored exactly.
-Result<Relation> SpillProject(const Relation& rel,
-                              const std::vector<std::string>& columns,
-                              SpillEnv& env, OpMetrics* metrics = nullptr,
-                              QueryContext* ctx = nullptr);
-
-// Grace-hash group-by: partitions rows by group key, aggregates each
-// partition with the serial in-memory kernel, concatenates and sorts.
-// Input must be duplicate-free (same contract as GroupAggregate).
-Result<Relation> SpillGroupAggregate(
-    const Relation& rel, const std::vector<std::string>& group_columns,
-    AggKind kind, const std::string& agg_column,
-    const std::string& output_column, SpillEnv& env,
-    OpMetrics* metrics = nullptr, QueryContext* ctx = nullptr);
 
 }  // namespace qf
 

@@ -4,6 +4,8 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <limits>
+#include <optional>
 #include <vector>
 
 #include "common/string_util.h"
@@ -132,6 +134,18 @@ std::string PreviewRelation(Relation rel, std::size_t limit) {
   return rel.ToString(limit);
 }
 
+// Estimated assignments surviving a support threshold over `query` — the
+// est-vs-actual skew EXPLAIN ANALYZE renders and the bandit records. Only
+// support-style filters have a calibrated model.
+double EstimateSurvivors(const UnionQuery& query, double threshold,
+                         const CostModel& model) {
+  double est = 0;
+  for (const ConjunctiveQuery& cq : query.disjuncts) {
+    est += model.EstimateFilter(cq, threshold).survivors;
+  }
+  return est;
+}
+
 double MillisSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - start)
@@ -169,10 +183,33 @@ constexpr std::string_view kHelp =
     "  CHECKPOINT;                   # snapshot catalog + reset its WAL\n"
     "  HELP;\n";
 
+// Parses a whole-number statement argument in [lo, hi]. Anything else —
+// a malformed number, or one the knob's type cannot hold — is rejected
+// with `usage`, never narrowed or wrapped into range.
+Result<std::int64_t> ParseBounded(std::string_view text, std::int64_t lo,
+                                  std::int64_t hi, std::string_view usage) {
+  Result<std::int64_t> n = ParseInt64(text);
+  if (!n.ok() || *n < lo || *n > hi) {
+    return InvalidArgumentError(std::string(usage));
+  }
+  return *n;
+}
+
+constexpr std::int64_t kMinInt64 = std::numeric_limits<std::int64_t>::min();
+constexpr std::int64_t kMaxInt64 = std::numeric_limits<std::int64_t>::max();
+constexpr std::int64_t kMaxThreads = std::numeric_limits<unsigned>::max();
+// Largest SET MEMORY / SET BUFFER value whose byte count fits in 64 bits.
+constexpr std::int64_t kMaxMegabytes =
+    static_cast<std::int64_t>(std::numeric_limits<std::uint64_t>::max() >> 20);
+// Largest SET TIMEOUT: half the nanosecond steady clock's range, so
+// now() + timeout cannot overflow when the deadline is set.
+constexpr std::int64_t kMaxTimeoutMs = kMaxInt64 / 2'000'000;
+
 // Options shared by RUN and EXPLAIN ANALYZE:
 // [DIRECT|PLAN|DYNAMIC|REDUCED] [LIMIT <n>] [THREADS <n>] in any order.
 struct RunOptions {
   std::string mode = "PLAN";
+  Strategy strategy;
   // True when the statement named a mode. An explicit mode always wins
   // over SET OPTIMIZER LEARNED — "RUN f DYNAMIC" means DYNAMIC.
   bool mode_explicit = false;
@@ -181,31 +218,30 @@ struct RunOptions {
 };
 
 Result<RunOptions> ParseRunOptions(std::string_view rest,
-                                   unsigned default_threads) {
+                                   unsigned default_threads,
+                                   const DynamicKnobs& knobs) {
   RunOptions out;
+  out.strategy = *StrategyForMode(out.mode, knobs);
   out.threads = default_threads;
   while (!StripWhitespace(rest).empty()) {
     auto [word, next] = SplitCommand(rest);
-    if (word == "DIRECT" || word == "PLAN" || word == "DYNAMIC" ||
-        word == "REDUCED") {
+    if (std::optional<Strategy> strategy = StrategyForMode(word, knobs)) {
       out.mode = word;
+      out.strategy = std::move(*strategy);
       out.mode_explicit = true;
       rest = next;
-    } else if (word == "LIMIT") {
+    } else if (word == "LIMIT" || word == "THREADS") {
       auto [num, after] = SplitCommand(next);
-      Result<std::int64_t> n = ParseInt64(num);
-      if (!n.ok() || *n < 0) {
-        return InvalidArgumentError("bad LIMIT: " + num);
+      bool limit = word == "LIMIT";
+      Result<std::int64_t> n =
+          ParseBounded(num, limit ? 0 : 1, limit ? kMaxInt64 : kMaxThreads,
+                       "bad " + word + ": " + num);
+      if (!n.ok()) return n.status();
+      if (limit) {
+        out.limit = static_cast<std::size_t>(*n);
+      } else {
+        out.threads = static_cast<unsigned>(*n);
       }
-      out.limit = static_cast<std::size_t>(*n);
-      rest = after;
-    } else if (word == "THREADS") {
-      auto [num, after] = SplitCommand(next);
-      Result<std::int64_t> n = ParseInt64(num);
-      if (!n.ok() || *n < 1) {
-        return InvalidArgumentError("bad THREADS: " + num);
-      }
-      out.threads = static_cast<unsigned>(*n);
       rest = after;
     } else {
       return InvalidArgumentError("unknown RUN option: " + word);
@@ -265,9 +301,11 @@ Result<std::string> Shell::Execute(std::string_view statement) {
   if (command == "TRACE") return Trace(rest);
   if (command == "THREADS") {
     auto [num, after] = SplitCommand(rest);
-    Result<std::int64_t> n = ParseInt64(num);
-    if (!n.ok() || *n < 1 || !StripWhitespace(after).empty()) {
-      return InvalidArgumentError("usage: THREADS <n> (n >= 1)");
+    static constexpr std::string_view kUsage = "usage: THREADS <n> (n >= 1)";
+    Result<std::int64_t> n = ParseBounded(num, 1, kMaxThreads, kUsage);
+    if (!n.ok()) return n.status();
+    if (!StripWhitespace(after).empty()) {
+      return InvalidArgumentError(std::string(kUsage));
     }
     if (Status s = PersistKnob("THREADS", *n); !s.ok()) return s;
     default_threads_ = static_cast<unsigned>(*n);
@@ -359,11 +397,17 @@ Result<std::string> Shell::Execute(std::string_view statement) {
                     dynamic_knobs_.min_removed_fraction);
       return std::string(buf);
     }
-    Result<std::int64_t> n = ParseInt64(num);
-    if (what == "TIMEOUT") {
-      if (!n.ok() || *n < 0 || !StripWhitespace(after).empty()) {
-        return InvalidArgumentError("usage: SET TIMEOUT <ms> (0 = off)");
+    auto bounded = [&](std::int64_t hi, std::string_view usage) {
+      Result<std::int64_t> n = ParseBounded(num, 0, hi, usage);
+      if (n.ok() && !StripWhitespace(after).empty()) {
+        return Result<std::int64_t>(InvalidArgumentError(std::string(usage)));
       }
+      return n;
+    };
+    if (what == "TIMEOUT") {
+      Result<std::int64_t> n =
+          bounded(kMaxTimeoutMs, "usage: SET TIMEOUT <ms> (0 = off)");
+      if (!n.ok()) return n.status();
       if (Status s = PersistKnob("TIMEOUT_MS", *n); !s.ok()) return s;
       timeout_ms_ = *n;
       return timeout_ms_ == 0
@@ -371,9 +415,9 @@ Result<std::string> Shell::Execute(std::string_view statement) {
                  : "timeout set to " + std::to_string(timeout_ms_) + " ms\n";
     }
     if (what == "MEMORY") {
-      if (!n.ok() || *n < 0 || !StripWhitespace(after).empty()) {
-        return InvalidArgumentError("usage: SET MEMORY <mb> (0 = off)");
-      }
+      Result<std::int64_t> n =
+          bounded(kMaxMegabytes, "usage: SET MEMORY <mb> (0 = off)");
+      if (!n.ok()) return n.status();
       if (Status s = PersistKnob("MEMORY_MB", *n); !s.ok()) return s;
       memory_bytes_ = static_cast<std::uint64_t>(*n) * 1024 * 1024;
       return memory_bytes_ == 0
@@ -381,9 +425,8 @@ Result<std::string> Shell::Execute(std::string_view statement) {
                  : "memory budget set to " + std::to_string(*n) + " MB\n";
     }
     if (what == "BUFFER") {
-      if (!n.ok() || *n < 0 || !StripWhitespace(after).empty()) {
-        return InvalidArgumentError("usage: SET BUFFER <mb>");
-      }
+      Result<std::int64_t> n = bounded(kMaxMegabytes, "usage: SET BUFFER <mb>");
+      if (!n.ok()) return n.status();
       if (Status s = PersistKnob("BUFFER_MB", *n); !s.ok()) return s;
       buffer_bytes_ = static_cast<std::uint64_t>(*n) * 1024 * 1024;
       if (buffer_pool_ != nullptr) {
@@ -777,71 +820,60 @@ Result<std::string> Shell::Explain(std::string_view args) {
          buf;
 }
 
-Result<Relation> Shell::Evaluate(const std::string& mode,
-                                 const QueryFlock& flock, unsigned threads,
-                                 OpMetrics* metrics,
-                                 std::string* dynamic_trace,
-                                 QueryContext* ctx) {
+Result<Relation> Shell::Execute(const QueryFlock& flock,
+                                const Strategy& strategy, const ExecEnv& env,
+                                std::string* dynamic_trace) {
   if (Status s = flock.Validate(); !s.ok()) return s;
   Result<const std::map<std::string, Relation>*> views = Views();
   if (!views.ok()) return views.status();
   std::map<std::string, const Relation*> extra;
   for (const auto& [view_name, rel] : **views) extra[view_name] = &rel;
-  TraceSink* trace = trace_sink_.get();
+  // Survivor estimates annotate the metrics tree only; the model is built
+  // lazily so an unobserved direct run never restats the database.
+  const bool estimate =
+      env.metrics != nullptr && flock.filter.IsSupportStyle();
+  const double threshold = flock.filter.threshold;
 
-  // Estimated surviving assignments of a FILTER over `query`, for the
-  // est-vs-actual skew EXPLAIN ANALYZE renders. Only support-style
-  // filters have a calibrated model.
-  auto estimate_survivors = [&](const UnionQuery& query,
-                                const CostModel& model) {
-    double est = 0;
-    for (const ConjunctiveQuery& cq : query.disjuncts) {
-      est += model.EstimateFilter(cq, flock.filter.threshold).survivors;
-    }
-    return est;
-  };
-  if (mode == "DIRECT" || mode == "REDUCED") {
-    FlockEvalOptions options;
-    options.threads = threads;
-    options.metrics = metrics;
-    options.trace = trace;
-    options.ctx = ctx;
-    if (mode == "REDUCED") {
-      // Yannakakis full-reducer evaluation (falls back on cyclic queries).
+  switch (strategy.kind) {
+    case Strategy::Kind::kDirect: {
+      FlockEvalOptions options;
       for (std::size_t d = 0; d < flock.query.disjuncts.size(); ++d) {
         CqEvalOptions cq_options;
-        cq_options.full_reducer = true;
+        if (d < strategy.orders.size()) {
+          cq_options.join_order = strategy.orders[d];
+        }
+        cq_options.full_reducer = strategy.full_reducer;
         options.per_disjunct.push_back(std::move(cq_options));
       }
+      if (estimate) {
+        Result<const CostModel*> model = Model();
+        if (!model.ok()) return model.status();
+        env.metrics->est_rows =
+            EstimateSurvivors(flock.query, threshold, **model);
+      }
+      return EvaluateFlock(flock, db(), options, env, &extra);
     }
-    if (metrics != nullptr && flock.filter.IsSupportStyle()) {
-      Result<const CostModel*> model = Model();
-      if (!model.ok()) return model.status();
-      metrics->est_rows = estimate_survivors(flock.query, **model);
+    case Strategy::Kind::kDynamic: {
+      if (!extra.empty()) {
+        return UnimplementedError(
+            "RUN ... DYNAMIC does not support intermediate predicates yet; "
+            "use DIRECT or PLAN");
+      }
+      DynamicOptions options;
+      if (!strategy.orders.empty()) options.join_order = strategy.orders[0];
+      options.aggressiveness = strategy.knobs.aggressiveness;
+      options.improvement_factor = strategy.knobs.improvement_factor;
+      options.min_removed_fraction = strategy.knobs.min_removed_fraction;
+      DynamicLog log;
+      Result<Relation> result = DynamicEvaluate(
+          flock, db(), options, env, &log);
+      if (result.ok() && dynamic_trace != nullptr) {
+        *dynamic_trace = RenderDynamicTrace(log);
+      }
+      return result;
     }
-    return EvaluateFlock(flock, db(), options, &extra);
-  }
-
-  if (mode == "DYNAMIC") {
-    if (!extra.empty()) {
-      return UnimplementedError(
-          "RUN ... DYNAMIC does not support intermediate predicates yet; "
-          "use DIRECT or PLAN");
-    }
-    DynamicOptions options;
-    options.aggressiveness = dynamic_knobs_.aggressiveness;
-    options.improvement_factor = dynamic_knobs_.improvement_factor;
-    options.min_removed_fraction = dynamic_knobs_.min_removed_fraction;
-    options.threads = threads;
-    options.metrics = metrics;
-    options.trace = trace;
-    options.ctx = ctx;
-    DynamicLog log;
-    Result<Relation> result = DynamicEvaluate(flock, db(), options, &log);
-    if (result.ok() && dynamic_trace != nullptr) {
-      *dynamic_trace = RenderDynamicTrace(log);
-    }
-    return result;
+    case Strategy::Kind::kPlan:
+      break;
   }
 
   Result<const CostModel*> model_or = Model();
@@ -852,133 +884,49 @@ Result<Relation> Shell::Evaluate(const std::string& mode,
   PlanExecOptions options;
   options.order_chooser = CostBasedOrderChooser();
   options.extra_predicates = &extra;
-  options.threads = threads;
-  options.metrics = metrics;
-  options.trace = trace;
-  options.ctx = ctx;
-  Result<Relation> result = ExecutePlan(*plan, flock, db(), options);
-  if (result.ok() && metrics != nullptr && flock.filter.IsSupportStyle()) {
-    // The executor pre-allocates step children in plan order, so child k
-    // is step k; attach the optimizer's per-step estimate to each.
-    for (std::size_t k = 0;
-         k < plan->steps.size() && k < metrics->children.size(); ++k) {
-      metrics->children[k]->est_rows =
-          estimate_survivors(plan->steps[k].query, model);
+  // The executor appends one child per step, in plan order, after any
+  // node already under the root (a declined incremental attempt's).
+  const std::size_t first_step = estimate ? env.metrics->children.size() : 0;
+  Result<Relation> result = ExecutePlan(*plan, flock, db(), options, env);
+  if (result.ok() && estimate && !plan->steps.empty()) {
+    OpMetrics* step = nullptr;
+    for (std::size_t k = 0; k < plan->steps.size(); ++k) {
+      step = env.metrics->children[first_step + k].get();
+      step->est_rows =
+          EstimateSurvivors(plan->steps[k].query, threshold, model);
     }
-    if (!plan->steps.empty()) {
-      metrics->est_rows = metrics->children[plan->steps.size() - 1]->est_rows;
-    }
+    env.metrics->est_rows = step->est_rows;  // the last step is the flock
   }
   return result;
 }
 
-Result<Relation> Shell::EvaluateLearned(const QueryFlock& flock,
-                                        unsigned threads, OpMetrics* metrics,
-                                        std::string* dynamic_trace,
-                                        QueryContext* ctx,
-                                        LearnedRunInfo* info) {
+Result<Shell::LearnedChoice> Shell::ChooseStrategy(const QueryFlock& flock) {
   if (Status s = flock.Validate(); !s.ok()) return s;
   Result<const CostModel*> model_or = Model();
   if (!model_or.ok()) return model_or.status();
   const CostModel& model = **model_or;
   Result<const std::map<std::string, Relation>*> views = Views();
   if (!views.ok()) return views.status();
-  std::map<std::string, const Relation*> extra;
-  for (const auto& [view_name, rel] : **views) extra[view_name] = &rel;
-  TraceSink* trace = trace_sink_.get();
 
   PlanContext pctx = MakePlanContext(flock, model);
   // The DynamicEvaluate preconditions (single disjunct, support filter,
   // no view predicates); only then do the §4.4 arms enter the pool.
-  const bool dynamic_eligible = extra.empty() &&
+  const bool dynamic_eligible = (*views)->empty() &&
                                 flock.query.disjuncts.size() == 1 &&
                                 flock.filter.IsSupportStyle();
-  std::vector<BanditArm> arms =
+  std::vector<Strategy> arms =
       EnumerateArms(flock, model, dynamic_eligible, dynamic_knobs_);
   BanditChoice choice = PlanBandit(optimizer_history()).Choose(pctx.key, arms);
-  const BanditArm& arm = arms[choice.index];
-  if (info != nullptr) {
-    info->arm_id = choice.arm_id;
-    info->context = pctx.key;
-    info->context_desc = pctx.description;
-    info->exploring = choice.exploring;
-    info->posterior = choice.posterior;
-  }
-
-  auto start = std::chrono::steady_clock::now();
-  Result<Relation> result = Relation();
-  switch (arm.kind) {
-    case BanditArm::Kind::kPlan: {
-      Result<QueryPlan> plan = SearchPlanParameterSets(flock, model);
-      if (!plan.ok()) return plan.status();
-      PlanExecOptions options;
-      options.order_chooser = CostBasedOrderChooser();
-      options.extra_predicates = &extra;
-      options.threads = threads;
-      options.metrics = metrics;
-      options.trace = trace;
-      options.ctx = ctx;
-      result = ExecutePlan(*plan, flock, db(), options);
-      break;
-    }
-    case BanditArm::Kind::kDirect: {
-      FlockEvalOptions options;
-      options.threads = threads;
-      options.metrics = metrics;
-      options.trace = trace;
-      options.ctx = ctx;
-      for (const std::vector<std::size_t>& order : arm.orders) {
-        CqEvalOptions cq_options;
-        cq_options.join_order = order;
-        options.per_disjunct.push_back(std::move(cq_options));
-      }
-      result = EvaluateFlock(flock, db(), options, &extra);
-      break;
-    }
-    case BanditArm::Kind::kDynamic: {
-      DynamicOptions options;
-      if (!arm.orders.empty()) options.join_order = arm.orders.front();
-      options.aggressiveness = arm.knobs.aggressiveness;
-      options.improvement_factor = arm.knobs.improvement_factor;
-      options.min_removed_fraction = arm.knobs.min_removed_fraction;
-      options.threads = threads;
-      options.metrics = metrics;
-      options.trace = trace;
-      options.ctx = ctx;
-      DynamicLog log;
-      result = DynamicEvaluate(flock, db(), options, &log);
-      if (result.ok() && dynamic_trace != nullptr) {
-        *dynamic_trace = RenderDynamicTrace(log);
-      }
-      break;
-    }
-  }
-  double wall_ms = MillisSince(start);
-  if (!result.ok()) return result;
-
-  // Est-vs-actual skew for the outcome record: how far the static model's
-  // survivor estimate was from the observed answer count (1.0 = exact,
-  // symmetric in direction; only support filters have a calibrated model).
-  double actual = static_cast<double>(result->size());
-  double skew = 1.0;
+  LearnedChoice learned;
+  learned.strategy = std::move(arms[choice.index]);
+  learned.context = pctx.key;
+  learned.context_desc = std::move(pctx.description);
+  learned.exploring = choice.exploring;
+  learned.posterior = std::move(choice.posterior);
   if (flock.filter.IsSupportStyle()) {
-    double est = 0;
-    for (const ConjunctiveQuery& cq : flock.query.disjuncts) {
-      est += model.EstimateFilter(cq, flock.filter.threshold).survivors;
-    }
-    if (metrics != nullptr) metrics->est_rows = est;
-    double lo = std::max(1.0, std::min(est, actual));
-    double hi = std::max(1.0, std::max(est, actual));
-    skew = hi / lo;
+    learned.est = EstimateSurvivors(flock.query, flock.filter.threshold, model);
   }
-  BanditOutcome outcome;
-  outcome.context = pctx.key;
-  outcome.arm = choice.arm_id;
-  outcome.wall_ms = wall_ms;
-  outcome.rows = actual;
-  outcome.skew = skew;
-  if (Status s = RecordOutcome(outcome); !s.ok()) return s;
-  return result;
+  return learned;
 }
 
 Status Shell::RecordOutcome(const BanditOutcome& outcome) {
@@ -997,185 +945,155 @@ void Shell::ConfigureContext(QueryContext& ctx) const {
   if (timeout_ms_ > 0) ctx.set_timeout_ms(timeout_ms_);
   if (memory_bytes_ > 0) ctx.set_memory_budget(memory_bytes_);
   // With a catalog open, a budgeted statement may spill to <dir>/spill
-  // instead of aborting (kernels switch to the grace-hash variants near
-  // the budget; results are bit-identical). Without a catalog there is no
-  // durable directory whose OPEN sweeps orphans, so the hard abort stays.
+  // instead of aborting (near the budget the final join streams into the
+  // grace-hash group-by sink; results are bit-identical). Without a
+  // catalog there is no durable directory whose OPEN sweeps orphans, so
+  // the hard abort stays.
   if (memory_bytes_ > 0 && spill_env_ != nullptr) {
     ctx.set_spill_env(spill_env_.get());
   }
   ctx.set_cancel_flag(cancel_flag_);
 }
 
-Result<std::string> Shell::Run(std::string_view args) {
+Result<Shell::FlockRun> Shell::RunFlock(std::string_view args,
+                                        OpMetrics* metrics) {
   auto [name_upper, rest] = SplitCommand(args);
-  std::string name(StripWhitespace(args).substr(0, name_upper.size()));
-  auto it = flocks_.find(name);
-  if (it == flocks_.end()) return NotFoundError("no flock named " + name);
+  FlockRun run;
+  run.name = std::string(StripWhitespace(args).substr(0, name_upper.size()));
+  auto it = flocks_.find(run.name);
+  if (it == flocks_.end()) return NotFoundError("no flock named " + run.name);
   const QueryFlock& flock = it->second;
-
-  Result<RunOptions> opts = ParseRunOptions(rest, default_threads_);
+  Result<RunOptions> opts =
+      ParseRunOptions(rest, default_threads_, dynamic_knobs_);
   if (!opts.ok()) return opts.status();
+  run.limit = opts->limit;
+  run.threads = opts->threads;
+  run.mode = opts->mode;
 
-  // With tracing on, spans need metrics nodes to describe them; the tree
-  // itself is discarded after the run.
-  OpMetrics root;
-  OpMetrics* metrics = tracing() ? &root : nullptr;
-
+  // Separate governors for the incremental attempt and the fallback: a
+  // latched budget/deadline error in the attempt must not poison the
+  // fallback's accounting.
+  QueryContext ictx;
+  QueryContext ctx;
+  ExecEnv env{opts->threads, metrics, trace_sink_.get(), &ictx};
   auto start = std::chrono::steady_clock::now();
+  bool served = false;
   if (incremental_on_) {
-    // Try the cached/incremental path first; it either serves a result
-    // bit-identical to the ordinary evaluation (any mode, any thread
-    // count — the engine contract) or declines and the statement falls
-    // through to the requested mode below. The attempt gets its own
-    // governor: a latched budget/deadline error must not poison the
-    // fallback's accounting.
+    // The cached/incremental path either serves a result bit-identical to
+    // the ordinary evaluation (any strategy, any thread count — the engine
+    // contract) or declines; then its "incremental" metrics node keeps the
+    // decision and the strategy's operator tree is appended next to it.
     Result<const std::map<std::string, Relation>*> views = Views();
     if (!views.ok()) return views.status();
-    QueryContext ictx;
     ConfigureContext(ictx);
     IncrementalEvalOptions iopts;
-    iopts.threads = opts->threads;
-    iopts.metrics = metrics;
-    iopts.trace = trace_sink_.get();
-    iopts.ctx = &ictx;
     iopts.state_budget = memory_bytes_;
-    Relation served;
     IncrementalRunInfo rinfo;
-    if (Status s = incremental_.Run(name, flock, db(), **views, iopts,
-                                    &served, &rinfo);
+    if (Status s = incremental_.Run(run.name, flock, db(), **views, iopts,
+                                    env, &run.result, &rinfo);
         !s.ok()) {
       return s;
     }
     if (rinfo.served) {
-      double ms = MillisSince(start);
-      std::string mode = "INCREMENTAL:" + rinfo.decision;
-      char buf[160];
-      std::snprintf(buf, sizeof(buf), "%s: %zu assignments in %.1f ms (%s)\n",
-                    name.c_str(), served.size(), ms, mode.c_str());
-      return buf + PreviewRelation(std::move(served), opts->limit);
+      served = true;
+      run.mode = "INCREMENTAL:" + rinfo.decision;
+      run.peak_bytes = ictx.peak_bytes();
     }
   }
 
-  QueryContext ctx;
-  ConfigureContext(ctx);
-  Result<Relation> result = Relation();
-  std::string mode_name = opts->mode;
-  if (learned_optimizer_ && !opts->mode_explicit) {
-    // An explicit mode word always wins over the bandit; without one the
-    // learned optimizer picks the strategy and reports it as the mode.
-    LearnedRunInfo linfo;
-    result = EvaluateLearned(flock, opts->threads, metrics, nullptr, &ctx,
-                             &linfo);
-    mode_name = "LEARNED:" + linfo.arm_id;
-  } else {
-    result = Evaluate(opts->mode, flock, opts->threads, metrics, nullptr, &ctx);
+  if (!served) {
+    ConfigureContext(ctx);
+    env.ctx = &ctx;
+    Strategy strategy = std::move(opts->strategy);
+    if (learned_optimizer_ && !opts->mode_explicit) {
+      // Without an explicit mode word the learned optimizer picks the
+      // strategy, reported as the mode.
+      Result<LearnedChoice> learned = ChooseStrategy(flock);
+      if (!learned.ok()) return learned.status();
+      run.learned = std::move(*learned);
+      strategy = run.learned->strategy;
+      run.mode = "LEARNED:" + strategy.id;
+    }
+    auto exec_start = std::chrono::steady_clock::now();
+    Result<Relation> result =
+        Execute(flock, strategy, env, &run.dynamic_trace);
+    if (!result.ok()) return result.status();
+    if (run.learned.has_value()) {
+      BanditOutcome outcome;
+      outcome.context = run.learned->context;
+      outcome.arm = strategy.id;
+      outcome.wall_ms = MillisSince(exec_start);
+      outcome.rows = static_cast<double>(result->size());
+      // Est-vs-actual skew: how far the static model's survivor estimate
+      // was from the observed answer count (1.0 = exact, symmetric in
+      // direction).
+      if (std::optional<double> est = run.learned->est) {
+        if (metrics != nullptr) metrics->est_rows = *est;
+        outcome.skew = std::max(1.0, std::max(*est, outcome.rows)) /
+                       std::max(1.0, std::min(*est, outcome.rows));
+      }
+      if (Status s = RecordOutcome(outcome); !s.ok()) return s;
+    }
+    run.result = std::move(*result);
+    run.peak_bytes = ctx.peak_bytes();
   }
-  double ms = MillisSince(start);
-  if (!result.ok()) return result.status();
+  run.ms = MillisSince(start);
+  // The evaluators time their children; the root's span is the statement.
+  if (metrics != nullptr) {
+    metrics->wall_ns = static_cast<std::uint64_t>(run.ms * 1e6);
+  }
+  return run;
+}
 
+Result<std::string> Shell::Run(std::string_view args) {
+  // With tracing on, spans need metrics nodes to describe them; the tree
+  // itself is discarded after the run.
+  OpMetrics root;
+  Result<FlockRun> run = RunFlock(args, tracing() ? &root : nullptr);
+  if (!run.ok()) return run.status();
   char buf[160];
   std::snprintf(buf, sizeof(buf), "%s: %zu assignments in %.1f ms (%s)\n",
-                name.c_str(), result->size(), ms, mode_name.c_str());
-  return buf + PreviewRelation(std::move(*result), opts->limit);
+                run->name.c_str(), run->result.size(), run->ms,
+                run->mode.c_str());
+  return buf + PreviewRelation(std::move(run->result), run->limit);
 }
 
 Result<std::string> Shell::ExplainAnalyze(std::string_view args) {
-  auto [name_upper, rest] = SplitCommand(args);
-  std::string name(StripWhitespace(args).substr(0, name_upper.size()));
-  if (name.empty()) {
+  if (StripWhitespace(args).empty()) {
     return InvalidArgumentError(
         "usage: EXPLAIN ANALYZE <name> [DIRECT|PLAN|DYNAMIC|REDUCED] "
         "[LIMIT <n>] [THREADS <n>]");
   }
-  auto it = flocks_.find(name);
-  if (it == flocks_.end()) return NotFoundError("no flock named " + name);
-  const QueryFlock& flock = it->second;
-
-  Result<RunOptions> opts = ParseRunOptions(rest, default_threads_);
-  if (!opts.ok()) return opts.status();
-
   OpMetrics root;
-  std::string dynamic_trace;
-  // Separate governors for the incremental attempt and the fallback: a
-  // tripped attempt must not poison the fallback's accounting. `used`
-  // points at whichever governed the statement that actually ran.
-  QueryContext ictx;
-  ConfigureContext(ictx);
-  QueryContext ctx;
-  ConfigureContext(ctx);
-  QueryContext* used = &ctx;
-  std::string mode_name = opts->mode;
-  auto start = std::chrono::steady_clock::now();
-  Result<Relation> result = Relation();
-  bool served = false;
-  if (incremental_on_) {
-    Result<const std::map<std::string, Relation>*> views = Views();
-    if (!views.ok()) return views.status();
-    IncrementalEvalOptions iopts;
-    iopts.threads = opts->threads;
-    iopts.metrics = &root;
-    iopts.trace = trace_sink_.get();
-    iopts.ctx = &ictx;
-    iopts.state_budget = memory_bytes_;
-    Relation inc_result;
-    IncrementalRunInfo rinfo;
-    if (Status s = incremental_.Run(name, flock, db(), **views, iopts,
-                                    &inc_result, &rinfo);
-        !s.ok()) {
-      return s;
-    }
-    if (rinfo.served) {
-      result = std::move(inc_result);
-      mode_name = "INCREMENTAL:" + rinfo.decision;
-      used = &ictx;
-      served = true;
-    }
-    // Declined: the "incremental" metrics child keeps the decision and
-    // the fallback's operator tree is appended next to it.
-  }
-  LearnedRunInfo linfo;
-  bool learned = false;
-  if (!served) {
-    if (learned_optimizer_ && !opts->mode_explicit) {
-      result = EvaluateLearned(flock, opts->threads, &root, &dynamic_trace,
-                               &ctx, &linfo);
-      mode_name = "LEARNED:" + linfo.arm_id;
-      learned = true;
-    } else {
-      result = Evaluate(opts->mode, flock, opts->threads, &root,
-                        &dynamic_trace, &ctx);
-    }
-  }
-  double ms = MillisSince(start);
-  if (!result.ok()) return result.status();
-  // The evaluators time their children; the root's span is the statement.
-  root.wall_ns = static_cast<std::uint64_t>(ms * 1e6);
+  Result<FlockRun> run = RunFlock(args, &root);
+  if (!run.ok()) return run.status();
 
   char buf[160];
   std::snprintf(buf, sizeof(buf),
                 "%s: %zu assignments in %.1f ms (%s, threads %u)\n",
-                name.c_str(), result->size(), ms, mode_name.c_str(),
-                opts->threads);
+                run->name.c_str(), run->result.size(), run->ms,
+                run->mode.c_str(), run->threads);
   std::string out = buf;
-  if (learned) {
+  if (run->learned.has_value()) {
     // The bandit's decision: which context cell the flock hashed to, the
     // chosen arm (and whether it was exploration or exploitation), then
     // the per-arm posterior the choice was made from.
+    const LearnedChoice& learned = *run->learned;
     std::snprintf(buf, sizeof(buf), "optimizer: context %016llx (%s)\n",
-                  static_cast<unsigned long long>(linfo.context),
-                  linfo.context_desc.c_str());
+                  static_cast<unsigned long long>(learned.context),
+                  learned.context_desc.c_str());
     out += buf;
     std::snprintf(buf, sizeof(buf), "  chose %s (%s)\n",
-                  linfo.arm_id.c_str(),
-                  linfo.exploring ? "exploring" : "exploiting");
+                  learned.strategy.id.c_str(),
+                  learned.exploring ? "exploring" : "exploiting");
     out += buf;
-    out += linfo.posterior;
+    out += learned.posterior;
   }
-  if (!dynamic_trace.empty()) {
-    out += "dynamic decisions:\n" + dynamic_trace;
+  if (!run->dynamic_trace.empty()) {
+    out += "dynamic decisions:\n" + run->dynamic_trace;
   }
   std::snprintf(buf, sizeof(buf), "governor: peak %llu bytes accounted\n",
-                static_cast<unsigned long long>(used->peak_bytes()));
+                static_cast<unsigned long long>(run->peak_bytes));
   out += buf;
   out += "metrics:\n" + root.ToString();
   if (catalog_ != nullptr) {
@@ -1218,7 +1136,7 @@ Result<std::string> Shell::ExplainAnalyze(std::string_view args) {
     }
     out += "storage:\n" + storage.ToString();
   }
-  out += "result:\n" + PreviewRelation(std::move(*result), opts->limit);
+  out += "result:\n" + PreviewRelation(std::move(run->result), run->limit);
   return out;
 }
 
@@ -1313,9 +1231,8 @@ Result<std::string> Shell::Maximal(std::string_view args) {
   }
   QueryContext ctx;
   ConfigureContext(ctx);
-  options.ctx = &ctx;
   Result<MaximalItemsetsResult> result =
-      MaximalFrequentItemsets(db(), rel_name, options);
+      MaximalFrequentItemsets(db(), rel_name, options, ExecEnv{.ctx = &ctx});
   if (!result.ok()) return result.status();
   std::string out = "maximal frequent itemsets of " + rel_name +
                     " (support >= " + Value(options.min_support).ToString() +
@@ -1499,43 +1416,41 @@ Result<std::string> Shell::Open(std::string_view args) {
   // dropped wholesale and rebuilt lazily by the next RUN. (The knob below
   // restores whether the incremental path is on, not its state.)
   incremental_.Reset();
+  // Persisted values outside what the statements accept are ignored, not
+  // narrowed (a catalog is input from outside this process).
   const auto& knobs = catalog_->state().knobs;
-  if (auto it = knobs.find("THREADS"); it != knobs.end() && it->second >= 1) {
-    default_threads_ = static_cast<unsigned>(it->second);
+  auto knob = [&knobs](const char* key, std::int64_t lo, std::int64_t hi) {
+    auto it = knobs.find(key);
+    return it != knobs.end() && it->second >= lo && it->second <= hi
+               ? std::optional<std::int64_t>(it->second)
+               : std::nullopt;
+  };
+  if (auto v = knob("THREADS", 1, kMaxThreads)) {
+    default_threads_ = static_cast<unsigned>(*v);
   }
-  if (auto it = knobs.find("TIMEOUT_MS");
-      it != knobs.end() && it->second >= 0) {
-    timeout_ms_ = it->second;
+  if (auto v = knob("TIMEOUT_MS", 0, kMaxTimeoutMs)) timeout_ms_ = *v;
+  if (auto v = knob("MEMORY_MB", 0, kMaxMegabytes)) {
+    memory_bytes_ = static_cast<std::uint64_t>(*v) * 1024 * 1024;
   }
-  if (auto it = knobs.find("MEMORY_MB");
-      it != knobs.end() && it->second >= 0) {
-    memory_bytes_ = static_cast<std::uint64_t>(it->second) * 1024 * 1024;
-  }
-  if (auto it = knobs.find("BUFFER_MB");
-      it != knobs.end() && it->second >= 0) {
-    buffer_bytes_ = static_cast<std::uint64_t>(it->second) * 1024 * 1024;
+  if (auto v = knob("BUFFER_MB", 0, kMaxMegabytes)) {
+    buffer_bytes_ = static_cast<std::uint64_t>(*v) * 1024 * 1024;
     buffer_pool_->set_capacity_bytes(buffer_bytes_);
   }
-  if (auto it = knobs.find("INCREMENTAL"); it != knobs.end()) {
-    incremental_on_ = it->second != 0;
+  if (auto v = knob("INCREMENTAL", kMinInt64, kMaxInt64)) {
+    incremental_on_ = *v != 0;
   }
-  if (auto it = knobs.find("OPTIMIZER_LEARNED"); it != knobs.end()) {
-    learned_optimizer_ = it->second != 0;
+  if (auto v = knob("OPTIMIZER_LEARNED", kMinInt64, kMaxInt64)) {
+    learned_optimizer_ = *v != 0;
   }
   // §4.4 knobs travel as milli-scaled integers (the knob map is int64).
-  if (auto it = knobs.find("DYN_AGGRESSIVENESS_MILLI");
-      it != knobs.end() && it->second >= 0) {
-    dynamic_knobs_.aggressiveness = static_cast<double>(it->second) / 1000.0;
+  if (auto v = knob("DYN_AGGRESSIVENESS_MILLI", 0, kMaxInt64)) {
+    dynamic_knobs_.aggressiveness = static_cast<double>(*v) / 1000.0;
   }
-  if (auto it = knobs.find("DYN_IMPROVEMENT_MILLI");
-      it != knobs.end() && it->second >= 0) {
-    dynamic_knobs_.improvement_factor =
-        static_cast<double>(it->second) / 1000.0;
+  if (auto v = knob("DYN_IMPROVEMENT_MILLI", 0, kMaxInt64)) {
+    dynamic_knobs_.improvement_factor = static_cast<double>(*v) / 1000.0;
   }
-  if (auto it = knobs.find("DYN_MIN_REMOVED_MILLI");
-      it != knobs.end() && it->second >= 0) {
-    dynamic_knobs_.min_removed_fraction =
-        static_cast<double>(it->second) / 1000.0;
+  if (auto v = knob("DYN_MIN_REMOVED_MILLI", 0, kMaxInt64)) {
+    dynamic_knobs_.min_removed_fraction = static_cast<double>(*v) / 1000.0;
   }
   // The catalog's database replaced the in-memory one; its generation
   // counter is unrelated to whatever the cached model was keyed on.

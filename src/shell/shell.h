@@ -174,31 +174,53 @@ class Shell {
   Result<std::string> Maximal(std::string_view args);
   Result<std::string> Trace(std::string_view args);
 
-  // Evaluates flock `name` in `mode` ("DIRECT"|"PLAN"|"REDUCED"|"DYNAMIC"),
-  // optionally collecting metrics under `metrics` (spans go to the
-  // installed trace sink). `dynamic_trace`, when non-null, receives the
-  // Fig. 9-style decision log of DYNAMIC runs.
-  Result<Relation> Evaluate(const std::string& mode, const QueryFlock& flock,
-                            unsigned threads, OpMetrics* metrics,
-                            std::string* dynamic_trace, QueryContext* ctx);
-
-  // What the bandit decided for one learned run (EXPLAIN ANALYZE renders
-  // it; RUN shows the arm id in its mode string).
-  struct LearnedRunInfo {
-    std::string arm_id;
+  // What the learned optimizer chose for one run (EXPLAIN ANALYZE
+  // renders it; RUN shows the arm id in its mode string).
+  struct LearnedChoice {
+    Strategy strategy;  // the bandit's arm
     std::uint64_t context = 0;
     std::string context_desc;
     bool exploring = false;
     std::string posterior;  // per-arm stats lines at decision time
+    // The static model's survivor estimate (support filters only), for
+    // the outcome's est-vs-actual skew.
+    std::optional<double> est;
   };
-  // SET OPTIMIZER LEARNED evaluation path: enumerate arms, let the bandit
-  // choose, execute the chosen strategy, then record the outcome (to the
-  // catalog's WAL when one is open). Results are bit-identical to
-  // Evaluate for every arm.
-  Result<Relation> EvaluateLearned(const QueryFlock& flock, unsigned threads,
-                                   OpMetrics* metrics,
-                                   std::string* dynamic_trace,
-                                   QueryContext* ctx, LearnedRunInfo* info);
+  // One RUN / EXPLAIN ANALYZE evaluation. The two statements share it
+  // and differ only in what they render.
+  struct FlockRun {
+    std::string name;
+    std::size_t limit = 10;
+    unsigned threads = 1;
+    // Header label: the mode word, INCREMENTAL:<decision>, or
+    // LEARNED:<arm id>.
+    std::string mode;
+    Relation result;
+    double ms = 0;
+    std::uint64_t peak_bytes = 0;  // governor peak of the path that ran
+    std::string dynamic_trace;     // Fig. 9-style log of dynamic runs
+    std::optional<LearnedChoice> learned;
+  };
+
+  // Parses "<name> [mode] [LIMIT <n>] [THREADS <n>]" and evaluates the
+  // flock: the incremental attempt when SET INCREMENTAL is on, else the
+  // named strategy (or, without a mode word under SET OPTIMIZER LEARNED,
+  // the bandit's pick, whose outcome is then recorded). Operator metrics
+  // go under `metrics` when non-null.
+  Result<FlockRun> RunFlock(std::string_view args, OpMetrics* metrics);
+
+  // Runs `flock` with `strategy` under `env` over the session database
+  // and views — the single executor behind every mode word and every
+  // bandit arm. With env.metrics set, support-style flocks get the
+  // model's survivor estimates on the tree (per step for plans).
+  // `dynamic_trace`, when non-null, receives the Fig. 9-style decision
+  // log of dynamic strategies.
+  Result<Relation> Execute(const QueryFlock& flock, const Strategy& strategy,
+                           const ExecEnv& env, std::string* dynamic_trace);
+
+  // SET OPTIMIZER LEARNED: enumerates the flock's arms and lets the
+  // contextual bandit choose one from the outcome history.
+  Result<LearnedChoice> ChooseStrategy(const QueryFlock& flock);
   // Folds one learned-run outcome into the history: the catalog's durable
   // store when open (skipped while latched read-only), the session-local
   // store otherwise.

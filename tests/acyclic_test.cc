@@ -84,9 +84,9 @@ TEST(FullReducerTest, EliminatesDanglingTuplesFromIntermediates) {
   PredicateResolver resolver(db);
   std::size_t plain_peak = 0, reduced_peak = 0;
   auto plain = EvaluateConjunctiveBindings(cq, resolver, {"X"},
-                                           {}, &plain_peak);
+                                           {}, {}, &plain_peak);
   auto reduced = EvaluateConjunctiveBindings(
-      cq, resolver, {"X"}, ReducedOptions(), &reduced_peak);
+      cq, resolver, {"X"}, ReducedOptions(), {}, &reduced_peak);
   ASSERT_TRUE(plain.ok());
   ASSERT_TRUE(reduced.ok());
   plain->SortRows();

@@ -126,7 +126,7 @@ TEST(AprioriTest, StatsShowPruning) {
   auto data = BasketsFromRelation(GenerateBaskets(config), "BID", "Item");
   ASSERT_TRUE(data.ok());
   AprioriStats stats;
-  AprioriFrequentItemsets(*data, {.min_support = 20}, &stats);
+  AprioriFrequentItemsets(*data, {.min_support = 20}, {}, &stats);
   ASSERT_GE(stats.candidates_per_level.size(), 2u);
   std::size_t frequent_items = stats.frequent_per_level[0];
   // Level-2 candidates come only from frequent items: at most C(f,2),

@@ -45,7 +45,7 @@ TEST(PrecomputedStepsTest, ExecutorUsesGivenRelation) {
   options.order_chooser = CostBasedOrderChooser();
   options.precomputed_steps = &precomputed;
   PlanExecInfo info;
-  auto with = ExecutePlan(*plan, flock, db, options, &info);
+  auto with = ExecutePlan(*plan, flock, db, options, {}, &info);
   ASSERT_TRUE(with.ok()) << with.status().ToString();
   // The step was skipped (no evaluation work recorded) but its survivors
   // were used.

@@ -179,7 +179,7 @@ TEST(CqEvalTest, PeakRowsReported) {
   PredicateResolver resolver(db);
   std::size_t peak = 0;
   auto result =
-      EvaluateConjunctiveBindings(cq, resolver, {"B"}, {}, &peak);
+      EvaluateConjunctiveBindings(cq, resolver, {"B"}, {}, {}, &peak);
   ASSERT_TRUE(result.ok());
   EXPECT_GE(peak, 6u);  // at least the base relation size
 }

@@ -61,9 +61,8 @@ inline Relation MinedPairs(const Relation& baskets, unsigned threads) {
       "answer(B) :- baskets(B,$1) AND baskets(B,$2) AND $1 < $2",
       FilterCondition::MinSupport(2));
   EXPECT_TRUE(flock.ok()) << flock.status().ToString();
-  FlockEvalOptions options;
-  options.threads = threads;
-  Result<Relation> result = EvaluateFlock(*flock, db, options);
+  Result<Relation> result =
+      EvaluateFlock(*flock, db, {}, {.threads = threads});
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   Relation rel = result.ok() ? std::move(*result) : Relation();
   rel.set_name("pairs");

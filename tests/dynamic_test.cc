@@ -37,7 +37,7 @@ TEST(DynamicTest, MatchesDirectOnBaskets) {
             FilterCondition::MinSupport(6));
   DynamicLog log;
   ExpectSame(EvaluateFlock(flock, db),
-             DynamicEvaluate(flock, db, {}, &log));
+             DynamicEvaluate(flock, db, {}, {}, &log));
   EXPECT_FALSE(log.decisions.empty());
 }
 
@@ -85,7 +85,7 @@ TEST(DynamicTest, ZeroAggressivenessNeverFilters) {
   options.improvement_factor = 0;
   DynamicLog log;
   ExpectSame(EvaluateFlock(flock, db),
-             DynamicEvaluate(flock, db, options, &log));
+             DynamicEvaluate(flock, db, options, {}, &log));
   EXPECT_EQ(log.filters_applied, 0u);
   for (const DynamicDecision& d : log.decisions) EXPECT_FALSE(d.filtered);
 }
@@ -103,7 +103,7 @@ TEST(DynamicTest, HighAggressivenessFiltersAndStaysCorrect) {
   options.improvement_factor = 1.0;
   DynamicLog log;
   ExpectSame(EvaluateFlock(flock, db),
-             DynamicEvaluate(flock, db, options, &log));
+             DynamicEvaluate(flock, db, options, {}, &log));
   EXPECT_GT(log.filters_applied, 0u);
 }
 
@@ -118,10 +118,10 @@ TEST(DynamicTest, FilteringShrinksIntermediates) {
       Flock("answer(B) :- baskets(B,$1) AND baskets(B,$2) AND $1 < $2",
             FilterCondition::MinSupport(15));
   FlockEvalInfo direct_info;
-  auto direct = EvaluateFlock(flock, db, {}, nullptr, &direct_info);
+  auto direct = EvaluateFlock(flock, db, {}, {}, nullptr, &direct_info);
   ASSERT_TRUE(direct.ok());
   DynamicLog log;
-  auto dynamic = DynamicEvaluate(flock, db, {}, &log);
+  auto dynamic = DynamicEvaluate(flock, db, {}, {}, &log);
   ASSERT_TRUE(dynamic.ok());
   EXPECT_GT(log.filters_applied, 0u);
   EXPECT_LT(log.peak_rows, direct_info.peak_rows);
@@ -136,7 +136,7 @@ TEST(DynamicTest, DecisionLogRecordsRatios) {
       Flock("answer(B) :- baskets(B,$1) AND baskets(B,$2) AND $1 < $2",
             FilterCondition::MinSupport(5));
   DynamicLog log;
-  auto result = DynamicEvaluate(flock, db, {}, &log);
+  auto result = DynamicEvaluate(flock, db, {}, {}, &log);
   ASSERT_TRUE(result.ok());
   for (const DynamicDecision& d : log.decisions) {
     EXPECT_GT(d.ratio, 0);
@@ -232,7 +232,7 @@ TEST(DynamicLatticeTest, MassDeclinedOpportunityIsConsideredNotFiltered) {
                            FilterCondition::MinSupport(4));
   DynamicLog log;
   ExpectSame(EvaluateFlock(flock, db),
-             DynamicEvaluate(flock, db, LatticeOptions(), &log));
+             DynamicEvaluate(flock, db, LatticeOptions(), {}, &log));
   const DynamicDecision* leaf = FindDecision(log, "leaf p");
   ASSERT_NE(leaf, nullptr);
   EXPECT_NEAR(leaf->ratio, 3.5, 1e-9);
@@ -254,7 +254,7 @@ TEST(DynamicLatticeTest, DeclinedBaselineIsClampedSoLaterJoinCanFilter) {
                            FilterCondition::MinSupport(4));
   DynamicLog log;
   ExpectSame(EvaluateFlock(flock, db),
-             DynamicEvaluate(flock, db, LatticeOptions(), &log));
+             DynamicEvaluate(flock, db, LatticeOptions(), {}, &log));
   const DynamicDecision* leaf = FindDecision(log, "leaf p");
   ASSERT_NE(leaf, nullptr);
   EXPECT_TRUE(leaf->considered);
@@ -277,7 +277,7 @@ TEST(DynamicLatticeTest, UnimprovedRatioIsNotReconsidered) {
   QueryFlock flock = Flock("answer(B) :- p(B,$1) AND q(B)",
                            FilterCondition::MinSupport(4));
   DynamicLog log;
-  ASSERT_TRUE(DynamicEvaluate(flock, db, LatticeOptions(), &log).ok());
+  ASSERT_TRUE(DynamicEvaluate(flock, db, LatticeOptions(), {}, &log).ok());
   const DynamicDecision* joined = FindDecision(log, "after join");
   ASSERT_NE(joined, nullptr);
   EXPECT_NEAR(joined->ratio, 3.5, 1e-9);
@@ -297,7 +297,7 @@ TEST(DynamicLatticeTest, GateFailedOpportunityRecordsNothingExtra) {
   DynamicOptions options = LatticeOptions();
   options.aggressiveness = 0.5;
   DynamicLog log;
-  ASSERT_TRUE(DynamicEvaluate(flock, db, options, &log).ok());
+  ASSERT_TRUE(DynamicEvaluate(flock, db, options, {}, &log).ok());
   const DynamicDecision* leaf = FindDecision(log, "leaf p");
   ASSERT_NE(leaf, nullptr);
   EXPECT_FALSE(leaf->considered);
@@ -313,10 +313,8 @@ TEST(DynamicTest, ThreadedScanMatchesSerial) {
   QueryFlock flock =
       Flock("answer(B) :- baskets(B,$1) AND baskets(B,$2) AND $1 < $2",
             FilterCondition::MinSupport(6));
-  DynamicOptions threaded;
-  threaded.threads = 4;
   ExpectSame(DynamicEvaluate(flock, db),
-             DynamicEvaluate(flock, db, threaded));
+             DynamicEvaluate(flock, db, {}, {.threads = 4}));
 }
 
 // Property: dynamic evaluation agrees with the direct evaluator across

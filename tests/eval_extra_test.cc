@@ -113,7 +113,7 @@ TEST(EvalExtraTest, DynamicTraceRenders) {
       Flock("answer(B) :- baskets(B,$1) AND baskets(B,$2) AND $1 < $2",
             FilterCondition::MinSupport(2));
   DynamicLog log;
-  auto result = DynamicEvaluate(f, db, {}, &log);
+  auto result = DynamicEvaluate(f, db, {}, {}, &log);
   ASSERT_TRUE(result.ok());
   std::string trace = RenderDynamicTrace(log);
   EXPECT_NE(trace.find("filter"), std::string::npos);
@@ -128,7 +128,7 @@ TEST(EvalExtraTest, ExtraPredicatesComposeWithNegation) {
   std::map<std::string, const Relation*> extra = {{"banned", &banned}};
   QueryFlock f = Flock("answer(B) :- baskets(B,$1) AND NOT banned($1)",
                        FilterCondition::MinSupport(1));
-  auto result = EvaluateFlock(f, db, {}, &extra);
+  auto result = EvaluateFlock(f, db, {}, {}, &extra);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_FALSE(result->Contains({Value("wine")}));
   EXPECT_TRUE(result->Contains({Value("beer")}));

@@ -87,10 +87,10 @@ TEST(ExecutorSupportTest, OptimizedPlanAvoidsCrossProducts) {
   // Text order joins ok1 with ok2 first — a cross product of the two
   // survivor sets; cost-based ordering must do much better.
   PlanExecInfo text_info;
-  auto text_result = ExecutePlan(*plan, flock, db, {}, &text_info);
+  auto text_result = ExecutePlan(*plan, flock, db, {}, {}, &text_info);
   ASSERT_TRUE(text_result.ok());
   PlanExecInfo opt_info;
-  auto opt_result = ExecutePlanOptimized(*plan, flock, db, &opt_info);
+  auto opt_result = ExecutePlanOptimized(*plan, flock, db, {}, &opt_info);
   ASSERT_TRUE(opt_result.ok());
 
   text_result->SortRows();
@@ -128,7 +128,7 @@ TEST(DynamicOptionsTest, MinRemovedFractionOneBlocksFilters) {
   options.aggressiveness = 100;
   options.min_removed_fraction = 1.01;  // impossible
   DynamicLog log;
-  auto result = DynamicEvaluate(flock, db, options, &log);
+  auto result = DynamicEvaluate(flock, db, options, {}, &log);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(log.filters_applied, 0u);
 
@@ -156,7 +156,7 @@ TEST(DynamicOptionsTest, RemovedFractionGateSkipsUselessFilters) {
   DynamicOptions options;
   options.aggressiveness = 100;
   DynamicLog log;
-  auto result = DynamicEvaluate(flock, db, options, &log);
+  auto result = DynamicEvaluate(flock, db, options, {}, &log);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(log.filters_applied, 0u);
   EXPECT_EQ(result->size(), 3u);  // (a,b), (a,c), (b,c)

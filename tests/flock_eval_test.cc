@@ -153,7 +153,7 @@ TEST(DirectEvalTest, InfoReportsSizes) {
   QueryFlock f = Flock("answer(B) :- baskets(B,$1) AND baskets(B,$2)",
                        FilterCondition::MinSupport(1));
   FlockEvalInfo info;
-  auto result = EvaluateFlock(f, db, {}, nullptr, &info);
+  auto result = EvaluateFlock(f, db, {}, {}, nullptr, &info);
   ASSERT_TRUE(result.ok());
   EXPECT_GT(info.peak_rows, 0u);
   EXPECT_GT(info.answer_rows, 0u);

@@ -48,10 +48,8 @@ TEST(GovernedCancelStressTest, RandomizedCancelPointsUnwindCleanly) {
       std::this_thread::sleep_for(delay);
       flag.store(true);
     });
-    FlockEvalOptions options;
-    options.threads = threads;
-    options.ctx = &ctx;
-    Result<Relation> governed = EvaluateFlock(*flock, db, options);
+    Result<Relation> governed =
+        EvaluateFlock(*flock, db, {}, {.threads = threads, .ctx = &ctx});
     canceller.join();
     if (governed.ok()) {
       ASSERT_EQ(baseline->schema(), governed->schema()) << "iter=" << iter;
@@ -83,10 +81,8 @@ TEST(GovernedCancelStressTest, ContextIsReusableForReruns) {
 
   QueryContext ctx;
   ctx.RequestCancel();
-  FlockEvalOptions options;
-  options.ctx = &ctx;
   for (int i = 0; i < 3; ++i) {
-    Result<Relation> r = EvaluateFlock(*flock, db, options);
+    Result<Relation> r = EvaluateFlock(*flock, db, {}, {.ctx = &ctx});
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
   }

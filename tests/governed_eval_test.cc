@@ -86,10 +86,8 @@ TEST(GovernedEvalTest, FlockWithSufficientBudgetIsIdentical) {
     QueryContext ctx;
     ctx.set_memory_budget(1ull << 30);
     ctx.set_timeout_ms(60'000);
-    FlockEvalOptions options;
-    options.threads = threads;
-    options.ctx = &ctx;
-    Result<Relation> governed = EvaluateFlock(flock, db, options);
+    Result<Relation> governed = EvaluateFlock(
+        flock, db, {}, {.threads = threads, .ctx = &ctx});
     ASSERT_TRUE(governed.ok()) << governed.status().ToString();
     ExpectIdentical(*baseline, *governed, threads);
     EXPECT_TRUE(ctx.Check().ok());
@@ -105,10 +103,8 @@ TEST(GovernedEvalTest, ExpiredDeadlineFailsTyped) {
     QueryContext ctx;
     ctx.set_deadline(std::chrono::steady_clock::now() -
                      std::chrono::milliseconds(1));
-    FlockEvalOptions options;
-    options.threads = threads;
-    options.ctx = &ctx;
-    Result<Relation> governed = EvaluateFlock(flock, db, options);
+    Result<Relation> governed = EvaluateFlock(
+        flock, db, {}, {.threads = threads, .ctx = &ctx});
     ASSERT_FALSE(governed.ok()) << "threads=" << threads;
     EXPECT_EQ(governed.status().code(), StatusCode::kDeadlineExceeded);
     ExpectNoUnderflow(ctx);
@@ -121,10 +117,8 @@ TEST(GovernedEvalTest, TinyBudgetFailsTyped) {
   for (unsigned threads : kThreadCounts) {
     QueryContext ctx;
     ctx.set_memory_budget(4096);  // far below any real intermediate
-    FlockEvalOptions options;
-    options.threads = threads;
-    options.ctx = &ctx;
-    Result<Relation> governed = EvaluateFlock(flock, db, options);
+    Result<Relation> governed = EvaluateFlock(
+        flock, db, {}, {.threads = threads, .ctx = &ctx});
     ASSERT_FALSE(governed.ok()) << "threads=" << threads;
     EXPECT_EQ(governed.status().code(), StatusCode::kResourceExhausted);
     ExpectNoUnderflow(ctx);
@@ -137,9 +131,7 @@ TEST(GovernedEvalTest, PreSetCancelFlagFailsCancelled) {
   std::atomic<bool> flag{true};
   QueryContext ctx;
   ctx.set_cancel_flag(&flag);
-  FlockEvalOptions options;
-  options.ctx = &ctx;
-  Result<Relation> governed = EvaluateFlock(flock, db, options);
+  Result<Relation> governed = EvaluateFlock(flock, db, {}, {.ctx = &ctx});
   ASSERT_FALSE(governed.ok());
   EXPECT_EQ(governed.status().code(), StatusCode::kCancelled);
 }
@@ -159,10 +151,8 @@ TEST(GovernedEvalTest, FaultInjectionSweepFlock) {
     for (std::uint64_t n = 1; n <= 24; ++n) {
       QueryContext ctx;
       ctx.set_fail_after_charges(n);
-      FlockEvalOptions options;
-      options.threads = threads;
-      options.ctx = &ctx;
-      Result<Relation> governed = EvaluateFlock(flock, db, options);
+      Result<Relation> governed = EvaluateFlock(
+          flock, db, {}, {.threads = threads, .ctx = &ctx});
       if (governed.ok()) {
         ExpectIdentical(*baseline, *governed, threads);
       } else {
@@ -192,10 +182,8 @@ TEST(GovernedEvalTest, PlanExecutorGovernedMatchesAndTrips) {
     {
       QueryContext ctx;
       ctx.set_memory_budget(1ull << 30);
-      PlanExecOptions options;
-      options.threads = threads;
-      options.ctx = &ctx;
-      Result<Relation> governed = ExecutePlan(*plan, flock, db, options);
+      Result<Relation> governed = ExecutePlan(
+          *plan, flock, db, {}, {.threads = threads, .ctx = &ctx});
       ASSERT_TRUE(governed.ok()) << governed.status().ToString();
       ExpectIdentical(*baseline, *governed, threads);
       ExpectNoUnderflow(ctx);
@@ -203,10 +191,8 @@ TEST(GovernedEvalTest, PlanExecutorGovernedMatchesAndTrips) {
     {
       QueryContext ctx;
       ctx.set_memory_budget(2048);
-      PlanExecOptions options;
-      options.threads = threads;
-      options.ctx = &ctx;
-      Result<Relation> governed = ExecutePlan(*plan, flock, db, options);
+      Result<Relation> governed = ExecutePlan(
+          *plan, flock, db, {}, {.threads = threads, .ctx = &ctx});
       ASSERT_FALSE(governed.ok()) << "threads=" << threads;
       EXPECT_EQ(governed.status().code(), StatusCode::kResourceExhausted);
       ExpectNoUnderflow(ctx);
@@ -226,10 +212,8 @@ TEST(GovernedEvalTest, FaultInjectionSweepPlanExecutor) {
     for (std::uint64_t n = 1; n <= 16; ++n) {
       QueryContext ctx;
       ctx.set_fail_after_charges(n);
-      PlanExecOptions options;
-      options.threads = threads;
-      options.ctx = &ctx;
-      Result<Relation> governed = ExecutePlan(*plan, flock, db, options);
+      Result<Relation> governed = ExecutePlan(
+          *plan, flock, db, {}, {.threads = threads, .ctx = &ctx});
       if (governed.ok()) {
         ExpectIdentical(*baseline, *governed, threads);
       } else {
@@ -248,9 +232,7 @@ TEST(GovernedEvalTest, DynamicEvaluateGovernedMatchesAndTrips) {
   {
     QueryContext ctx;
     ctx.set_memory_budget(1ull << 30);
-    DynamicOptions options;
-    options.ctx = &ctx;
-    Result<Relation> governed = DynamicEvaluate(flock, db, options);
+    Result<Relation> governed = DynamicEvaluate(flock, db, {}, {.ctx = &ctx});
     ASSERT_TRUE(governed.ok()) << governed.status().ToString();
     ExpectIdentical(*baseline, *governed, 1);
     ExpectNoUnderflow(ctx);
@@ -258,9 +240,7 @@ TEST(GovernedEvalTest, DynamicEvaluateGovernedMatchesAndTrips) {
   {
     QueryContext ctx;
     ctx.set_memory_budget(2048);
-    DynamicOptions options;
-    options.ctx = &ctx;
-    Result<Relation> governed = DynamicEvaluate(flock, db, options);
+    Result<Relation> governed = DynamicEvaluate(flock, db, {}, {.ctx = &ctx});
     ASSERT_FALSE(governed.ok());
     EXPECT_EQ(governed.status().code(), StatusCode::kResourceExhausted);
     ExpectNoUnderflow(ctx);
@@ -268,9 +248,7 @@ TEST(GovernedEvalTest, DynamicEvaluateGovernedMatchesAndTrips) {
   for (std::uint64_t n = 1; n <= 16; ++n) {
     QueryContext ctx;
     ctx.set_fail_after_charges(n);
-    DynamicOptions options;
-    options.ctx = &ctx;
-    Result<Relation> governed = DynamicEvaluate(flock, db, options);
+    Result<Relation> governed = DynamicEvaluate(flock, db, {}, {.ctx = &ctx});
     if (governed.ok()) {
       ExpectIdentical(*baseline, *governed, 1);
     } else {
@@ -302,19 +280,19 @@ TEST(GovernedEvalTest, AprioriHonoursContext) {
   for (unsigned threads : kThreadCounts) {
     AprioriOptions options;
     options.min_support = 10;
-    options.threads = threads == 0 ? 1 : threads;
+    const unsigned workers = threads == 0 ? 1 : threads;
     QueryContext ctx;
     ctx.set_memory_budget(1ull << 30);
-    options.ctx = &ctx;
-    std::vector<Itemset> governed = AprioriFrequentItemsets(data, options);
+    std::vector<Itemset> governed = AprioriFrequentItemsets(
+        data, options, {.threads = workers, .ctx = &ctx});
     ASSERT_TRUE(ctx.Check().ok());
     ExpectSameItemsets(baseline, governed);
 
     QueryContext expired;
     expired.set_deadline(std::chrono::steady_clock::now() -
                          std::chrono::milliseconds(1));
-    options.ctx = &expired;
-    AprioriFrequentItemsets(data, options);
+    AprioriFrequentItemsets(data, options,
+                            {.threads = workers, .ctx = &expired});
     EXPECT_EQ(expired.Check().code(), StatusCode::kDeadlineExceeded)
         << "threads=" << threads;
   }
@@ -330,19 +308,19 @@ TEST(GovernedEvalTest, AprioriPairsHonoursContext) {
       BasketsFromRelation(GenerateBaskets(config), "BID", "Item");
   ASSERT_TRUE(parsed.ok());
   BasketData data = std::move(*parsed);
-  std::vector<Itemset> baseline = AprioriFrequentPairs(data, 8, 1);
+  std::vector<Itemset> baseline = AprioriFrequentPairs(data, 8);
 
   for (unsigned threads : {1u, 4u}) {
     QueryContext ctx;
     ctx.set_memory_budget(1ull << 30);
     std::vector<Itemset> governed =
-        AprioriFrequentPairs(data, 8, threads, nullptr, &ctx);
+        AprioriFrequentPairs(data, 8, {.threads = threads, .ctx = &ctx});
     ASSERT_TRUE(ctx.Check().ok());
     ExpectSameItemsets(baseline, governed);
 
     QueryContext tripped;
     tripped.set_fail_after_charges(1);
-    AprioriFrequentPairs(data, 8, threads, nullptr, &tripped);
+    AprioriFrequentPairs(data, 8, {.threads = threads, .ctx = &tripped});
     EXPECT_EQ(tripped.Check().code(), StatusCode::kResourceExhausted)
         << "threads=" << threads;
   }
@@ -364,10 +342,8 @@ TEST(GovernedEvalTest, ConcurrentCancelUnwindsCleanly) {
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
       flag.store(true);
     });
-    FlockEvalOptions options;
-    options.threads = threads;
-    options.ctx = &ctx;
-    Result<Relation> governed = EvaluateFlock(flock, db, options);
+    Result<Relation> governed = EvaluateFlock(
+        flock, db, {}, {.threads = threads, .ctx = &ctx});
     canceller.join();
     if (governed.ok()) {
       ExpectIdentical(*baseline, *governed, threads);

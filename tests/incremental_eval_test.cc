@@ -450,8 +450,7 @@ TEST(IncrementalEvalApiTest, DifferentialAcrossThreadCounts) {
     Database db = ApiBaskets();
     IncrementalEvaluator inc;
     QueryFlock flock = ApiPairs(3);
-    IncrementalEvalOptions opts;
-    opts.threads = threads;
+    const ExecEnv env{.threads = threads};
     for (int step = 0; step < 6; ++step) {
       Relation delta("d", Schema({"BID", "Item"}));
       delta.AddRow({Value(10 + step), Value(step % 4)});
@@ -461,12 +460,11 @@ TEST(IncrementalEvalApiTest, DifferentialAcrossThreadCounts) {
 
       Relation served;
       IncrementalRunInfo info;
-      Status s = inc.Run("pairs", flock, db, no_views, opts, &served, &info);
+      Status s = inc.Run("pairs", flock, db, no_views, {}, env, &served, &info);
       ASSERT_TRUE(s.ok()) << s.ToString();
       ASSERT_TRUE(info.served) << info.decision;
-      FlockEvalOptions direct_opts;
-      direct_opts.threads = threads;
-      Result<Relation> direct = EvaluateFlock(flock, db, direct_opts);
+      Result<Relation> direct = EvaluateFlock(
+          flock, db, {}, {.threads = threads});
       ASSERT_TRUE(direct.ok()) << direct.status().ToString();
       EXPECT_EQ(served.schema().columns(), direct->schema().columns());
       EXPECT_EQ(served.rows(), direct->rows())
@@ -491,7 +489,7 @@ TEST(IncrementalEvalApiTest, BudgetEvictsBeforeBuildAndOnDeltas) {
   IncrementalEvalOptions tiny;
   tiny.state_budget = 1;
   ASSERT_TRUE(
-      inc.Run("pairs", flock, db, no_views, tiny, &served, &info).ok());
+      inc.Run("pairs", flock, db, no_views, tiny, {}, &served, &info).ok());
   EXPECT_FALSE(info.served);
   EXPECT_EQ(info.decision, "evicted(budget)");
   EXPECT_EQ(inc.state("pairs"), nullptr);
@@ -500,7 +498,7 @@ TEST(IncrementalEvalApiTest, BudgetEvictsBeforeBuildAndOnDeltas) {
   IncrementalEvalOptions big;
   big.state_budget = 1 << 20;
   ASSERT_TRUE(
-      inc.Run("pairs", flock, db, no_views, big, &served, &info).ok());
+      inc.Run("pairs", flock, db, no_views, big, {}, &served, &info).ok());
   EXPECT_TRUE(info.served);
   EXPECT_EQ(info.decision, "build");
   ASSERT_NE(inc.state("pairs"), nullptr);
@@ -509,7 +507,7 @@ TEST(IncrementalEvalApiTest, BudgetEvictsBeforeBuildAndOnDeltas) {
   delta.AddRow({Value(50), Value(5)});
   ApiAppend(inc, db, "baskets", delta);
   ASSERT_TRUE(
-      inc.Run("pairs", flock, db, no_views, tiny, &served, &info).ok());
+      inc.Run("pairs", flock, db, no_views, tiny, {}, &served, &info).ok());
   EXPECT_FALSE(info.served);
   EXPECT_EQ(info.decision, "evicted(budget)");
   EXPECT_EQ(inc.state("pairs"), nullptr);
@@ -527,7 +525,7 @@ TEST(IncrementalEvalApiTest, UnsupportedShapes) {
   auto nm = MakeFlock("answer(B) :- baskets(B,$1)",
                       {FilterAgg::kCount, CompareOp::kLe, 5, 0});
   ASSERT_TRUE(nm.ok());
-  ASSERT_TRUE(inc.Run("nm", *nm, db, views, opts, &served, &info).ok());
+  ASSERT_TRUE(inc.Run("nm", *nm, db, views, opts, {}, &served, &info).ok());
   EXPECT_FALSE(info.served);
   EXPECT_EQ(info.decision, "unsupported(non-monotone)");
 
@@ -535,7 +533,7 @@ TEST(IncrementalEvalApiTest, UnsupportedShapes) {
   QueryFlock missing = *MakeFlock("answer(B) :- shelves(B,$1)",
                                   FilterCondition::MinSupport(2));
   ASSERT_TRUE(
-      inc.Run("m", missing, db, views, opts, &served, &info).ok());
+      inc.Run("m", missing, db, views, opts, {}, &served, &info).ok());
   EXPECT_FALSE(info.served);
   EXPECT_EQ(info.decision, "unsupported(missing:shelves)");
 
@@ -543,7 +541,7 @@ TEST(IncrementalEvalApiTest, UnsupportedShapes) {
   views.emplace("baskets", Relation("baskets", Schema({"BID", "Item"})));
   QueryFlock pairs = ApiPairs(2);
   ASSERT_TRUE(
-      inc.Run("pairs", pairs, db, views, opts, &served, &info).ok());
+      inc.Run("pairs", pairs, db, views, opts, {}, &served, &info).ok());
   EXPECT_FALSE(info.served);
   EXPECT_EQ(info.decision, "unsupported(view:baskets)");
 }
@@ -573,7 +571,7 @@ TEST(IncrementalEvalApiTest, MultiRelationAndMultiOccurrenceDeltas) {
   Relation served;
   IncrementalRunInfo info;
   ASSERT_TRUE(
-      inc.Run("f", *flock, db, no_views, opts, &served, &info).ok());
+      inc.Run("f", *flock, db, no_views, opts, {}, &served, &info).ok());
   ASSERT_TRUE(info.served);
 
   Relation db_delta("d", Schema({"BID", "Item"}));
@@ -586,7 +584,7 @@ TEST(IncrementalEvalApiTest, MultiRelationAndMultiOccurrenceDeltas) {
   ApiAppend(inc, db, "promo", promo_delta);
 
   ASSERT_TRUE(
-      inc.Run("f", *flock, db, no_views, opts, &served, &info).ok());
+      inc.Run("f", *flock, db, no_views, opts, {}, &served, &info).ok());
   ASSERT_TRUE(info.served) << info.decision;
   EXPECT_EQ(info.decision, "delta(+4 rows)");
   ASSERT_EQ(info.delta_rows.size(), 2u);
@@ -604,14 +602,14 @@ TEST(IncrementalEvalApiTest, UnrelatedRelationChangeStaysCached) {
   Relation served;
   IncrementalRunInfo info;
   ASSERT_TRUE(
-      inc.Run("pairs", flock, db, no_views, opts, &served, &info).ok());
+      inc.Run("pairs", flock, db, no_views, opts, {}, &served, &info).ok());
   // Mutating a relation the flock never reads must not invalidate: the
   // generation probe misses but the per-mark handles all match.
   Relation other("other", Schema({"X"}));
   other.AddRow({Value(1)});
   db.PutRelation(std::move(other));
   ASSERT_TRUE(
-      inc.Run("pairs", flock, db, no_views, opts, &served, &info).ok());
+      inc.Run("pairs", flock, db, no_views, opts, {}, &served, &info).ok());
   EXPECT_TRUE(info.served);
   EXPECT_EQ(info.decision, "cached");
   // And the refreshed generation makes the next probe cheap again.
@@ -688,7 +686,7 @@ TEST(IncrementalEvictionTest, HotFlockSurvivesColdPressure) {
   IncrementalRunInfo info;
   IncrementalEvalOptions opts;  // unlimited for the sizing run
 
-  ASSERT_TRUE(inc.Run("hot", hot, db, views, opts, &result, &info).ok());
+  ASSERT_TRUE(inc.Run("hot", hot, db, views, opts, {}, &result, &info).ok());
   ASSERT_TRUE(info.served);
   ASSERT_NE(inc.state("hot"), nullptr);
   std::uint64_t one = inc.state("hot")->ApproxBytes();
@@ -697,16 +695,18 @@ TEST(IncrementalEvictionTest, HotFlockSurvivesColdPressure) {
   // Room for two states, not three.
   opts.state_budget = 2 * one + one / 2;
 
-  ASSERT_TRUE(inc.Run("hot", hot, db, views, opts, &result, &info).ok());
+  ASSERT_TRUE(inc.Run("hot", hot, db, views, opts, {}, &result, &info).ok());
   EXPECT_EQ(info.decision, "cached");
-  ASSERT_TRUE(inc.Run("cold1", cold1, db, views, opts, &result, &info).ok());
+  ASSERT_TRUE(
+      inc.Run("cold1", cold1, db, views, opts, {}, &result, &info).ok());
   ASSERT_TRUE(info.served);
   EXPECT_EQ(inc.budget_evictions(), 0u);  // both fit
 
   // Touch hot again, then bring in the third state: cold1 must go.
-  ASSERT_TRUE(inc.Run("hot", hot, db, views, opts, &result, &info).ok());
+  ASSERT_TRUE(inc.Run("hot", hot, db, views, opts, {}, &result, &info).ok());
   EXPECT_EQ(info.decision, "cached");
-  ASSERT_TRUE(inc.Run("cold2", cold2, db, views, opts, &result, &info).ok());
+  ASSERT_TRUE(
+      inc.Run("cold2", cold2, db, views, opts, {}, &result, &info).ok());
   ASSERT_TRUE(info.served);
 
   EXPECT_EQ(inc.budget_evictions(), 1u);
@@ -715,7 +715,7 @@ TEST(IncrementalEvictionTest, HotFlockSurvivesColdPressure) {
   EXPECT_NE(inc.state("cold2"), nullptr);
 
   // The hot state still serves straight from cache.
-  ASSERT_TRUE(inc.Run("hot", hot, db, views, opts, &result, &info).ok());
+  ASSERT_TRUE(inc.Run("hot", hot, db, views, opts, {}, &result, &info).ok());
   EXPECT_EQ(info.decision, "cached");
 }
 
@@ -737,7 +737,7 @@ TEST(IncrementalEvictionTest, OversizedStateAloneIsEvicted) {
   IncrementalRunInfo info;
   IncrementalEvalOptions opts;
   opts.state_budget = 1;  // nothing fits
-  ASSERT_TRUE(inc.Run("big", *flock, db, views, opts, &result, &info).ok());
+  ASSERT_TRUE(inc.Run("big", *flock, db, views, opts, {}, &result, &info).ok());
   EXPECT_FALSE(info.served);
   EXPECT_EQ(info.decision, "evicted(budget)");
   EXPECT_EQ(inc.state_count(), 0u);

@@ -197,21 +197,21 @@ TEST(EnumerateArmsTest, StaticArmsAlwaysPresentDynamicGated) {
   QueryFlock flock =
       Flock("answer(B) :- baskets(B,$1) AND baskets(B,$2) AND $1 < $2",
             FilterCondition::MinSupport(4));
-  std::vector<BanditArm> static_only =
+  std::vector<Strategy> static_only =
       EnumerateArms(flock, model, /*dynamic_eligible=*/false, DynamicKnobs{});
   ASSERT_GE(static_only.size(), 2u);
   EXPECT_EQ(static_only[0].id, "plan:search");
-  EXPECT_EQ(static_only[0].kind, BanditArm::Kind::kPlan);
+  EXPECT_EQ(static_only[0].kind, Strategy::Kind::kPlan);
   EXPECT_EQ(static_only[1].id, "direct:cost");
-  for (const BanditArm& arm : static_only) {
-    EXPECT_NE(arm.kind, BanditArm::Kind::kDynamic) << arm.id;
+  for (const Strategy& arm : static_only) {
+    EXPECT_NE(arm.kind, Strategy::Kind::kDynamic) << arm.id;
   }
 
-  std::vector<BanditArm> with_dyn =
+  std::vector<Strategy> with_dyn =
       EnumerateArms(flock, model, /*dynamic_eligible=*/true, DynamicKnobs{});
   ASSERT_GT(with_dyn.size(), static_only.size());
   bool has_session = false, has_eager = false, has_cautious = false;
-  for (const BanditArm& arm : with_dyn) {
+  for (const Strategy& arm : with_dyn) {
     if (arm.id == "dyn:session") has_session = true;
     if (arm.id == "dyn:eager") has_eager = true;
     if (arm.id == "dyn:cautious") has_cautious = true;
@@ -221,9 +221,9 @@ TEST(EnumerateArmsTest, StaticArmsAlwaysPresentDynamicGated) {
   // Session knobs equal to a preset: the duplicate preset arm is dropped
   // (two ids for one strategy would split its learned history).
   DynamicKnobs eager{2.0, 0.9, 0.05};
-  std::vector<BanditArm> deduped =
+  std::vector<Strategy> deduped =
       EnumerateArms(flock, model, /*dynamic_eligible=*/true, eager);
-  for (const BanditArm& arm : deduped) EXPECT_NE(arm.id, "dyn:eager");
+  for (const Strategy& arm : deduped) EXPECT_NE(arm.id, "dyn:eager");
 }
 
 TEST(EnumerateArmsTest, TextOrderArmOnlyWhenItDiffersFromCost) {
@@ -233,7 +233,7 @@ TEST(EnumerateArmsTest, TextOrderArmOnlyWhenItDiffersFromCost) {
   CostModel model(db);
   QueryFlock single = Flock("answer(B) :- baskets(B,$1)",
                             FilterCondition::MinSupport(4));
-  for (const BanditArm& arm :
+  for (const Strategy& arm :
        EnumerateArms(single, model, false, DynamicKnobs{})) {
     EXPECT_NE(arm.id, "direct:text");
   }
@@ -241,8 +241,8 @@ TEST(EnumerateArmsTest, TextOrderArmOnlyWhenItDiffersFromCost) {
 
 // ------------------------------------------------------ bandit policy
 
-std::vector<BanditArm> ThreeArms() {
-  std::vector<BanditArm> arms(3);
+std::vector<Strategy> ThreeArms() {
+  std::vector<Strategy> arms(3);
   arms[0].id = "a";
   arms[1].id = "b";
   arms[2].id = "c";
@@ -251,7 +251,7 @@ std::vector<BanditArm> ThreeArms() {
 
 TEST(PlanBanditTest, WarmUpExploresUnplayedArmsInOrder) {
   OutcomeHistory h;
-  std::vector<BanditArm> arms = ThreeArms();
+  std::vector<Strategy> arms = ThreeArms();
   PlanBandit bandit(h);
   BanditChoice first = bandit.Choose(1, arms);
   EXPECT_EQ(first.index, 0u);
@@ -271,7 +271,7 @@ TEST(PlanBanditTest, ExploitsCheapestArmOnceWarm) {
   h.Record(Outcome(1, "a", 5.0));
   h.Record(Outcome(1, "b", 1.0));
   h.Record(Outcome(1, "c", 3.0));
-  std::vector<BanditArm> arms = ThreeArms();
+  std::vector<Strategy> arms = ThreeArms();
   // exploration = 0: pure greedy, the cheapest mean must win.
   PlanBandit bandit(h, /*exploration=*/0.0);
   BanditChoice choice = bandit.Choose(1, arms);
@@ -297,7 +297,7 @@ TEST(PlanBanditTest, ExplorationBonusRevisitsUnderPlayedArms) {
   // strong exploration weight the bound must favor the uncertain arm.
   for (int i = 0; i < 50; ++i) h.Record(Outcome(1, "a", 2.0));
   h.Record(Outcome(1, "b", 2.2));
-  std::vector<BanditArm> arms(2);
+  std::vector<Strategy> arms(2);
   arms[0].id = "a";
   arms[1].id = "b";
   EXPECT_EQ(PlanBandit(h, 5.0).Choose(1, arms).arm_id, "b");
@@ -503,37 +503,34 @@ TEST(LearnedShellTest, HistorySurvivesCheckpointAndReopen) {
 
 // ------------------------------- arm-by-arm differential (unit level)
 
-// Executes `arm` the way Shell::EvaluateLearned does, at `threads`.
-Result<Relation> ExecuteArm(const BanditArm& arm, const QueryFlock& flock,
+// Executes `arm` the way Shell::Execute does, at `threads`.
+Result<Relation> ExecuteArm(const Strategy& arm, const QueryFlock& flock,
                             const Database& db, const CostModel& model,
                             unsigned threads) {
   switch (arm.kind) {
-    case BanditArm::Kind::kPlan: {
+    case Strategy::Kind::kPlan: {
       Result<QueryPlan> plan = SearchPlanParameterSets(flock, model);
       if (!plan.ok()) return plan.status();
       PlanExecOptions options;
       options.order_chooser = CostBasedOrderChooser();
-      options.threads = threads;
-      return ExecutePlan(*plan, flock, db, options);
+      return ExecutePlan(*plan, flock, db, options, {.threads = threads});
     }
-    case BanditArm::Kind::kDirect: {
+    case Strategy::Kind::kDirect: {
       FlockEvalOptions options;
-      options.threads = threads;
       for (const std::vector<std::size_t>& order : arm.orders) {
         CqEvalOptions cq_options;
         cq_options.join_order = order;
         options.per_disjunct.push_back(std::move(cq_options));
       }
-      return EvaluateFlock(flock, db, options);
+      return EvaluateFlock(flock, db, options, {.threads = threads});
     }
-    case BanditArm::Kind::kDynamic: {
+    case Strategy::Kind::kDynamic: {
       DynamicOptions options;
       if (!arm.orders.empty()) options.join_order = arm.orders.front();
       options.aggressiveness = arm.knobs.aggressiveness;
       options.improvement_factor = arm.knobs.improvement_factor;
       options.min_removed_fraction = arm.knobs.min_removed_fraction;
-      options.threads = threads;
-      return DynamicEvaluate(flock, db, options);
+      return DynamicEvaluate(flock, db, options, {.threads = threads});
     }
   }
   return Status::Ok();
@@ -550,10 +547,10 @@ TEST(LearnedDifferentialTest, EveryArmMatchesBaselineAtThreads014) {
   Result<Relation> baseline = EvaluateFlock(flock, db);
   ASSERT_TRUE(baseline.ok());
   CostModel model(db);
-  std::vector<BanditArm> arms =
+  std::vector<Strategy> arms =
       EnumerateArms(flock, model, /*dynamic_eligible=*/true, DynamicKnobs{});
   ASSERT_GE(arms.size(), 4u);
-  for (const BanditArm& arm : arms) {
+  for (const Strategy& arm : arms) {
     for (unsigned threads : {0u, 1u, 4u}) {
       Result<Relation> got = ExecuteArm(arm, flock, db, model, threads);
       ASSERT_TRUE(got.ok())

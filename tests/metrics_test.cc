@@ -11,6 +11,9 @@
 #include <vector>
 
 #include "common/metrics.h"
+#include "flocks/naive_eval.h"
+#include "optimizer/bandit.h"
+#include "optimizer/stats.h"
 #include "shell/shell.h"
 
 namespace qf {
@@ -286,22 +289,125 @@ TEST(ShellMetricsTest, ExplainAnalyzeRendersMetricsTree) {
   EXPECT_NE(out.find("est="), std::string::npos);
 }
 
+// The flock shapes the strategy differential sweeps: Fig. 2 basket pairs,
+// Fig. 3 side effects with a negated subgoal, and a Fig. 4-style
+// three-disjunct union. Small enough for the §2 oracle to enumerate.
+struct DifferentialFlock {
+  const char* name;
+  const char* query;
+  double support;
+};
+
+constexpr DifferentialFlock kDifferentialFlocks[] = {
+    {"pairs", "answer(B) :- baskets(B,$1) AND baskets(B,$2) AND $1 < $2", 6},
+    {"side",
+     "answer(P) :- exhibits(P,$s) AND treatments(P,$m) AND diagnoses(P,D) "
+     "AND NOT causes(D,$s)",
+     3},
+    {"words",
+     "answer(D) :- inTitle(D,$1) AND inTitle(D,$2) AND $1 < $2 "
+     "answer(A) :- link(A,D1,D2) AND inAnchor(A,$1) AND inTitle(D2,$2) "
+     "AND $1 < $2 "
+     "answer(A) :- link(A,D1,D2) AND inAnchor(A,$2) AND inTitle(D2,$1) "
+     "AND $1 < $2",
+     3},
+};
+
+void DeclareDifferentialFlocks(Shell& shell) {
+  MustRun(shell,
+          "GEN BASKETS baskets n_baskets=80 n_items=12 avg_size=4 seed=5");
+  MustRun(shell,
+          "GEN MEDICAL m n_patients=80 n_diseases=5 n_symptoms=8 "
+          "n_medicines=8 seed=6");
+  MustRun(shell, "GEN WEB w n_docs=40 n_words=16 n_anchors=40 seed=7");
+  for (const DifferentialFlock& f : kDifferentialFlocks) {
+    MustRun(shell, std::string("FLOCK ") + f.name + " QUERY " + f.query +
+                       " FILTER COUNT >= " + std::to_string(f.support));
+  }
+}
+
+// RUN's result preview is everything after its header line; EXPLAIN
+// ANALYZE's is everything after "result:\n".
+std::string RunPreview(const std::string& run) {
+  return run.substr(run.find('\n') + 1);
+}
+std::string AnalyzePreview(const std::string& analyzed) {
+  std::size_t marker = analyzed.find("result:\n");
+  return marker == std::string::npos ? "(no result section)"
+                                     : analyzed.substr(marker + 8);
+}
+// The statement's mode label: "(LEARNED:direct:cost, threads 4)" ->
+// "LEARNED:direct:cost".
+std::string ModeLabel(const std::string& out) {
+  std::size_t open = out.find('(');
+  std::size_t close = out.find_first_of(",)", open);
+  return out.substr(open + 1, close - open - 1);
+}
+
+// The single strategy path, differentially: for every mode word and every
+// arm the bandit enumerates, on the basket, negated medical and union
+// flocks at THREADS 1 and 4, RUN and EXPLAIN ANALYZE return the same
+// answer as the §2 generate-and-test oracle (NaiveEvaluateFlock).
+// Instrumentation, strategy choice and the learned optimizer can only
+// change speed, never results.
 TEST(ShellMetricsTest, ExplainAnalyzeMatchesRunResult) {
   Shell shell;
-  DeclarePairs(shell);
-  for (const char* mode : {"DIRECT", "PLAN", "REDUCED"}) {
-    std::string run =
-        MustRun(shell, std::string("RUN pairs ") + mode + " LIMIT 5");
-    std::string analyzed =
-        MustRun(shell, std::string("EXPLAIN ANALYZE pairs ") + mode +
-                           " LIMIT 5");
-    // RUN's preview is everything after its header line; EXPLAIN
-    // ANALYZE's is everything after "result:\n". They must be identical —
-    // instrumentation cannot change results.
-    std::string run_preview = run.substr(run.find('\n') + 1);
-    std::size_t marker = analyzed.find("result:\n");
-    ASSERT_NE(marker, std::string::npos) << mode;
-    EXPECT_EQ(run_preview, analyzed.substr(marker + 8)) << mode;
+  DeclareDifferentialFlocks(shell);
+  const std::string limit = " LIMIT 1000000";
+  for (const DifferentialFlock& f : kDifferentialFlocks) {
+    Result<QueryFlock> flock =
+        MakeFlock(f.query, FilterCondition::MinSupport(f.support));
+    ASSERT_TRUE(flock.ok()) << flock.status().ToString();
+    Result<Relation> oracle = NaiveEvaluateFlock(*flock, shell.database());
+    ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+    ASSERT_FALSE(oracle->empty()) << f.name << ": sweep would prove nothing";
+    oracle->SortRows();
+    const std::string expected = oracle->ToString(1000000);
+    const bool single = flock->query.disjuncts.size() == 1;
+    std::vector<Strategy> arms = EnumerateArms(
+        *flock, CostModel(DatabaseStats::Compute(shell.database())), single,
+        shell.dynamic_knobs());
+
+    for (const char* threads : {" THREADS 1", " THREADS 4"}) {
+      for (const char* mode : {"DIRECT", "PLAN", "REDUCED", "DYNAMIC"}) {
+        std::string args = std::string(f.name) + " " + mode + limit + threads;
+        Result<std::string> run = shell.Execute("RUN " + args);
+        Result<std::string> analyzed = shell.Execute("EXPLAIN ANALYZE " + args);
+        if (!single && std::string(mode) == "DYNAMIC") {
+          // §4.4 pruning of a union is unsound; both statements refuse.
+          ASSERT_FALSE(run.ok()) << args;
+          ASSERT_FALSE(analyzed.ok()) << args;
+          EXPECT_EQ(run.status().code(), analyzed.status().code()) << args;
+          continue;
+        }
+        ASSERT_TRUE(run.ok()) << args << ": " << run.status().ToString();
+        ASSERT_TRUE(analyzed.ok()) << args << ": "
+                                   << analyzed.status().ToString();
+        EXPECT_EQ(ModeLabel(*run), mode) << args;
+        EXPECT_EQ(RunPreview(*run), expected) << "RUN " << args;
+        EXPECT_EQ(AnalyzePreview(*analyzed), expected)
+            << "EXPLAIN ANALYZE " << args;
+      }
+
+      // Learned mode: the bandit's warm-up plays every unplayed arm once,
+      // in enumeration order, so |arms| statements on a fresh session
+      // sweep them all — once through RUN, once through EXPLAIN ANALYZE.
+      for (const char* statement : {"RUN ", "EXPLAIN ANALYZE "}) {
+        Shell learned;
+        DeclareDifferentialFlocks(learned);
+        MustRun(learned, "SET OPTIMIZER LEARNED");
+        const bool analyze = statement[0] == 'E';
+        for (const Strategy& arm : arms) {
+          std::string out =
+              MustRun(learned, statement + std::string(f.name) + limit +
+                                   threads);
+          EXPECT_EQ(ModeLabel(out), "LEARNED:" + arm.id)
+              << statement << f.name << threads;
+          EXPECT_EQ(analyze ? AnalyzePreview(out) : RunPreview(out), expected)
+              << statement << f.name << threads << " arm " << arm.id;
+        }
+      }
+    }
   }
 }
 

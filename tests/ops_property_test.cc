@@ -87,27 +87,6 @@ TEST_P(OpsProperty, NaturalJoinMatchesReference) {
   EXPECT_TRUE(IsSet(fast));
 }
 
-TEST_P(OpsProperty, SortMergeJoinMatchesHashJoin) {
-  Relation a = RandomRelation(rng_, {"X", "Y"}, 45, 7);
-  Relation b = RandomRelation(rng_, {"Y", "Z"}, 45, 7);
-  Relation hash = NaturalJoin(a, b);
-  Relation merge = SortMergeJoin(a, b);
-  EXPECT_EQ(hash.schema(), merge.schema());
-  EXPECT_EQ(Sorted(hash), Sorted(merge));
-
-  // Multi-key overlap as well.
-  Relation c = RandomRelation(rng_, {"X", "Y", "W"}, 40, 4);
-  Relation d = RandomRelation(rng_, {"X", "Y", "V"}, 40, 4);
-  EXPECT_EQ(Sorted(NaturalJoin(c, d)), Sorted(SortMergeJoin(c, d)));
-
-  // Empty sides and cross products delegate correctly.
-  Relation empty{Schema({"Y", "Q"})};
-  EXPECT_TRUE(SortMergeJoin(a, empty).empty());
-  Relation no_shared = RandomRelation(rng_, {"Q"}, 5, 3);
-  EXPECT_EQ(SortMergeJoin(a, no_shared).size(),
-            NaturalJoin(a, no_shared).size());
-}
-
 TEST_P(OpsProperty, ParallelJoinMatchesSerial) {
   // Large enough to cross the parallel threshold with 2 workers.
   Relation a = RandomRelation(rng_, {"X", "Y"}, 10000, 400);

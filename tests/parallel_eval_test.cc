@@ -87,9 +87,7 @@ TEST(ParallelEvalTest, FlockPairSupportMatchesSerialAndNaive) {
     auto serial = EvaluateFlock(flock, db, serial_options);
     ASSERT_TRUE(serial.ok()) << serial.status().ToString();
     for (unsigned threads : kThreadCounts) {
-      FlockEvalOptions options;
-      options.threads = threads;
-      auto parallel = EvaluateFlock(flock, db, options);
+      auto parallel = EvaluateFlock(flock, db, {}, {.threads = threads});
       ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
       ExpectIdentical(*serial, *parallel, threads);
     }
@@ -110,9 +108,7 @@ TEST(ParallelEvalTest, UnionFlockDisjunctsEvaluateConcurrently) {
     auto serial = EvaluateFlock(flock, db);
     ASSERT_TRUE(serial.ok()) << serial.status().ToString();
     for (unsigned threads : kThreadCounts) {
-      FlockEvalOptions options;
-      options.threads = threads;
-      auto parallel = EvaluateFlock(flock, db, options);
+      auto parallel = EvaluateFlock(flock, db, {}, {.threads = threads});
       ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
       ExpectIdentical(*serial, *parallel, threads);
     }
@@ -128,9 +124,7 @@ TEST(ParallelEvalTest, SumFilterMatchesSerial) {
     auto serial = EvaluateFlock(flock, db);
     ASSERT_TRUE(serial.ok()) << serial.status().ToString();
     for (unsigned threads : kThreadCounts) {
-      FlockEvalOptions options;
-      options.threads = threads;
-      auto parallel = EvaluateFlock(flock, db, options);
+      auto parallel = EvaluateFlock(flock, db, {}, {.threads = threads});
       ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
       ExpectIdentical(*serial, *parallel, threads);
     }
@@ -143,9 +137,7 @@ TEST(ParallelEvalTest, NegativeWeightSumRejectedAtEveryThreadCount) {
       Flock("answer(B,W) :- sales(B,$i,W)",
             FilterCondition{FilterAgg::kSum, CompareOp::kGe, 25, 1});
   for (unsigned threads : kThreadCounts) {
-    FlockEvalOptions options;
-    options.threads = threads;
-    auto result = EvaluateFlock(flock, db, options);
+    auto result = EvaluateFlock(flock, db, {}, {.threads = threads});
     ASSERT_FALSE(result.ok()) << "threads=" << threads;
     EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition)
         << "threads=" << threads;
@@ -170,10 +162,9 @@ TEST(ParallelEvalTest, PrefilterPlanMatchesSerialAndDirect) {
     auto serial = ExecutePlan(*plan, flock, db);
     ASSERT_TRUE(serial.ok()) << serial.status().ToString();
     for (unsigned threads : kThreadCounts) {
-      PlanExecOptions options;
-      options.threads = threads;
       PlanExecInfo info;
-      auto parallel = ExecutePlan(*plan, flock, db, options, &info);
+      auto parallel =
+          ExecutePlan(*plan, flock, db, {}, {.threads = threads}, &info);
       ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
       ExpectIdentical(*serial, *parallel, threads);
       // Per-step info must arrive in step order regardless of scheduling.
@@ -196,9 +187,7 @@ TEST(ParallelEvalTest, ExecutePlanErrorIsDeterministic) {
       Flock("answer(B) :- missing(B,$1)", FilterCondition::MinSupport(2));
   QueryPlan plan = TrivialPlan(flock);
   for (unsigned threads : kThreadCounts) {
-    PlanExecOptions options;
-    options.threads = threads;
-    auto result = ExecutePlan(plan, flock, db, options);
+    auto result = ExecutePlan(plan, flock, db, {}, {.threads = threads});
     ASSERT_FALSE(result.ok()) << "threads=" << threads;
     EXPECT_EQ(result.status().code(), StatusCode::kNotFound);
   }
@@ -214,15 +203,13 @@ TEST(ParallelEvalTest, AprioriItemsetsMatchSerial) {
     serial_options.min_support = 20;
     AprioriStats serial_stats;
     std::vector<Itemset> serial =
-        AprioriFrequentItemsets(*data, serial_options, &serial_stats);
+        AprioriFrequentItemsets(*data, serial_options, {}, &serial_stats);
     ASSERT_FALSE(serial.empty());
 
     for (unsigned threads : kThreadCounts) {
-      AprioriOptions options = serial_options;
-      options.threads = threads;
       AprioriStats stats;
-      std::vector<Itemset> parallel =
-          AprioriFrequentItemsets(*data, options, &stats);
+      std::vector<Itemset> parallel = AprioriFrequentItemsets(
+          *data, serial_options, {.threads = threads}, &stats);
       ASSERT_EQ(serial.size(), parallel.size()) << "threads=" << threads;
       for (std::size_t i = 0; i < serial.size(); ++i) {
         EXPECT_EQ(serial[i].items, parallel[i].items);
@@ -242,8 +229,10 @@ TEST(ParallelEvalTest, AprioriAndNaivePairCountersMatchSerial) {
   std::vector<Itemset> naive_serial = NaiveFrequentPairs(*data, 15);
   ASSERT_FALSE(apriori_serial.empty());
   for (unsigned threads : kThreadCounts) {
-    std::vector<Itemset> apriori = AprioriFrequentPairs(*data, 15, threads);
-    std::vector<Itemset> naive = NaiveFrequentPairs(*data, 15, threads);
+    std::vector<Itemset> apriori =
+        AprioriFrequentPairs(*data, 15, {.threads = threads});
+    std::vector<Itemset> naive =
+        NaiveFrequentPairs(*data, 15, {.threads = threads});
     ASSERT_EQ(apriori.size(), apriori_serial.size()) << "threads=" << threads;
     ASSERT_EQ(naive.size(), naive_serial.size()) << "threads=" << threads;
     for (std::size_t i = 0; i < apriori.size(); ++i) {
@@ -282,10 +271,8 @@ TEST(ParallelEvalTest, FlockMetricsIdenticalAcrossThreadCounts) {
   std::string reference_tree;
   for (unsigned threads : kThreadCounts) {
     OpMetrics metrics;
-    FlockEvalOptions options;
-    options.threads = threads;
-    options.metrics = &metrics;
-    auto result = EvaluateFlock(flock, db, options);
+    auto result = EvaluateFlock(
+        flock, db, {}, {.threads = threads, .metrics = &metrics});
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     // Collecting metrics must not change the result.
     ExpectIdentical(*plain, *result, threads);
@@ -316,10 +303,8 @@ TEST(ParallelEvalTest, UnionFlockMetricsCoverEveryDisjunct) {
       FilterCondition::MinSupport(6));
   for (unsigned threads : kThreadCounts) {
     OpMetrics metrics;
-    FlockEvalOptions options;
-    options.threads = threads;
-    options.metrics = &metrics;
-    auto result = EvaluateFlock(flock, db, options);
+    auto result = EvaluateFlock(
+        flock, db, {}, {.threads = threads, .metrics = &metrics});
     ASSERT_TRUE(result.ok());
     // One pre-allocated child per disjunct (written concurrently when
     // threads > 1), plus the union/group/filter/project tail.
@@ -359,10 +344,8 @@ TEST(ParallelEvalTest, PlanMetricsStepsArriveInPlanOrder) {
   std::string reference_tree;
   for (unsigned threads : kThreadCounts) {
     OpMetrics metrics;
-    PlanExecOptions options;
-    options.threads = threads;
-    options.metrics = &metrics;
-    auto result = ExecutePlan(*plan, flock, db, options);
+    auto result = ExecutePlan(
+        *plan, flock, db, {}, {.threads = threads, .metrics = &metrics});
     ASSERT_TRUE(result.ok());
     ExpectIdentical(*plain, *result, threads);
     EXPECT_EQ(metrics.op, "plan");
@@ -395,9 +378,8 @@ TEST(ParallelEvalTest, AprioriMetricsLevelsThreadInvariant) {
     OpMetrics metrics;
     AprioriOptions options;
     options.min_support = 20;
-    options.threads = threads;
-    options.metrics = &metrics;
-    std::vector<Itemset> frequent = AprioriFrequentItemsets(*data, options);
+    std::vector<Itemset> frequent = AprioriFrequentItemsets(
+        *data, options, {.threads = threads, .metrics = &metrics});
     ASSERT_FALSE(frequent.empty());
     EXPECT_EQ(metrics.op, "apriori");
     // One count_level node per level, each scanning every basket.
@@ -426,11 +408,8 @@ TEST(ParallelEvalTest, TraceSinkSeesBalancedSpansUnderParallelism) {
       FilterCondition::MinSupport(6));
   MemoryTraceSink sink;
   OpMetrics metrics;
-  FlockEvalOptions options;
-  options.threads = 8;
-  options.metrics = &metrics;
-  options.trace = &sink;
-  auto result = EvaluateFlock(flock, db, options);
+  auto result = EvaluateFlock(
+      flock, db, {}, {.threads = 8, .metrics = &metrics, .trace = &sink});
   ASSERT_TRUE(result.ok());
   std::size_t begins = 0, ends = 0;
   for (const std::string& line : sink.Lines()) {

@@ -63,7 +63,7 @@ TEST(ExecutorTest, MarketBasketPrefilterPlanMatches) {
 
   auto direct = EvaluateFlock(flock, db);
   PlanExecInfo info;
-  auto planned = ExecutePlan(*plan, flock, db, {}, &info);
+  auto planned = ExecutePlan(*plan, flock, db, {}, {}, &info);
   ASSERT_TRUE(direct.ok());
   ASSERT_TRUE(planned.ok()) << planned.status().ToString();
   ExpectSameResult(*direct, *planned);

@@ -366,6 +366,61 @@ TEST(ShellGovernorTest, SetRejectsBadArguments) {
   EXPECT_NE(MustRun(shell, "HELP").find("SET TIMEOUT"), std::string::npos);
 }
 
+// A knob value its type cannot hold is rejected, never narrowed or
+// wrapped into range: 2^32 threads would narrow to 0 workers, and
+// 2^44 + 1 MB would wrap to a 1 MB budget. Nothing is applied or logged.
+TEST(ShellGovernorTest, KnobsRejectValuesTheirTypeCannotHold) {
+  MemVfs vfs;
+  Shell shell;
+  shell.set_vfs(&vfs);
+  MustRun(shell, "OPEN cat");
+  MustRun(shell, "GEN BASKETS b n_baskets=40 n_items=8 seed=3");
+  MustRun(shell,
+          "FLOCK f QUERY answer(B) :- b(B,$1) AND b(B,$2) AND $1 < $2 "
+          "FILTER COUNT >= 3");
+  for (const char* statement :
+       {"THREADS 4294967296", "THREADS 99999999999999999999",
+        "RUN f THREADS 4294967296", "EXPLAIN ANALYZE f THREADS 4294967296",
+        "RUN f LIMIT 99999999999999999999", "SET MEMORY 17592186044417",
+        "SET BUFFER 17592186044417", "SET MEMORY 9223372036854775807",
+        "SET TIMEOUT 9223372036854775807"}) {
+    Result<std::string> out = shell.Execute(statement);
+    ASSERT_FALSE(out.ok()) << statement << " -> " << *out;
+    EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument) << statement;
+  }
+  // Nothing changed and nothing was logged.
+  EXPECT_EQ(shell.default_threads(), 1u);
+  EXPECT_EQ(shell.memory_budget_bytes(), 0u);
+  EXPECT_EQ(shell.buffer_capacity_bytes(), 64ull << 20);
+  EXPECT_EQ(shell.timeout_ms(), 0);
+  EXPECT_TRUE(shell.catalog()->state().knobs.empty());
+
+  // The largest representable values are accepted exactly.
+  EXPECT_EQ(MustRun(shell, "THREADS 4294967295"),
+            "threads set to 4294967295\n");
+  EXPECT_EQ(shell.default_threads(), 4294967295u);
+  MustRun(shell, "SET MEMORY 17592186044415");
+  EXPECT_EQ(shell.memory_budget_bytes(), 17592186044415ull << 20);
+  MustRun(shell, "SET BUFFER 17592186044415");
+  EXPECT_EQ(shell.buffer_capacity_bytes(), 17592186044415ull << 20);
+  EXPECT_FALSE(shell.Execute("SET TIMEOUT 4611686018428").ok());
+  MustRun(shell, "SET TIMEOUT 4611686018427");
+  EXPECT_EQ(shell.timeout_ms(), 4611686018427);
+
+  // OPEN ignores such values in a catalog it did not write itself.
+  {
+    Result<std::unique_ptr<Catalog>> raw = Catalog::Open(vfs, "raw");
+    ASSERT_TRUE(raw.ok()) << raw.status().ToString();
+    ASSERT_TRUE((*raw)->SetKnob("THREADS", 4294967296).ok());
+    ASSERT_TRUE((*raw)->SetKnob("MEMORY_MB", 17592186044417).ok());
+  }
+  Shell reopened;
+  reopened.set_vfs(&vfs);
+  MustRun(reopened, "OPEN raw");
+  EXPECT_EQ(reopened.default_threads(), 1u);
+  EXPECT_EQ(reopened.memory_budget_bytes(), 0u);
+}
+
 TEST(ShellGovernorTest, MaximalIsGoverned) {
   Shell shell;
   MustRun(shell, "GEN BASKETS mb n_baskets=2000 n_items=100 avg_size=8 seed=9");

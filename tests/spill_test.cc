@@ -1,7 +1,7 @@
 // Grace-hash spilling (relational/spill.h): checksummed spill-file I/O
-// (round trip, corruption, fault injection, orphan cleanup), differential
-// suites proving every spill kernel bit-identical to its in-memory
-// counterpart, the SpillGroupSink against GroupAggregate∘Distinct, and an
+// (round trip, corruption, fault injection, orphan cleanup), the
+// SpillGroupSink against GroupAggregate∘Distinct — under injected faults,
+// crashes, and budgets that force partition recursion — and an
 // end-to-end flock evaluation where a budget that used to mean
 // RESOURCE_EXHAUSTED now spills to the same answer at several thread
 // counts.
@@ -156,98 +156,64 @@ TEST(SpillFileTest, RemoveSpillFilesSweepsOnlySpillFiles) {
   EXPECT_EQ(*none, 0u);
 }
 
-// ------------------------------------------------- kernel differentials
+// ------------------------------------------------------- group sink
 
-Relation MakeLeft(int rows, int keys, unsigned seed) {
-  Relation r("left", Schema({"A", "B"}));
+// Answer-shaped rows (group key, head value, weight) with duplicates, so
+// the sink's per-partition dedup has work to do.
+std::vector<Tuple> MakeAnswerRows(int rows, int groups, unsigned seed) {
+  std::vector<Tuple> out;
   std::mt19937 rng(seed);
   for (int i = 0; i < rows; ++i) {
-    r.AddRow({Value(static_cast<int>(rng() % 50)),
-              Value("k" + std::to_string(rng() % static_cast<unsigned>(keys)))});
+    out.push_back(
+        {Value("g" + std::to_string(rng() % static_cast<unsigned>(groups))),
+         Value(static_cast<int>(rng() % 40)),
+         Value(static_cast<int>(rng() % 25))});
   }
-  return Distinct(r);
+  return out;
 }
 
-Relation MakeRight(int rows, int keys, unsigned seed) {
-  Relation r("right", Schema({"B", "C"}));
-  std::mt19937 rng(seed);
-  for (int i = 0; i < rows; ++i) {
-    r.AddRow({Value("k" + std::to_string(rng() % static_cast<unsigned>(keys))),
-              Value(static_cast<double>(rng() % 100) / 4.0)});
+// GroupAggregate(Distinct(rows)) — what the sink must reproduce.
+Relation SinkOracle(const std::vector<Tuple>& rows, AggKind kind) {
+  Relation pushed("pushed", Schema({"K", "H", "V"}));
+  for (const Tuple& row : rows) pushed.Add(row);
+  return GroupAggregate(Distinct(pushed), {"K"}, kind, "V", "_agg");
+}
+
+// Pushes `rows` through a SUM sink over `env` and drains it.
+Result<Relation> RunSink(const std::vector<Tuple>& rows, SpillEnv& env,
+                         QueryContext* ctx = nullptr) {
+  SpillGroupSink sink(Schema({"K", "H", "V"}), /*key_columns=*/1,
+                      AggKind::kSum, "V", "_agg", nullptr, env, ctx, nullptr);
+  for (const Tuple& row : rows) {
+    if (Status s = sink.Push(row); !s.ok()) return s;
   }
-  return Distinct(r);
+  return sink.Finish();
 }
 
-TEST(SpillKernelTest, NaturalJoinMatchesInMemoryExactly) {
-  for (int keys : {1, 3, 17}) {  // 1 = worst-case skew, all rows one key
-    TestEnv t;
-    Relation a = MakeLeft(400, keys, 1);
-    Relation b = MakeRight(300, keys, 2);
-    Relation oracle = NaturalJoin(a, b);
-    Result<Relation> spilled = SpillNaturalJoin(a, b, t.env);
-    ASSERT_TRUE(spilled.ok()) << spilled.status().ToString();
-    EXPECT_EQ(spilled->schema().columns(), oracle.schema().columns());
-    EXPECT_EQ(spilled->rows(), oracle.rows()) << "keys=" << keys;
-    EXPECT_GT(t.env.stats.activations.load(), 0u);
-  }
-}
-
-TEST(SpillKernelTest, CrossProductFallsBackToInMemoryJoin) {
-  TestEnv t;
-  Relation a("a", Schema({"A"}));
-  Relation b("b", Schema({"B"}));
-  for (int i = 0; i < 20; ++i) a.AddRow({Value(i)});
-  for (int i = 0; i < 10; ++i) b.AddRow({Value(i * 100)});
-  Relation oracle = NaturalJoin(a, b);
-  Result<Relation> spilled = SpillNaturalJoin(a, b, t.env);
-  ASSERT_TRUE(spilled.ok());
-  EXPECT_EQ(spilled->rows(), oracle.rows());
-}
-
-TEST(SpillKernelTest, ProjectMatchesFirstOccurrenceOrder) {
-  TestEnv t;
-  Relation r = MakeLeft(600, 9, 3);
-  Relation oracle = Project(r, {"B"});
-  Result<Relation> spilled = SpillProject(r, {"B"}, t.env);
-  ASSERT_TRUE(spilled.ok()) << spilled.status().ToString();
-  EXPECT_EQ(spilled->rows(), oracle.rows());
-}
-
-TEST(SpillKernelTest, GroupAggregateMatchesSerialForEveryAggKind) {
-  for (AggKind kind :
-       {AggKind::kCount, AggKind::kSum, AggKind::kMin, AggKind::kMax}) {
-    TestEnv t;
-    Relation r = MakeLeft(500, 11, 4);  // duplicate-free (Distinct above)
-    Relation oracle = GroupAggregate(r, {"B"}, kind, "A", "_agg");
-    Result<Relation> spilled =
-        SpillGroupAggregate(r, {"B"}, kind, "A", "_agg", t.env);
-    ASSERT_TRUE(spilled.ok()) << spilled.status().ToString();
-    EXPECT_EQ(spilled->schema().columns(), oracle.schema().columns());
-    EXPECT_EQ(spilled->rows(), oracle.rows())
-        << "kind " << static_cast<int>(kind);
-  }
+// FaultVfs-backed env with the small fanout/block sizes of TestEnv.
+void PointAtFaultVfs(SpillEnv& env, FaultVfs& fault) {
+  env.vfs = &fault;
+  env.dir = "spill";
+  env.fanout = 4;
+  env.block_bytes = 512;
 }
 
 TEST(SpillKernelTest, FaultSweepNeverYieldsWrongRows) {
   // A one-shot injected I/O failure at every mutating operation in turn:
-  // the kernel either fails with the typed error or — when the fault
-  // landed on an op the kernel never reached — produces the exact oracle.
-  Relation a = MakeLeft(200, 5, 5);
-  Relation b = MakeRight(150, 5, 6);
-  Relation oracle = NaturalJoin(a, b);
+  // the sink either fails with the typed error or — when the fault
+  // landed on an op the sink never reached — produces the exact oracle.
+  std::vector<Tuple> rows = MakeAnswerRows(600, 23, 5);
+  Relation oracle = SinkOracle(rows, AggKind::kSum);
   std::uint64_t total_ops = 0;
   {
-    TestEnv t;
-    ASSERT_TRUE(SpillNaturalJoin(a, b, t.env).ok());
-    // MemVfs does not count ops; rerun against FaultVfs to learn the count.
+    // MemVfs does not count ops; a fault-free FaultVfs run learns them.
     MemVfs base;
     FaultVfs fault(base);
     SpillEnv env;
-    env.vfs = &fault;
-    env.dir = "spill";
-    env.fanout = 4;
-    env.block_bytes = 512;
-    ASSERT_TRUE(SpillNaturalJoin(a, b, env).ok());
+    PointAtFaultVfs(env, fault);
+    Result<Relation> r = RunSink(rows, env);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->rows(), oracle.rows());
     total_ops = fault.op_count();
   }
   ASSERT_GT(total_ops, 0u);
@@ -255,14 +221,11 @@ TEST(SpillKernelTest, FaultSweepNeverYieldsWrongRows) {
     MemVfs base;
     FaultVfs fault(base);
     SpillEnv env;
-    env.vfs = &fault;
-    env.dir = "spill";
-    env.fanout = 4;
-    env.block_bytes = 512;
+    PointAtFaultVfs(env, fault);
     FaultPlan plan;
     plan.fail_at_op = k;
     fault.set_plan(plan);
-    Result<Relation> r = SpillNaturalJoin(a, b, env);
+    Result<Relation> r = RunSink(rows, env);
     if (r.ok()) {
       EXPECT_EQ(r->rows(), oracle.rows()) << "fault op " << k;
     } else {
@@ -273,21 +236,17 @@ TEST(SpillKernelTest, FaultSweepNeverYieldsWrongRows) {
 }
 
 TEST(SpillKernelTest, CrashMidSpillIsTypedErrorAndLeavesOnlyOrphans) {
-  Relation a = MakeLeft(200, 5, 7);
-  Relation b = MakeRight(150, 5, 8);
+  std::vector<Tuple> rows = MakeAnswerRows(600, 23, 7);
   for (std::uint64_t crash_at : {3u, 9u, 20u}) {
     MemVfs base;
     FaultVfs fault(base);
     SpillEnv env;
-    env.vfs = &fault;
-    env.dir = "spill";
-    env.fanout = 4;
-    env.block_bytes = 512;
+    PointAtFaultVfs(env, fault);
     FaultPlan plan;
     plan.crash_at_op = crash_at;
     plan.torn_write_bytes = 7;
     fault.set_plan(plan);
-    Result<Relation> r = SpillNaturalJoin(a, b, env);
+    Result<Relation> r = RunSink(rows, env);
     EXPECT_FALSE(r.ok()) << "crash op " << crash_at;
     // Whatever the crash stranded is exactly what the orphan sweep
     // matches — the next OPEN would clean it.
@@ -304,7 +263,43 @@ TEST(SpillKernelTest, CrashMidSpillIsTypedErrorAndLeavesOnlyOrphans) {
   }
 }
 
-// ------------------------------------------------------- group sink
+TEST(SpillGroupSinkTest, RecursesIntoOversizedPartitionsUnderBudget) {
+  // Many groups over a fanout of 2: each level-0 partition holds about
+  // half of the rows, more than the budget admits, so the sink re-splits
+  // it with a level-salted hash until the pieces fit. (The grouped output
+  // stays charged across partitions, so the budget leaves room for it.)
+  std::vector<Tuple> rows = MakeAnswerRows(2000, 100, 13);
+  Relation oracle = SinkOracle(rows, AggKind::kSum);
+  const std::uint64_t row_bytes = ApproxTupleBytes(3);
+
+  TestEnv t;
+  t.env.fanout = 2;
+  QueryContext ctx;
+  ctx.set_memory_budget(400 * row_bytes);
+  Result<Relation> r = RunSink(rows, t.env, &ctx);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->rows(), oracle.rows());
+  EXPECT_GT(t.env.stats.recursions.load(), 0u);
+  Result<std::vector<std::string>> left = t.vfs.ListDir("spill");
+  ASSERT_TRUE(left.ok());
+  EXPECT_TRUE(left->empty());
+
+  // max_depth 1 forbids the re-split: the oversized partition is loaded
+  // whole and the budget answers with the typed error instead.
+  TestEnv shallow;
+  shallow.env.fanout = 2;
+  shallow.env.max_depth = 1;
+  QueryContext tight;
+  tight.set_memory_budget(400 * row_bytes);
+  Result<Relation> capped = RunSink(rows, shallow.env, &tight);
+  ASSERT_FALSE(capped.ok());
+  EXPECT_EQ(capped.status().code(), StatusCode::kResourceExhausted)
+      << capped.status().ToString();
+  EXPECT_EQ(shallow.env.stats.recursions.load(), 0u);
+  Result<std::vector<std::string>> shallow_left = shallow.vfs.ListDir("spill");
+  ASSERT_TRUE(shallow_left.ok());
+  EXPECT_TRUE(shallow_left->empty());
+}
 
 TEST(SpillGroupSinkTest, MatchesGroupAggregateOverDistinctRows) {
   for (AggKind kind :
@@ -383,10 +378,8 @@ TEST(SpillFlockTest, BudgetedEvaluationSpillsToIdenticalAnswer) {
 
   // Unbudgeted baseline + its accounted peak.
   QueryContext base_ctx;
-  FlockEvalOptions base_opts;
-  base_opts.threads = 1;
-  base_opts.ctx = &base_ctx;
-  Result<Relation> baseline = EvaluateFlock(*flock, db, base_opts);
+  Result<Relation> baseline = EvaluateFlock(
+      *flock, db, {}, {.threads = 1, .ctx = &base_ctx});
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
   std::uint64_t peak = base_ctx.peak_bytes();
   ASSERT_GT(peak, 0u);
@@ -404,10 +397,8 @@ TEST(SpillFlockTest, BudgetedEvaluationSpillsToIdenticalAnswer) {
       QueryContext ctx;
       ctx.set_memory_budget(budget);
       ctx.set_spill_env(&env);
-      FlockEvalOptions opts;
-      opts.threads = threads;
-      opts.ctx = &ctx;
-      Result<Relation> r = EvaluateFlock(*flock, db, opts);
+      Result<Relation> r = EvaluateFlock(
+          *flock, db, {}, {.threads = threads, .ctx = &ctx});
       if (r.ok()) {
         EXPECT_EQ(r->rows(), baseline->rows())
             << "threads " << threads << " budget " << budget;
