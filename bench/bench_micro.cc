@@ -52,7 +52,7 @@ void BM_Micro_NaturalJoin(benchmark::State& state) {
   Relation b = Rename(RandomRelation(n, n / 10, 2), {"K", "W"});
   std::size_t out_rows = 0;
   for (auto _ : state) {
-    Relation j = NaturalJoin(a, b);
+    Relation j = NaturalJoin(a, b, 1);
     out_rows = j.size();
     benchmark::DoNotOptimize(j);
   }
@@ -67,10 +67,10 @@ void BM_Micro_ParallelJoin(benchmark::State& state) {
   Relation a = RandomRelation(n, n / 10, 1);
   Relation b = Rename(RandomRelation(n / 4, n / 10, 2), {"K", "W"});
   // The parallel join promises the serial join's exact row order.
-  QF_CHECK(ParallelNaturalJoin(a, b, threads).rows() ==
-           NaturalJoin(a, b).rows());
+  QF_CHECK(NaturalJoin(a, b, threads).rows() ==
+           NaturalJoin(a, b, 1).rows());
   for (auto _ : state) {
-    Relation j = ParallelNaturalJoin(a, b, threads);
+    Relation j = NaturalJoin(a, b, threads);
     benchmark::DoNotOptimize(j);
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
@@ -101,7 +101,7 @@ void BM_Micro_JoinBuildProbe(benchmark::State& state) {
   Relation b = Rename(RandomRelation(n / 4, n, 12), {"K", "W"});
   std::size_t out_rows = 0;
   for (auto _ : state) {
-    Relation j = NaturalJoin(a, b);
+    Relation j = NaturalJoin(a, b, 1);
     out_rows = j.size();
     benchmark::DoNotOptimize(j);
   }
@@ -150,7 +150,7 @@ void BM_Micro_GroupCount(benchmark::State& state) {
   std::size_t n = static_cast<std::size_t>(state.range(0));
   Relation a = RandomRelation(n, n / 20, 4);
   for (auto _ : state) {
-    Relation g = GroupAggregate(a, {"K"}, AggKind::kCount, "", "n");
+    Relation g = GroupAggregate(a, {"K"}, AggKind::kCount, "", "n", 1);
     benchmark::DoNotOptimize(g);
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
@@ -178,8 +178,8 @@ void BM_Micro_PipelineMetricsOff(benchmark::State& state) {
   Relation a = RandomRelation(n, n / 10, 7);
   Relation b = Rename(RandomRelation(n / 4, n / 10, 8), {"K", "W"});
   for (auto _ : state) {
-    Relation j = NaturalJoin(a, b);
-    Relation g = GroupAggregate(j, {"K"}, AggKind::kCount, "", "n");
+    Relation j = NaturalJoin(a, b, 1);
+    Relation g = GroupAggregate(j, {"K"}, AggKind::kCount, "", "n", 1);
     benchmark::DoNotOptimize(g);
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
@@ -196,10 +196,10 @@ void BM_Micro_PipelineMetricsOn(benchmark::State& state) {
     Relation j;
     {
       ScopedOp span(join_m);
-      j = NaturalJoin(a, b, join_m);
+      j = NaturalJoin(a, b, 1, join_m);
     }
     ScopedOp span(group_m);
-    Relation g = GroupAggregate(j, {"K"}, AggKind::kCount, "", "n", group_m);
+    Relation g = GroupAggregate(j, {"K"}, AggKind::kCount, "", "n", 1, group_m);
     benchmark::DoNotOptimize(g);
   }
   // Surface the observed counters in the benchmark's own (JSON-ready)
@@ -224,10 +224,10 @@ void BM_Micro_PipelineMetricsTraced(benchmark::State& state) {
     Relation j;
     {
       ScopedOp span(join_m, &sink);
-      j = NaturalJoin(a, b, join_m);
+      j = NaturalJoin(a, b, 1, join_m);
     }
     ScopedOp span(group_m, &sink);
-    Relation g = GroupAggregate(j, {"K"}, AggKind::kCount, "", "n", group_m);
+    Relation g = GroupAggregate(j, {"K"}, AggKind::kCount, "", "n", 1, group_m);
     benchmark::DoNotOptimize(g);
     // Keep the buffer bounded; Clear holds the same lock the spans take,
     // so the per-event cost stays in the measurement.

@@ -12,46 +12,39 @@
 namespace qf {
 namespace {
 
-// Baskets per morsel for the parallel counting passes. Counts merge by
-// addition, so the decomposition affects nothing but scheduling.
+// Baskets per morsel for the counting passes. Counts merge by addition,
+// so the decomposition affects nothing but scheduling.
 constexpr std::size_t kMorselBaskets = 256;
 
-// Counts item occurrences over all baskets, morsel-parallel: per-morsel
-// count vectors summed elementwise (integer adds commute, so the result
-// is the serial one for every thread count).
+// Sums per-piece count vectors elementwise (integer adds commute, so the
+// result is the one-piece one for every thread count). A single piece is
+// the result as-is; a morsel skipped after the context tripped is empty.
+std::vector<std::size_t> SumCounts(std::vector<std::vector<std::size_t>> parts,
+                                   std::size_t width) {
+  if (parts.size() == 1) return std::move(parts.front());
+  std::vector<std::size_t> sum(width, 0);
+  for (const std::vector<std::size_t>& part : parts) {
+    for (std::size_t i = 0; i < part.size(); ++i) sum[i] += part[i];
+  }
+  return sum;
+}
+
+// Counts item occurrences over all baskets.
 std::vector<std::size_t> CountItems(const BasketData& data, unsigned threads,
-                                    OpMetrics* metrics = nullptr,
-                                    QueryContext* ctx = nullptr) {
-  std::vector<std::size_t> item_counts(data.item_count(), 0);
-  if (threads <= 1 || data.baskets.size() < 2 * kMorselBaskets) {
-    OpGovernor gov(ctx, /*bytes_per_row=*/0);
-    for (const std::vector<ItemId>& basket : data.baskets) {
-      if (!gov.TickInput()) break;
-      for (ItemId item : basket) ++item_counts[item];
-    }
-    return item_counts;
-  }
-  if (metrics != nullptr) {
-    metrics->morsels += MorselCount(data.baskets.size(), kMorselBaskets);
-  }
-  std::vector<std::vector<std::size_t>> partials(
-      MorselCount(data.baskets.size(), kMorselBaskets));
-  ParallelFor(threads, data.baskets.size(), kMorselBaskets,
-              [&](std::size_t begin, std::size_t end) {
-                std::vector<std::size_t>& local =
-                    partials[begin / kMorselBaskets];
-                local.assign(data.item_count(), 0);
-                if (ctx != nullptr && !ctx->Poll()) return;
-                OpGovernor gov(ctx, /*bytes_per_row=*/0);
-                for (std::size_t b = begin; b < end; ++b) {
-                  if (!gov.TickInput()) break;
-                  for (ItemId item : data.baskets[b]) ++local[item];
-                }
-              });
-  for (const std::vector<std::size_t>& local : partials) {
-    for (std::size_t i = 0; i < local.size(); ++i) item_counts[i] += local[i];
-  }
-  return item_counts;
+                                    OpMetrics* metrics, QueryContext* ctx) {
+  return SumCounts(
+      RunMorsels<std::vector<std::size_t>>(
+          threads, data.baskets.size(), kMorselBaskets, ctx, metrics,
+          [&](std::size_t begin, std::size_t end,
+              std::vector<std::size_t>& counts) {
+            counts.assign(data.item_count(), 0);
+            OpGovernor gov(ctx, /*bytes_per_row=*/0);
+            for (std::size_t b = begin; b < end; ++b) {
+              if (!gov.TickInput()) break;
+              for (ItemId item : data.baskets[b]) ++counts[item];
+            }
+          }),
+      data.item_count());
 }
 
 // Distinct co-occurring pairs (packed as hi<<32|lo) with their counts:
@@ -77,56 +70,46 @@ struct PairCounts {
   }
 };
 
-// Counts co-occurring pairs over all baskets whose items pass `keep`,
-// morsel-parallel with per-morsel tables merged by addition (the merge
-// reuses each key's stored hash — pairs are never re-hashed).
+// Counts co-occurring pairs over all baskets whose items pass `keep`.
+// Several pieces' tables merge by addition in morsel order (the merge
+// reuses each key's stored hash — pairs are never re-hashed), which keeps
+// the one-piece first-occurrence order of the keys.
 template <typename Keep>
 PairCounts CountPairs(const BasketData& data, unsigned threads,
-                      const Keep& keep, OpMetrics* metrics = nullptr,
-                      QueryContext* ctx = nullptr) {
-  auto count_range = [&](std::size_t begin, std::size_t end,
-                         PairCounts& counts) {
-    std::uint64_t probes = 0;
-    std::vector<ItemId> filtered;
-    // Pair tables grow with the co-occurrence structure; charge one
-    // table entry per distinct pair via the governor's admit path.
-    OpGovernor gov(ctx, sizeof(std::uint64_t) + sizeof(std::size_t));
-    for (std::size_t b = begin; b < end; ++b) {
-      if (!gov.TickInput()) break;
-      filtered.clear();
-      for (ItemId item : data.baskets[b]) {
-        if (keep(item)) filtered.push_back(item);
-      }
-      bool live = true;
-      for (std::size_t i = 0; live && i < filtered.size(); ++i) {
-        for (std::size_t j = i + 1; j < filtered.size(); ++j) {
-          if (!gov.Admit()) {
-            live = false;
-            break;
+                      const Keep& keep, OpMetrics* metrics,
+                      QueryContext* ctx) {
+  std::vector<PairCounts> partials = RunMorsels<PairCounts>(
+      threads, data.baskets.size(), kMorselBaskets, ctx, metrics,
+      [&](std::size_t begin, std::size_t end, PairCounts& counts) {
+        std::uint64_t probes = 0;
+        std::vector<ItemId> filtered;
+        // Pair tables grow with the co-occurrence structure; charge one
+        // table entry per distinct pair via the governor's admit path.
+        OpGovernor gov(ctx, sizeof(std::uint64_t) + sizeof(std::size_t));
+        for (std::size_t b = begin; b < end; ++b) {
+          if (!gov.TickInput()) break;
+          filtered.clear();
+          for (ItemId item : data.baskets[b]) {
+            if (keep(item)) filtered.push_back(item);
           }
-          std::uint64_t key =
-              (static_cast<std::uint64_t>(filtered[i]) << 32) | filtered[j];
-          counts.Bump(key, 1, probes);
+          bool live = true;
+          for (std::size_t i = 0; live && i < filtered.size(); ++i) {
+            for (std::size_t j = i + 1; j < filtered.size(); ++j) {
+              if (!gov.Admit()) {
+                live = false;
+                break;
+              }
+              std::uint64_t key =
+                  (static_cast<std::uint64_t>(filtered[i]) << 32) |
+                  filtered[j];
+              counts.Bump(key, 1, probes);
+            }
+          }
+          if (!live) break;
         }
-      }
-      if (!live) break;
-    }
-  };
+      });
+  if (partials.size() == 1) return std::move(partials.front());
   PairCounts pair_counts;
-  if (threads <= 1 || data.baskets.size() < 2 * kMorselBaskets) {
-    count_range(0, data.baskets.size(), pair_counts);
-    return pair_counts;
-  }
-  if (metrics != nullptr) {
-    metrics->morsels += MorselCount(data.baskets.size(), kMorselBaskets);
-  }
-  std::vector<PairCounts> partials(
-      MorselCount(data.baskets.size(), kMorselBaskets));
-  ParallelFor(threads, data.baskets.size(), kMorselBaskets,
-              [&](std::size_t begin, std::size_t end) {
-                if (ctx != nullptr && !ctx->Poll()) return;
-                count_range(begin, end, partials[begin / kMorselBaskets]);
-              });
   std::uint64_t merge_probes = 0;
   for (const PairCounts& local : partials) {
     for (std::size_t i = 0; i < local.size(); ++i) {
@@ -229,16 +212,12 @@ std::vector<std::vector<ItemId>> GenerateCandidates(
 // Counts candidate occurrences by enumerating the size-k subsets of each
 // basket (restricted to items that appear in some candidate) and probing
 // a flat candidate index; supports land in `counts`, a dense vector
-// indexed by candidate roster position. Morsel-parallel over baskets
-// with per-morsel vectors merged by addition — supports are identical
-// for every thread count.
-void CountCandidates(const BasketData& data,
-                     const std::vector<std::vector<ItemId>>& candidates,
-                     unsigned threads, std::vector<std::size_t>& counts,
-                     OpMetrics* metrics = nullptr,
-                     QueryContext* ctx = nullptr) {
-  counts.assign(candidates.size(), 0);
-  if (candidates.empty()) return;
+// indexed by candidate roster position. Supports are identical for every
+// thread count.
+std::vector<std::size_t> CountCandidates(
+    const BasketData& data, const std::vector<std::vector<ItemId>>& candidates,
+    unsigned threads, OpMetrics* metrics, QueryContext* ctx) {
+  if (candidates.empty()) return {};
   std::size_t k = candidates.front().size();
   ItemsetIndex candidate_set(candidates);
   std::vector<char> live_items(data.item_count(), 0);
@@ -248,6 +227,7 @@ void CountCandidates(const BasketData& data,
 
   auto count_range = [&](std::size_t begin, std::size_t end,
                          std::vector<std::size_t>& local) {
+    local.assign(candidates.size(), 0);
     std::vector<ItemId> filtered;
     std::vector<std::size_t> choose;
     std::vector<ItemId> subset(k);  // reused across all combinations
@@ -283,26 +263,11 @@ void CountCandidates(const BasketData& data,
     }
   };
 
-  if (threads <= 1 || data.baskets.size() < 2 * kMorselBaskets) {
-    count_range(0, data.baskets.size(), counts);
-    return;
-  }
-  if (metrics != nullptr) {
-    metrics->morsels += MorselCount(data.baskets.size(), kMorselBaskets);
-  }
-  std::vector<std::vector<std::size_t>> partials(
-      MorselCount(data.baskets.size(), kMorselBaskets));
-  ParallelFor(threads, data.baskets.size(), kMorselBaskets,
-              [&](std::size_t begin, std::size_t end) {
-                std::vector<std::size_t>& local =
-                    partials[begin / kMorselBaskets];
-                local.assign(candidates.size(), 0);
-                if (ctx != nullptr && !ctx->Poll()) return;
-                count_range(begin, end, local);
-              });
-  for (const std::vector<std::size_t>& local : partials) {
-    for (std::size_t i = 0; i < local.size(); ++i) counts[i] += local[i];
-  }
+  return SumCounts(
+      RunMorsels<std::vector<std::size_t>>(threads, data.baskets.size(),
+                                           kMorselBaskets, ctx, metrics,
+                                           count_range),
+      candidates.size());
 }
 
 }  // namespace
@@ -389,8 +354,8 @@ std::vector<Itemset> AprioriFrequentItemsets(const BasketData& data,
         m != nullptr ? m->AddChild("count_level", "k=" + std::to_string(k + 1))
                      : nullptr;
     ScopedOp span(node, tr);
-    std::vector<std::size_t> counts;
-    CountCandidates(data, candidates, env.threads, counts, node, env.ctx);
+    std::vector<std::size_t> counts =
+        CountCandidates(data, candidates, env.threads, node, env.ctx);
     frequent.clear();
     for (std::size_t i = 0; i < candidates.size(); ++i) {
       if (counts[i] >= options.min_support) {

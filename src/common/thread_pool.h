@@ -36,6 +36,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/metrics.h"
+#include "common/resource.h"
 #include "common/status.h"
 
 namespace qf {
@@ -91,8 +93,9 @@ class ThreadPool {
 };
 
 // Morsel-parallel loop on the global pool. `threads <= 1`, `n == 0`, or a
-// single morsel runs inline on the caller. This is the call sites' normal
-// entry point; they never touch the pool directly.
+// single morsel runs inline on the caller. Call sites use this (or
+// RunMorsels below, for kernels that fold a range into partials) and
+// never touch the pool directly.
 void ParallelFor(unsigned threads, std::size_t n, std::size_t morsel,
                  const std::function<void(std::size_t, std::size_t)>& fn);
 
@@ -105,6 +108,33 @@ Status ParallelForStatus(
 // accumulate one partial result per morsel size their buffers with this.
 inline std::size_t MorselCount(std::size_t n, std::size_t morsel) {
   return morsel == 0 ? 0 : (n + morsel - 1) / morsel;
+}
+
+// The one place a kernel chooses between serial and morsel execution.
+// `body(begin, end, partial)` folds the input range [begin, end) into
+// `partial`. With `threads` <= 1 or n < 2 * morsel the input is one
+// piece: a single call over [0, n) on the caller. Otherwise it splits
+// into MorselCount(n, morsel) fixed-size morsels run through ParallelFor;
+// each polls `ctx` at its start and leaves its partial default-constructed
+// once the context has tripped. Returns the partials in morsel order — a
+// kernel uses a single partial as its result and merges several — and
+// adds the morsel count (nothing for one piece) to metrics->morsels.
+template <typename Partial, typename Body>
+std::vector<Partial> RunMorsels(unsigned threads, std::size_t n,
+                                std::size_t morsel, QueryContext* ctx,
+                                OpMetrics* metrics, const Body& body) {
+  if (threads <= 1 || n < 2 * morsel) {
+    std::vector<Partial> parts(1);
+    body(std::size_t{0}, n, parts.front());
+    return parts;
+  }
+  std::vector<Partial> parts(MorselCount(n, morsel));
+  if (metrics != nullptr) metrics->morsels += parts.size();
+  ParallelFor(threads, n, morsel, [&](std::size_t begin, std::size_t end) {
+    if (ctx != nullptr && !ctx->Poll()) return;
+    body(begin, end, parts[begin / morsel]);
+  });
+  return parts;
 }
 
 }  // namespace qf

@@ -69,54 +69,26 @@ Relation SubgoalBindings(const Subgoal& subgoal, const Relation& base,
     return true;
   };
 
-  Relation out{Schema(columns)};
-  std::uint64_t mem = 0;
+  // Pieces concatenate in morsel order, so every thread count reproduces
+  // the one-piece row order exactly.
   constexpr std::size_t kMorselRows = 4096;
-  if (threads <= 1 || base.size() < 2 * kMorselRows) {
-    OpGovernor gov(ctx, ApproxTupleBytes(columns.size()));
-    for (const Tuple& row : base.rows()) {
-      if (!gov.TickInput()) break;
-      if (matches(row)) {
-        if (!gov.Admit()) break;
-        out.Add(ProjectTuple(row, keep));
-      }
-    }
-    gov.Flush();
-    mem = gov.total_bytes();
-  } else {
-    if (metrics != nullptr) {
-      metrics->morsels += MorselCount(base.size(), kMorselRows);
-    }
-    // Morsel-parallel scan; concatenating the per-morsel buffers in
-    // morsel order reproduces the serial row order exactly. Workers test
-    // the governor latch at morsel start and bail per stride within.
-    std::vector<std::vector<Tuple>> buffers(
-        MorselCount(base.size(), kMorselRows));
-    std::vector<std::uint64_t> morsel_bytes(buffers.size(), 0);
-    ParallelFor(threads, base.size(), kMorselRows,
-                [&](std::size_t begin, std::size_t end) {
-                  if (ctx != nullptr && !ctx->Poll()) return;
-                  std::vector<Tuple>& buf = buffers[begin / kMorselRows];
-                  OpGovernor gov(ctx, ApproxTupleBytes(columns.size()));
-                  for (std::size_t r = begin; r < end; ++r) {
-                    if (!gov.TickInput()) break;
-                    const Tuple& row = base.rows()[r];
-                    if (matches(row)) {
-                      if (!gov.Admit()) break;
-                      buf.push_back(ProjectTuple(row, keep));
-                    }
-                  }
-                  gov.Flush();
-                  morsel_bytes[begin / kMorselRows] = gov.total_bytes();
-                });
-    std::size_t total = 0;
-    for (const auto& buf : buffers) total += buf.size();
-    out.mutable_rows().reserve(total);
-    for (auto& buf : buffers) {
-      for (Tuple& t : buf) out.mutable_rows().push_back(std::move(t));
-    }
-    for (std::uint64_t mb : morsel_bytes) mem += mb;
-  }
+  RowPiece scanned = ConcatPieces(RunMorsels<RowPiece>(
+      threads, base.size(), kMorselRows, ctx, metrics,
+      [&](std::size_t begin, std::size_t end, RowPiece& piece) {
+        OpGovernor gov(ctx, ApproxTupleBytes(columns.size()));
+        for (std::size_t r = begin; r < end; ++r) {
+          if (!gov.TickInput()) break;
+          const Tuple& row = base.rows()[r];
+          if (matches(row)) {
+            if (!gov.Admit()) break;
+            piece.rows.push_back(ProjectTuple(row, keep));
+          }
+        }
+        gov.Flush();
+        piece.bytes = gov.total_bytes();
+      }));
+  Relation out{Schema(columns)};
+  out.mutable_rows() = std::move(scanned.rows);
   // Dropping constant-checked positions cannot merge distinct base rows,
   // but a subgoal with *no* variables (all constants) produces arity-0
   // tuples that must collapse to at most one.
@@ -124,7 +96,7 @@ Relation SubgoalBindings(const Subgoal& subgoal, const Relation& base,
   if (metrics != nullptr) {
     metrics->rows_in += base.size();
     metrics->rows_out += out.size();
-    metrics->mem_bytes += mem;
+    metrics->mem_bytes += scanned.bytes;
   }
   return out;
 }
@@ -606,15 +578,12 @@ Result<Relation> EvaluateConjunctiveBindings(
           m != nullptr ? m->AddChild("join", positives[order[k]]->predicate())
                        : nullptr;
       ScopedOp span(node, tr);
-      // The parallel join preserves the serial join's row order, so the
-      // fold's intermediates are identical for every thread count.
+      // The join's row order is the same at every thread count, so the
+      // fold's intermediates are too.
       std::uint64_t dropped = static_cast<std::uint64_t>(current.size()) *
                               ApproxTupleBytes(current.arity());
-      current =
-          env.threads > 1
-              ? ParallelNaturalJoin(current, positive_bindings[order[k]],
-                                    env.threads, node, ctx)
-              : NaturalJoin(current, positive_bindings[order[k]], node, ctx);
+      current = NaturalJoin(current, positive_bindings[order[k]],
+                            env.threads, node, ctx);
       if (ctx != nullptr) {
         // The old intermediate and the consumed binding are dead; hand
         // their accounted bytes back (and actually free the binding).

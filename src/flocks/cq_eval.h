@@ -47,9 +47,9 @@ class PredicateResolver {
 
 // The binding relation of one relational subgoal over its base relation:
 // one column per distinct variable/parameter of the subgoal, one row per
-// base row matching the subgoal's constants and repeated terms. With
-// `threads` > 1 the scan runs morsel-parallel on the shared pool; the
-// output rows and their order are identical for every thread count.
+// base row matching the subgoal's constants and repeated terms. The scan
+// runs through RunMorsels (common/thread_pool.h); the output rows and
+// their order are identical for every thread count.
 Relation SubgoalBindings(const Subgoal& subgoal, const Relation& base,
                          unsigned threads = 1, OpMetrics* metrics = nullptr,
                          QueryContext* ctx = nullptr);
@@ -85,8 +85,8 @@ struct CqEvalOptions {
 // (used by cost-model validation and the benches).
 //
 // `env`: the subgoal scans and the join fold run morsel-parallel with
-// env.threads workers, preserving the serial row order (relational/ops.h
-// on ParallelNaturalJoin). env.metrics receives one child per operator —
+// env.threads workers, preserving the one-piece row order (relational/ops.h
+// on NaturalJoin). env.metrics receives one child per operator —
 // "scan" per subgoal, then the fold chain ("join" / "select" /
 // "anti_join", plus "semi_join" nodes for full-reducer sweeps) and a
 // final "project". Under env.ctx every operator polls and charges its

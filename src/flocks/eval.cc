@@ -221,20 +221,12 @@ Result<Relation> EvaluateFlock(
     info->answer_rows = answers.size();
   }
 
-  // The parallel overload aggregates morsel-locally and merges; the
-  // serial one is kept for threads <= 1 so the single-core path carries
-  // zero coordination overhead. Both feed the same filter + projection,
-  // and the final sort makes the returned row order identical.
   {
     OpMetrics* node =
         m != nullptr ? m->AddChild("group_by", agg_detail) : nullptr;
     ScopedOp span(node, tr);
-    grouped =
-        env.threads > 1
-            ? GroupAggregate(answers, param_columns, agg_kind, agg_column,
-                             "_agg", env.threads, node, ctx)
-            : GroupAggregate(answers, param_columns, agg_kind, agg_column,
-                             "_agg", node, ctx);
+    grouped = GroupAggregate(answers, param_columns, agg_kind, agg_column,
+                             "_agg", env.threads, node, ctx);
   }
   if (Status s = governed(); !s.ok()) return s;
   }

@@ -443,8 +443,7 @@ Status IncrementalEvaluator::Run(const std::string& name,
 
   // --- full build (no state, or invalidated above) ---
 
-  auto st = std::make_unique<IncrementalFlockState>(name, flock,
-                                                    opts.window_capacity);
+  auto st = std::make_unique<IncrementalFlockState>(name, flock);
   if (Status s = BuildState(name, flock, db, env, st.get()); !s.ok()) {
     return s;
   }

@@ -50,8 +50,6 @@ struct IncrementalEvalOptions {
   // by itself is dropped ("evicted(budget)"), falling back to the
   // ordinary uncached evaluation.
   std::uint64_t state_budget = 0;
-  // Tilted-time-window entries per level for newly built states.
-  std::size_t window_capacity = 4;
 };
 
 struct IncrementalRunInfo {

@@ -148,7 +148,7 @@ Result<Relation> DynamicEvaluate(const QueryFlock& flock, const Database& db,
           node != nullptr ? node->AddChild("group_by", "COUNT") : nullptr;
       ScopedOp gspan(gnode, tr);
       counts = GroupAggregate(*view, param_list, AggKind::kCount, "", "_n",
-                              gnode, ctx);
+                              /*threads=*/1, gnode, ctx);
     }
     std::size_t n_col = counts.schema().IndexOfOrDie("_n");
     double ratio = static_cast<double>(view->size()) /
@@ -287,7 +287,8 @@ Result<Relation> DynamicEvaluate(const QueryFlock& flock, const Database& db,
       ScopedOp span(node, tr);
       std::uint64_t dropped = static_cast<std::uint64_t>(current.size()) *
                               ApproxTupleBytes(current.arity());
-      current = NaturalJoin(current, bindings[order[k]], node, ctx);
+      current =
+          NaturalJoin(current, bindings[order[k]], /*threads=*/1, node, ctx);
       if (ctx != nullptr) {
         ctx->Release(dropped);
         ctx->Release(static_cast<std::uint64_t>(bindings[order[k]].size()) *
@@ -320,7 +321,7 @@ Result<Relation> DynamicEvaluate(const QueryFlock& flock, const Database& db,
                                    : nullptr;
     ScopedOp span(node, tr);
     counts = GroupAggregate(answers, param_columns, AggKind::kCount, "", "_n",
-                            node, ctx);
+                            /*threads=*/1, node, ctx);
   }
   if (Status s2 = governed(); !s2.ok()) return s2;
   std::size_t n_col = counts.schema().IndexOfOrDie("_n");

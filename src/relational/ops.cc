@@ -133,144 +133,75 @@ Relation Rename(const Relation& rel, std::vector<std::string> new_names) {
   return out;
 }
 
-namespace {
-
-// Shared counter bookkeeping for the hash-join variants: row counters are
-// identical whichever execution path produced `out`, so serial and
-// parallel joins report the same numbers for the same inputs.
-void RecordJoinMetrics(OpMetrics* metrics, const Relation& a,
-                       const Relation& b, const Relation& out,
-                       std::uint64_t probes) {
-  if (metrics == nullptr) return;
-  metrics->rows_in += a.size();
-  metrics->rows_in_right += b.size();
-  metrics->rows_out += out.size();
-  // Hash-table slot probes across the build and probe phases (zero when
-  // an empty input short-circuits both). The build index and per-row
-  // probe paths are identical at every thread count, so the count is
-  // thread-invariant.
-  metrics->tuples_probed += probes;
+RowPiece ConcatPieces(std::vector<RowPiece> pieces) {
+  if (pieces.size() == 1) return std::move(pieces.front());
+  RowPiece all;
+  std::size_t total = 0;
+  for (const RowPiece& piece : pieces) total += piece.rows.size();
+  all.rows.reserve(total);
+  for (RowPiece& piece : pieces) {
+    for (Tuple& t : piece.rows) all.rows.push_back(std::move(t));
+    all.probes += piece.probes;
+    all.bytes += piece.bytes;
+  }
+  return all;
 }
 
-}  // namespace
-
-Relation NaturalJoin(const Relation& a, const Relation& b,
+Relation NaturalJoin(const Relation& a, const Relation& b, unsigned threads,
                      OpMetrics* metrics, QueryContext* ctx) {
   JoinLayout layout = ComputeJoinLayout(a, b);
-  // Build the hash index on the smaller input; probe with the other. The
-  // output layout is fixed (a's columns then b's extras) either way.
   Relation out(JoinedSchema(a, b, layout));
-  if (a.empty() || b.empty()) {
-    RecordJoinMetrics(metrics, a, b, out, 0);
-    return out;
-  }
-  KeyCols a_key(layout.a_key, a.arity());
-  KeyCols b_key(layout.b_key, b.arity());
   std::uint64_t probes = 0;
-  FlatKeyIndex index = BuildFlatIndex(b, b_key, probes);
-  OpGovernor gov(ctx, ApproxTupleBytes(out.arity()));
-  bool live = true;
-  for (const Tuple& ta : a.rows()) {
-    if (!live || !gov.TickInput()) break;
-    FlatKeyIndex::Span span = index.Probe(
-        a_key.Hash(ta),
-        [&](std::uint32_t rb) {
-          return a_key.EqAcross(ta, b_key, b.rows()[rb]);
-        },
-        probes);
-    for (const std::uint32_t* p = span.begin; p != span.end; ++p) {
-      if (!gov.Admit()) {
-        live = false;
-        break;
-      }
-      Tuple combined = ta;
-      const Tuple& tb = b.rows()[*p];
-      for (std::size_t j : layout.b_rest) combined.push_back(tb[j]);
-      out.Add(std::move(combined));
-    }
+  if (!a.empty() && !b.empty()) {
+    // A shared read-only index over b, finalized before any probe; a's
+    // rows probe it piecewise, each piece into its own buffer. The probe
+    // morsel size is fixed — never derived from `threads` — so the pieces
+    // concatenate to the one-piece row order at every thread count. A
+    // cross product (no shared column) always runs as one piece.
+    KeyCols a_key(layout.a_key, a.arity());
+    KeyCols b_key(layout.b_key, b.arity());
+    FlatKeyIndex index = BuildFlatIndex(b, b_key, probes);
+    constexpr std::size_t kMorselRows = 4096;
+    RowPiece joined = ConcatPieces(RunMorsels<RowPiece>(
+        layout.a_key.empty() ? 1 : threads, a.size(), kMorselRows, ctx,
+        metrics, [&](std::size_t begin, std::size_t end, RowPiece& piece) {
+          OpGovernor gov(ctx, ApproxTupleBytes(out.arity()));
+          bool live = true;
+          for (std::size_t r = begin; live && r < end; ++r) {
+            if (!gov.TickInput()) break;
+            const Tuple& ta = a.rows()[r];
+            FlatKeyIndex::Span span = index.Probe(
+                a_key.Hash(ta),
+                [&](std::uint32_t rb) {
+                  return a_key.EqAcross(ta, b_key, b.rows()[rb]);
+                },
+                piece.probes);
+            for (const std::uint32_t* p = span.begin; p != span.end; ++p) {
+              if (!gov.Admit()) {
+                live = false;
+                break;
+              }
+              Tuple combined = ta;
+              const Tuple& tb = b.rows()[*p];
+              for (std::size_t j : layout.b_rest) combined.push_back(tb[j]);
+              piece.rows.push_back(std::move(combined));
+            }
+          }
+          gov.Flush();
+          piece.bytes = gov.total_bytes();
+        }));
+    out.mutable_rows() = std::move(joined.rows);
+    probes += joined.probes;
+    if (metrics != nullptr) metrics->mem_bytes += joined.bytes;
   }
-  gov.Flush();
-  RecordJoinMetrics(metrics, a, b, out, probes);
-  if (metrics != nullptr) metrics->mem_bytes += gov.total_bytes();
-  return out;
-}
-
-Relation ParallelNaturalJoin(const Relation& a, const Relation& b,
-                             unsigned threads, OpMetrics* metrics,
-                             QueryContext* ctx) {
-  JoinLayout layout = ComputeJoinLayout(a, b);
-  // Probe-side morsel size. Fixed — never derived from `threads` — so the
-  // morsel decomposition, and with it the output row order, is a function
-  // of the inputs alone.
-  constexpr std::size_t kMorselRows = 4096;
-  if (threads <= 1 || layout.a_key.empty() || a.size() < 2 * kMorselRows ||
-      b.empty()) {
-    return NaturalJoin(a, b, metrics, ctx);
-  }
-
-  // Shared read-only build index over b (finalized before any probe, so
-  // cross-thread sharing is safe); morsels of a probe it on the pool,
-  // each into its own buffer with its own slot-probe counter. Each morsel
-  // owns an OpGovernor: workers test the context latch at morsel start
-  // and unwind their morsel early once any failure latches.
-  KeyCols a_key(layout.a_key, a.arity());
-  KeyCols b_key(layout.b_key, b.arity());
-  std::uint64_t probes = 0;
-  FlatKeyIndex index = BuildFlatIndex(b, b_key, probes);
-  const std::size_t out_arity = a.arity() + layout.b_rest.size();
-  std::vector<std::vector<Tuple>> outputs(MorselCount(a.size(), kMorselRows));
-  std::vector<std::uint64_t> morsel_probes(outputs.size(), 0);
-  std::vector<std::uint64_t> morsel_bytes(outputs.size(), 0);
-  ParallelFor(threads, a.size(), kMorselRows,
-              [&](std::size_t begin, std::size_t end) {
-                if (ctx != nullptr && !ctx->Poll()) return;
-                std::vector<Tuple>& out = outputs[begin / kMorselRows];
-                std::uint64_t& local_probes =
-                    morsel_probes[begin / kMorselRows];
-                OpGovernor gov(ctx, ApproxTupleBytes(out_arity));
-                bool live = true;
-                for (std::size_t r = begin; live && r < end; ++r) {
-                  if (!gov.TickInput()) break;
-                  const Tuple& ta = a.rows()[r];
-                  FlatKeyIndex::Span span = index.Probe(
-                      a_key.Hash(ta),
-                      [&](std::uint32_t rb) {
-                        return a_key.EqAcross(ta, b_key, b.rows()[rb]);
-                      },
-                      local_probes);
-                  for (const std::uint32_t* p = span.begin; p != span.end;
-                       ++p) {
-                    if (!gov.Admit()) {
-                      live = false;
-                      break;
-                    }
-                    Tuple combined = ta;
-                    const Tuple& tb = b.rows()[*p];
-                    for (std::size_t j : layout.b_rest) {
-                      combined.push_back(tb[j]);
-                    }
-                    out.push_back(std::move(combined));
-                  }
-                }
-                gov.Flush();
-                morsel_bytes[begin / kMorselRows] = gov.total_bytes();
-              });
-  for (std::uint64_t p : morsel_probes) probes += p;
-
-  // Concatenate in morsel order: morsels cover a's rows in index order and
-  // each morsel emits matches in probe order, so the result row order
-  // equals the serial NaturalJoin's.
-  Relation out(JoinedSchema(a, b, layout));
-  std::size_t total = 0;
-  for (const auto& part : outputs) total += part.size();
-  out.mutable_rows().reserve(total);
-  for (auto& part : outputs) {
-    for (Tuple& t : part) out.mutable_rows().push_back(std::move(t));
-  }
-  RecordJoinMetrics(metrics, a, b, out, probes);
   if (metrics != nullptr) {
-    metrics->morsels += outputs.size();
-    for (std::uint64_t mb : morsel_bytes) metrics->mem_bytes += mb;
+    metrics->rows_in += a.size();
+    metrics->rows_in_right += b.size();
+    metrics->rows_out += out.size();
+    // Hash-table slot probes across the build and probe phases (zero when
+    // an empty input short-circuits both): the same index and per-row
+    // probe paths at every thread count, so the count is thread-invariant.
+    metrics->tuples_probed += probes;
   }
   return out;
 }
@@ -527,7 +458,7 @@ GroupLayout ComputeGroupLayout(const Relation& rel,
 // Flat grouping state: group keys are the group columns of rel's rows,
 // hashed/compared in place (identity fast path when the group columns
 // are the whole row); accumulators live in a dense vector indexed by
-// group id. Shared by the serial kernel and each parallel morsel.
+// group id. One per piece of GroupAggregate.
 struct FlatGroups {
   FlatGroupTable table;
   std::vector<Accumulator> accs;
@@ -567,63 +498,6 @@ Relation FinishGroups(const Relation& rel, const FlatGroups& groups,
 
 }  // namespace
 
-namespace {
-
-void RecordGroupMetrics(OpMetrics* metrics, const Relation& rel,
-                        std::size_t rows_out) {
-  if (metrics == nullptr) return;
-  metrics->rows_in += rel.size();
-  metrics->rows_out += rows_out;
-  metrics->tuples_probed += rel.size();  // one table upsert per input row
-}
-
-}  // namespace
-
-namespace {
-
-// Group outputs are charged in one post-hoc Charge (group count is only
-// known at the end); the group *table* itself is unaccounted — a blow-up
-// feeding an aggregate is caught where the feeding join materializes it.
-std::uint64_t ChargeGroupOutput(QueryContext* ctx, const Relation& out) {
-  if (ctx == nullptr) return 0;
-  std::uint64_t bytes =
-      static_cast<std::uint64_t>(out.size()) * ApproxTupleBytes(out.arity());
-  ctx->Charge(bytes);
-  return bytes;
-}
-
-}  // namespace
-
-Relation GroupAggregate(const Relation& rel,
-                        const std::vector<std::string>& group_columns,
-                        AggKind kind, const std::string& agg_column,
-                        const std::string& output_column,
-                        OpMetrics* metrics, QueryContext* ctx) {
-  GroupLayout layout =
-      ComputeGroupLayout(rel, group_columns, kind, agg_column);
-  CheckRefRange(rel.size());
-  KeyCols key(layout.group_idx, rel.arity());
-  FlatGroups groups;
-  groups.table.Reserve(rel.size());
-  groups.accs.reserve(rel.size());
-  std::uint64_t probes = 0;
-  OpGovernor gov(ctx, /*bytes_per_row=*/0);  // input-side polling only
-  const std::vector<Tuple>& rows = rel.rows();
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    if (!gov.TickInput()) break;
-    AccumulateRow(groups.Upsert(rows, r, key, probes), kind, rows[r],
-                  layout.agg_idx);
-  }
-  // Sorted output (see FinishGroups): the serial overload agrees
-  // row-for-row with the parallel one at every thread count.
-  Relation out =
-      FinishGroups(rel, groups, key, group_columns, kind, output_column);
-  std::uint64_t mem = ChargeGroupOutput(ctx, out);
-  RecordGroupMetrics(metrics, rel, out.size());
-  if (metrics != nullptr) metrics->mem_bytes += mem;
-  return out;
-}
-
 Relation GroupAggregate(const Relation& rel,
                         const std::vector<std::string>& group_columns,
                         AggKind kind, const std::string& agg_column,
@@ -635,61 +509,73 @@ Relation GroupAggregate(const Relation& rel,
   KeyCols key(layout.group_idx, rel.arity());
   const std::vector<Tuple>& rows = rel.rows();
 
-  // Fixed morsel size: the decomposition (and therefore the association
-  // order of floating-point SUM partials) depends only on the input, so
-  // every `threads` value computes bit-identical aggregates.
+  // Each piece aggregates into its own table. The morsel size is fixed,
+  // so the decomposition (and with it the association order of
+  // floating-point SUM partials) depends only on the input.
   constexpr std::size_t kMorselRows = 2048;
-  std::vector<FlatGroups> partials(MorselCount(rel.size(), kMorselRows));
-  ParallelFor(threads, rel.size(), kMorselRows,
-              [&](std::size_t begin, std::size_t end) {
-                if (ctx != nullptr && !ctx->Poll()) return;
-                FlatGroups& local = partials[begin / kMorselRows];
-                local.table.Reserve(end - begin);
-                local.accs.reserve(end - begin);
-                std::uint64_t probes = 0;  // morsel-local; see below
-                OpGovernor gov(ctx, /*bytes_per_row=*/0);
-                for (std::size_t r = begin; r < end; ++r) {
-                  if (!gov.TickInput()) break;
-                  AccumulateRow(local.Upsert(rows, r, key, probes), kind,
-                                rows[r], layout.agg_idx);
-                }
-              });
+  std::vector<FlatGroups> parts = RunMorsels<FlatGroups>(
+      threads, rel.size(), kMorselRows, ctx, metrics,
+      [&](std::size_t begin, std::size_t end, FlatGroups& local) {
+        local.table.Reserve(end - begin);
+        local.accs.reserve(end - begin);
+        std::uint64_t probes = 0;  // piece-local; see below
+        OpGovernor gov(ctx, /*bytes_per_row=*/0);  // input-side polling only
+        for (std::size_t r = begin; r < end; ++r) {
+          if (!gov.TickInput()) break;
+          AccumulateRow(local.Upsert(rows, r, key, probes), kind, rows[r],
+                        layout.agg_idx);
+        }
+      });
 
-  // Merge thread-local tables in morsel order (deterministic). Each
-  // group's stored hash is reused — the merge never re-hashes a key.
-  // Copying the first partial's accumulator on insert (rather than
-  // merging into a fresh one) keeps the per-group float association
-  // exactly `(p0 + p1) + p2 ...` — the same at every thread count.
+  // Several pieces merge in morsel order (deterministic). Each group's
+  // stored hash is reused — the merge never re-hashes a key. Copying the
+  // first partial's accumulator on insert (rather than merging into a
+  // fresh one) keeps the per-group float association exactly
+  // `(p0 + p1) + p2 ...` at every thread count.
   FlatGroups groups;
-  groups.table.Reserve(rel.size());
-  std::uint64_t merge_probes = 0;
-  for (FlatGroups& partial : partials) {
-    for (std::size_t g = 0; g < partial.accs.size(); ++g) {
-      std::uint32_t rep = partial.table.ref_at(static_cast<std::uint32_t>(g));
-      const Tuple& t = rows[rep];
-      auto [group, inserted] = groups.table.Upsert(
-          rep, partial.table.hash_at(static_cast<std::uint32_t>(g)),
-          [&](std::uint32_t prev) { return key.Eq(t, rows[prev]); },
-          merge_probes);
-      if (inserted) {
-        groups.accs.push_back(partial.accs[g]);
-      } else {
-        MergeAccumulator(groups.accs[group], partial.accs[g], kind);
+  if (parts.size() == 1) {
+    groups = std::move(parts.front());
+  } else {
+    groups.table.Reserve(rel.size());
+    std::uint64_t merge_probes = 0;
+    for (FlatGroups& partial : parts) {
+      for (std::size_t g = 0; g < partial.accs.size(); ++g) {
+        std::uint32_t rep =
+            partial.table.ref_at(static_cast<std::uint32_t>(g));
+        const Tuple& t = rows[rep];
+        auto [group, inserted] = groups.table.Upsert(
+            rep, partial.table.hash_at(static_cast<std::uint32_t>(g)),
+            [&](std::uint32_t prev) { return key.Eq(t, rows[prev]); },
+            merge_probes);
+        if (inserted) {
+          groups.accs.push_back(partial.accs[g]);
+        } else {
+          MergeAccumulator(groups.accs[group], partial.accs[g], kind);
+        }
       }
     }
   }
 
-  // Sorted output (see FinishGroups); row order is a pure function of
-  // the input. tuples_probed stays "one upsert per input row" — slot
-  // counts would differ between the serial and parallel table layouts,
-  // and the metrics tree must be identical at every thread count.
+  // Sorted output (see FinishGroups): the row order is a pure function of
+  // the input. Group outputs are charged in one post-hoc Charge (the group
+  // count is only known now); the group *table* itself is unaccounted — a
+  // blow-up feeding an aggregate is caught where the feeding join
+  // materializes it.
   Relation out =
       FinishGroups(rel, groups, key, group_columns, kind, output_column);
-  std::uint64_t mem = ChargeGroupOutput(ctx, out);
-  RecordGroupMetrics(metrics, rel, out.size());
+  if (ctx != nullptr) {
+    std::uint64_t bytes = static_cast<std::uint64_t>(out.size()) *
+                          ApproxTupleBytes(out.arity());
+    ctx->Charge(bytes);
+    if (metrics != nullptr) metrics->mem_bytes += bytes;
+  }
   if (metrics != nullptr) {
-    metrics->morsels += partials.size();
-    metrics->mem_bytes += mem;
+    metrics->rows_in += rel.size();
+    metrics->rows_out += out.size();
+    // One table upsert per input row: slot counts would differ between
+    // the one-piece and merged table layouts, and the metrics tree must
+    // be identical at every thread count.
+    metrics->tuples_probed += rel.size();
   }
   return out;
 }

@@ -8,19 +8,19 @@
 // nullable OpMetrics* (common/metrics.h). When non-null the operator adds
 // its observed counters — rows_in (left/only input), rows_in_right (build
 // side of binary ops), rows_out (exact result cardinality), tuples_probed
-// (hash lookups + table upserts), morsels (parallel decomposition; 0 when
-// the op ran as one piece) — into the node. Operators fill *counters
+// (hash lookups + table upserts), morsels (the RunMorsels decomposition;
+// 0 when the op ran as one piece) — into the node. Operators fill *counters
 // only*; naming the node and timing it (ScopedOp) is the caller's job, so
 // wall time has a single source. All row counters are identical for every
 // thread count (the same determinism contract as the results themselves);
-// `morsels` reflects the actual decomposition and is 0 on serial paths.
+// `morsels` reflects the actual decomposition.
 // A null pointer costs one branch — the disabled path stays
 // allocation-free.
 //
 // Governance: the same operators take a trailing nullable QueryContext*
 // (common/resource.h). When non-null the operator polls the context's
 // deadline/cancel token every QueryContext::kPollStride rows (and at
-// morsel granularity on parallel paths) and charges ApproxTupleBytes per
+// every morsel start when split) and charges ApproxTupleBytes per
 // *output* row to the memory accountant, recording the charged bytes in
 // metrics->mem_bytes. Once the context latches an error the operator
 // bails out early with truncated output; callers must ctx->Check() after
@@ -56,22 +56,28 @@ Relation Rename(const Relation& rel, std::vector<std::string> new_names);
 // schema is a's columns followed by b's non-shared columns. If the inputs
 // share no columns this is a cross product. Inputs must be duplicate-free
 // for the output to be duplicate-free.
-Relation NaturalJoin(const Relation& a, const Relation& b,
+//
+// The probe side runs through RunMorsels (common/thread_pool.h) against
+// one shared read-only hash index over `b`. Morsel boundaries depend only
+// on the input size — never on `threads` — and the pieces concatenate in
+// morsel order, so rows, row order and row counters are the same for
+// every `threads` value. Fewer than 8,192 probe rows, `threads` <= 1
+// (including 0) and cross products run as one piece (morsels stays 0).
+Relation NaturalJoin(const Relation& a, const Relation& b, unsigned threads,
                      OpMetrics* metrics = nullptr, QueryContext* ctx = nullptr);
 
-// Natural join with the probe side split into fixed-size morsels handed
-// to the shared thread pool (common/thread_pool.h): a shared read-only
-// hash index over `b`, one output buffer per morsel, buffers concatenated
-// in morsel order. Because morsel boundaries depend only on the input
-// size — never on `threads` — the output row order is *identical to
-// NaturalJoin(a, b)* for every thread count, so the evaluators can switch
-// between the serial and parallel join freely without changing results.
-// `threads` <= 1 (including 0), small inputs, and cross products fall
-// back to the serial join (same rows, same order, same row counters;
-// morsels stays 0 on the fallback).
-Relation ParallelNaturalJoin(const Relation& a, const Relation& b,
-                             unsigned threads, OpMetrics* metrics = nullptr,
-                             QueryContext* ctx = nullptr);
+// One piece of a row-emitting morsel kernel (the join above, the subgoal
+// scan of flocks/cq_eval.cc): its rows, hash-slot probes and the bytes
+// its governor charged.
+struct RowPiece {
+  std::vector<Tuple> rows;
+  std::uint64_t probes = 0;
+  std::uint64_t bytes = 0;
+};
+
+// Concatenates pieces in morsel order and sums their counters. A single
+// piece is returned as-is.
+RowPiece ConcatPieces(std::vector<RowPiece> pieces);
 
 // Rows of `a` with at least one match in `b` on the shared columns.
 // If no columns are shared: returns `a` when `b` is non-empty, else empty.
@@ -102,26 +108,17 @@ enum class AggKind { kCount, kSum, kMin, kMax };
 //   kCount — number of (distinct) rows in the group;
 //   kSum / kMin / kMax — over the numeric column `agg_column`.
 // Output schema: group_columns + {output_column}, rows in lexicographic
-// order (both overloads sort, so serial and parallel agree row-for-row —
-// see the note on the parallel overload). Input must be duplicate-free:
-// under set semantics COUNT of a flock's answers is exactly the number of
-// distinct rows per group.
-Relation GroupAggregate(const Relation& rel,
-                        const std::vector<std::string>& group_columns,
-                        AggKind kind, const std::string& agg_column,
-                        const std::string& output_column,
-                        OpMetrics* metrics = nullptr,
-                        QueryContext* ctx = nullptr);
-
-// Morsel-parallel GroupAggregate: rows are split into fixed-size morsels,
-// each aggregated into a thread-local hash table on the shared pool, the
-// per-morsel tables merged in morsel order, and the output rows sorted
-// lexicographically. The result is bit-identical for every `threads`
-// value (including 0 and 1): morsel boundaries and the merge order depend
-// only on the input, so even floating-point SUM associates identically,
-// and the final sort pins the row order. The serial overload above now
-// sorts as well, so the two agree exactly except that floating-point SUM
-// may differ in association (the sums are equal up to rounding).
+// order. Input must be duplicate-free: under set semantics COUNT of a
+// flock's answers is exactly the number of distinct rows per group.
+//
+// Rows run through RunMorsels (common/thread_pool.h): each piece
+// aggregates into its own hash table, several pieces merge in morsel
+// order, and the final sort pins the row order. Morsel boundaries depend
+// only on the input, so every `threads` value that splits the input
+// computes bit-identical aggregates. A one-piece run (`threads` <= 1, or
+// fewer than 4,096 rows) agrees with them exactly on COUNT, MIN, MAX and
+// integer SUM; a floating-point SUM associates differently and agrees
+// only up to rounding.
 Relation GroupAggregate(const Relation& rel,
                         const std::vector<std::string>& group_columns,
                         AggKind kind, const std::string& agg_column,

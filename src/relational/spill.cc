@@ -332,7 +332,11 @@ Status SpillGroupSink::ProcessPartition(const std::string& path,
                                         std::size_t level, Relation& out) {
   const std::size_t arity = schema_.arity();
   const std::size_t row_bytes = ApproxTupleBytes(arity);
-  if (ShouldRecurse(ctx_, env_, level, records * row_bytes)) {
+  // A leaf holds its rows and, while it aggregates them, its grouped
+  // output (at most one row per loaded row): both must fit the budget.
+  const std::size_t leaf_bytes =
+      row_bytes + ApproxTupleBytes(key_idx_.size() + 1);
+  if (ShouldRecurse(ctx_, env_, level, records * leaf_bytes)) {
     std::vector<std::unique_ptr<SpillWriter>> subs;
     if (Status s = Repartition(env_, path, level + 1, subs, ctx_); !s.ok()) {
       return s;
@@ -386,7 +390,8 @@ Status SpillGroupSink::ProcessPartition(const std::string& path,
   // Serial in-memory kernel per partition: per-group results are bit-
   // identical to grouping the whole answer set at once.
   Relation grouped = GroupAggregate(distinct, key_names_, kind_, agg_column_,
-                                    output_column_, nullptr, ctx_);
+                                    output_column_, /*threads=*/1, nullptr,
+                                    ctx_);
   if (ctx_ != nullptr && !ctx_->ok()) return ctx_->Check();
   for (Tuple& t : grouped.mutable_rows()) out.Add(std::move(t));
   if (ctx_ != nullptr) ctx_->Release(gov.total_bytes());  // drop the answers

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <limits>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "common/string_util.h"
@@ -569,20 +570,55 @@ Result<std::map<std::string, double>> ParseKeyValues(
   return out;
 }
 
-// Pops `key` from `kv` into `target` (cast as needed), if present.
-template <typename T>
-void TakeKey(std::map<std::string, double>& kv, const std::string& key,
-             T& target) {
-  auto it = kv.find(key);
-  if (it == kv.end()) return;
-  target = static_cast<T>(it->second);
-  kv.erase(it);
-}
+// Pops GEN's key=value arguments into generator config fields. A value
+// must lie in its field's range: a whole number in [lo, 2^digits) for an
+// integer field, a finite number in [lo, hi] for a double one. The
+// bounds carry the generators' preconditions (a non-empty Zipf domain, a
+// non-negative size), so no config reaches a generator that would crash
+// on it. The first violation is latched and reported by Finish().
+class GenKeys {
+ public:
+  explicit GenKeys(std::map<std::string, double> kv) : kv_(std::move(kv)) {}
 
-Status RejectLeftovers(const std::map<std::string, double>& kv) {
-  if (kv.empty()) return Status::Ok();
-  return InvalidArgumentError("unknown GEN key: " + kv.begin()->first);
-}
+  template <typename T>
+  void Take(const std::string& key, T& target, double lo = 0,
+            double hi = std::numeric_limits<double>::infinity()) {
+    auto it = kv_.find(key);
+    if (it == kv_.end()) return;
+    double v = it->second;
+    kv_.erase(it);
+    constexpr bool kInteger = std::is_integral_v<T>;
+    if constexpr (kInteger) {
+      hi = std::ldexp(1.0, std::numeric_limits<T>::digits);  // exclusive
+    }
+    if (std::isfinite(v) && v >= lo &&
+        (kInteger ? v < hi && v == std::floor(v) : v <= hi)) {
+      target = static_cast<T>(v);
+      return;
+    }
+    if (!status_.ok()) return;
+    char range[96];
+    std::snprintf(range, sizeof(range),
+                  kInteger ? "a whole number in [%.0f, %.0f)"
+                           : "a number in [%g, %g]",
+                  lo, hi);
+    status_ = InvalidArgumentError("GEN " + key + " must be " + range);
+  }
+
+  Status Finish() const {
+    if (!status_.ok() || kv_.empty()) return status_;
+    return InvalidArgumentError("unknown GEN key: " + kv_.begin()->first);
+  }
+
+ private:
+  std::map<std::string, double> kv_;
+  Status status_;
+};
+
+// Largest avg_size / degree: jitter (< 1.5x) keeps each basket's or
+// node's count within 32 bits, and the generator's row reservation
+// (count x average) within a vector's limit.
+constexpr double kMaxAverageSize = 1e7;
 
 }  // namespace
 
@@ -590,115 +626,80 @@ Result<std::string> Shell::Gen(std::string_view args) {
   auto [kind, rest] = SplitCommand(args);
   auto [name_upper, params] = SplitCommand(rest);
   std::string rel_name(StripWhitespace(rest).substr(0, name_upper.size()));
-  if (rel_name.empty()) {
-    return InvalidArgumentError(
-        "usage: GEN BASKETS|MEDICAL|WEB|GRAPH <name> [key=value ...]");
-  }
+  const char* kUsage =
+      "usage: GEN BASKETS|MEDICAL|WEB|GRAPH <name> [key=value ...]";
+  if (rel_name.empty()) return InvalidArgumentError(kUsage);
   Result<std::map<std::string, double>> parsed = ParseKeyValues(params);
   if (!parsed.ok()) return parsed.status();
-  std::map<std::string, double> kv = std::move(*parsed);
+  GenKeys keys(std::move(*parsed));
 
+  // BASKETS and GRAPH generate one relation named <name>; MEDICAL and WEB
+  // generate several under their canonical names (<name> is ignored
+  // beyond requiring a placeholder).
+  std::vector<Relation> rels;
+  auto take_all = [&rels](const Database& generated) {
+    for (const std::string& name : generated.Names()) {
+      rels.push_back(generated.Get(name));
+    }
+  };
   if (kind == "BASKETS") {
     BasketConfig config;
-    TakeKey(kv, "n_baskets", config.n_baskets);
-    TakeKey(kv, "n_items", config.n_items);
-    TakeKey(kv, "avg_size", config.avg_basket_size);
-    TakeKey(kv, "theta", config.zipf_theta);
-    TakeKey(kv, "locality", config.topic_locality);
-    TakeKey(kv, "topics", config.n_topics);
-    TakeKey(kv, "seed", config.seed);
-    if (Status s = RejectLeftovers(kv); !s.ok()) return s;
-    Relation rel = GenerateBaskets(config);
-    rel.set_name(rel_name);
-    std::size_t rows = rel.size();
-    std::vector<Relation> rels;
-    rels.push_back(std::move(rel));
-    QueryContext ctx;
-    ConfigureContext(ctx);
-    if (Status s = PersistRelations(std::move(rels), &ctx); !s.ok()) return s;
-    views_dirty_ = true;
-    return "generated " + rel_name + ": " + std::to_string(rows) + " rows\n";
-  }
-
-  if (kind == "GRAPH") {
+    keys.Take("n_baskets", config.n_baskets);
+    keys.Take("n_items", config.n_items, 1);
+    keys.Take("avg_size", config.avg_basket_size, 0, kMaxAverageSize);
+    keys.Take("theta", config.zipf_theta);
+    keys.Take("locality", config.topic_locality, 0, 1);
+    keys.Take("topics", config.n_topics);
+    keys.Take("seed", config.seed);
+    if (Status s = keys.Finish(); !s.ok()) return s;
+    rels.push_back(GenerateBaskets(config));
+    rels.back().set_name(rel_name);
+  } else if (kind == "GRAPH") {
     GraphConfig config;
-    TakeKey(kv, "n_nodes", config.n_nodes);
-    TakeKey(kv, "degree", config.avg_out_degree);
-    TakeKey(kv, "theta", config.target_theta);
-    TakeKey(kv, "seed", config.seed);
-    if (Status s = RejectLeftovers(kv); !s.ok()) return s;
-    Relation rel = GenerateGraph(config);
-    rel.set_name(rel_name);
-    std::size_t rows = rel.size();
-    std::vector<Relation> rels;
-    rels.push_back(std::move(rel));
-    QueryContext ctx;
-    ConfigureContext(ctx);
-    if (Status s = PersistRelations(std::move(rels), &ctx); !s.ok()) return s;
-    views_dirty_ = true;
-    return "generated " + rel_name + ": " + std::to_string(rows) + " rows\n";
-  }
-
-  // MEDICAL and WEB generate several relations; <name> is ignored beyond
-  // requiring a placeholder, and the canonical relation names are used.
-  if (kind == "MEDICAL") {
+    keys.Take("n_nodes", config.n_nodes, 1);
+    keys.Take("degree", config.avg_out_degree, 0, kMaxAverageSize);
+    keys.Take("theta", config.target_theta);
+    keys.Take("seed", config.seed);
+    if (Status s = keys.Finish(); !s.ok()) return s;
+    rels.push_back(GenerateGraph(config));
+    rels.back().set_name(rel_name);
+  } else if (kind == "MEDICAL") {
     MedicalConfig config;
-    TakeKey(kv, "n_patients", config.n_patients);
-    TakeKey(kv, "n_diseases", config.n_diseases);
-    TakeKey(kv, "n_symptoms", config.n_symptoms);
-    TakeKey(kv, "n_medicines", config.n_medicines);
-    if (auto it = kv.find("theta"); it != kv.end()) {
-      config.symptom_theta = it->second;
-      config.medicine_theta = it->second;
-      kv.erase(it);
-    }
-    TakeKey(kv, "locality", config.disease_locality);
-    TakeKey(kv, "seed", config.seed);
-    if (Status s = RejectLeftovers(kv); !s.ok()) return s;
-    Database generated = GenerateMedical(config);
-    std::string out;
-    std::vector<Relation> rels;
-    for (const std::string& name : generated.Names()) {
-      Relation rel = generated.Get(name);
-      out += "generated " + name + ": " + std::to_string(rel.size()) +
-             " rows\n";
-      rels.push_back(std::move(rel));
-    }
-    QueryContext ctx;
-    ConfigureContext(ctx);
-    if (Status s = PersistRelations(std::move(rels), &ctx); !s.ok()) return s;
-    views_dirty_ = true;
-    return out;
-  }
-
-  if (kind == "WEB") {
+    keys.Take("n_patients", config.n_patients);
+    keys.Take("n_diseases", config.n_diseases, 1);
+    keys.Take("n_symptoms", config.n_symptoms, 1);
+    keys.Take("n_medicines", config.n_medicines, 1);
+    keys.Take("theta", config.symptom_theta);
+    config.medicine_theta = config.symptom_theta;
+    keys.Take("locality", config.disease_locality, 0, 1);
+    keys.Take("seed", config.seed);
+    if (Status s = keys.Finish(); !s.ok()) return s;
+    take_all(GenerateMedical(config));
+  } else if (kind == "WEB") {
     WebConfig config;
-    TakeKey(kv, "n_docs", config.n_docs);
-    TakeKey(kv, "n_words", config.n_words);
-    TakeKey(kv, "n_anchors", config.n_anchors);
-    TakeKey(kv, "theta", config.word_theta);
-    TakeKey(kv, "locality", config.topic_locality);
-    TakeKey(kv, "topics", config.n_topics);
-    TakeKey(kv, "seed", config.seed);
-    if (Status s = RejectLeftovers(kv); !s.ok()) return s;
-    Database generated = GenerateWeb(config);
-    std::string out;
-    std::vector<Relation> rels;
-    for (const std::string& name : generated.Names()) {
-      Relation rel = generated.Get(name);
-      out += "generated " + name + ": " + std::to_string(rel.size()) +
-             " rows\n";
-      rels.push_back(std::move(rel));
-    }
-    QueryContext ctx;
-    ConfigureContext(ctx);
-    if (Status s = PersistRelations(std::move(rels), &ctx); !s.ok()) return s;
-    views_dirty_ = true;
-    return out;
+    keys.Take("n_docs", config.n_docs, 1);
+    keys.Take("n_words", config.n_words, 1);
+    keys.Take("n_anchors", config.n_anchors);
+    keys.Take("theta", config.word_theta);
+    keys.Take("locality", config.topic_locality, 0, 1);
+    keys.Take("topics", config.n_topics);
+    keys.Take("seed", config.seed);
+    if (Status s = keys.Finish(); !s.ok()) return s;
+    take_all(GenerateWeb(config));
+  } else {
+    return InvalidArgumentError(kUsage);
   }
 
-  return InvalidArgumentError(
-      "usage: GEN BASKETS|MEDICAL|WEB|GRAPH <name> [key=value ...]");
+  std::string out;
+  for (const Relation& rel : rels) {
+    out += "generated " + rel.name() + ": " + std::to_string(rel.size()) +
+           " rows\n";
+  }
+  QueryContext ctx;
+  ConfigureContext(ctx);
+  if (Status s = PersistRelations(std::move(rels), &ctx); !s.ok()) return s;
+  views_dirty_ = true;
+  return out;
 }
 
 Result<std::string> Shell::Define(std::string_view args) {
@@ -1213,13 +1214,18 @@ Result<std::string> Shell::Maximal(std::string_view args) {
   while (!StripWhitespace(rest).empty()) {
     auto [kw, next] = SplitCommand(rest);
     auto [num, after] = SplitCommand(next);
-    Result<double> value = ParseDouble(num);
-    if (!value.ok()) return value.status();
     if (kw == "SUPPORT") {
+      Result<double> value = ParseDouble(num);
+      if (!value.ok() || !std::isfinite(*value) || *value <= 0) {
+        return InvalidArgumentError("MAXIMAL SUPPORT must be a number > 0");
+      }
       options.min_support = *value;
       have_support = true;
     } else if (kw == "MAXSIZE") {
-      options.max_size = static_cast<std::size_t>(*value);
+      Result<std::int64_t> n = ParseBounded(
+          num, 0, kMaxInt64, "MAXIMAL MAXSIZE must be a whole number >= 0");
+      if (!n.ok()) return n.status();
+      options.max_size = static_cast<std::size_t>(*n);
     } else {
       return InvalidArgumentError("unknown MAXIMAL option: " + kw);
     }

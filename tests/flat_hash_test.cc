@@ -388,29 +388,29 @@ TEST_P(FlatVsOldKernels, NaturalJoinRowsAndOrderMatchOldImplementation) {
     Relation a = RandomRelation(rng_, {"X", "Y"}, na, 12);  // heavy dup keys
     Relation b = RandomRelation(rng_, {"Y", "Z"}, nb, 12);
     Relation oracle = OldNaturalJoin(a, b);
-    Relation flat = NaturalJoin(a, b);
+    Relation flat = NaturalJoin(a, b, 1);
     ASSERT_EQ(flat.rows(), oracle.rows()) << "na=" << na << " nb=" << nb;
     // Cross-thread row identity: the shared-index parallel kernel agrees
     // with the old serial implementation at every thread count.
     for (unsigned threads : {0u, 1u, 2u, 3u, 8u}) {
-      Relation par = ParallelNaturalJoin(a, b, threads);
+      Relation par = NaturalJoin(a, b, threads);
       ASSERT_EQ(par.rows(), oracle.rows()) << "threads=" << threads;
     }
   }
 }
 
 TEST_P(FlatVsOldKernels, ParallelJoinAboveMorselThresholdMatchesOld) {
-  // Big enough that ParallelNaturalJoin takes the morsel path (>= 2*4096
-  // probe rows) instead of falling back to the serial kernel.
+  // Big enough that NaturalJoin takes the morsel path (>= 2*4096 probe
+  // rows) at threads >= 2 instead of running as one piece.
   Relation a = RandomRelation(rng_, {"K", "V"}, 10000, 64);
   Relation b = RandomRelation(rng_, {"K", "W"}, 3000, 64);
   Relation oracle = OldNaturalJoin(a, b);
   for (unsigned threads : {2u, 8u}) {
-    Relation par = ParallelNaturalJoin(a, b, threads);
+    Relation par = NaturalJoin(a, b, threads);
     ASSERT_EQ(par.rows(), oracle.rows());
   }
   // Re-run: the kernel is deterministic run-to-run, not just row-equal.
-  Relation again = ParallelNaturalJoin(a, b, 8);
+  Relation again = NaturalJoin(a, b, 8);
   ASSERT_EQ(again.rows(), oracle.rows());
 }
 
@@ -450,7 +450,7 @@ TEST_P(FlatVsOldKernels, GroupAggregateMatchesOldForEveryAggKind) {
   for (AggKind kind :
        {AggKind::kCount, AggKind::kSum, AggKind::kMin, AggKind::kMax}) {
     // Old-implementation oracle: accumulate through an unordered_map,
-    // then sort rows (the contract both overloads share).
+    // then sort rows (GroupAggregate's contract at every thread count).
     std::unordered_map<Tuple, std::vector<std::int64_t>, TupleHash> groups;
     for (const Tuple& t : rel.rows()) {
       groups[ProjectTuple(t, {0, 1})].push_back(t[2].AsInt());
@@ -478,7 +478,7 @@ TEST_P(FlatVsOldKernels, GroupAggregateMatchesOldForEveryAggKind) {
       expect.Add(std::move(row));
     }
     expect.SortRows();
-    Relation serial = GroupAggregate(rel, {"G", "H"}, kind, "V", "out");
+    Relation serial = GroupAggregate(rel, {"G", "H"}, kind, "V", "out", 1);
     ASSERT_EQ(serial.rows(), expect.rows());
     for (unsigned threads : {1u, 2u, 8u}) {
       Relation par = GroupAggregate(rel, {"G", "H"}, kind, "V", "out",
@@ -501,7 +501,7 @@ TEST_P(FlatVsOldKernels, WholeRowGroupingUsesIdentityPathCorrectly) {
     expect.Add(std::move(row));
   }
   expect.SortRows();
-  ASSERT_EQ(GroupAggregate(rel, {"A", "B"}, AggKind::kCount, "", "n").rows(),
+  ASSERT_EQ(GroupAggregate(rel, {"A", "B"}, AggKind::kCount, "", "n", 1).rows(),
             expect.rows());
   ASSERT_EQ(
       GroupAggregate(rel, {"A", "B"}, AggKind::kCount, "", "n", 4).rows(),

@@ -39,6 +39,33 @@ std::vector<Tuple> Sorted(const Relation& rel) {
   return rows;
 }
 
+// Exactly `n` distinct (X, Y) rows with random Y in [0, domain): the
+// input sizes at the single-piece boundary (2 * morsel - 1 and
+// 2 * morsel) must not shrink under dedup.
+Relation SizedRelation(Rng& rng, std::size_t n, int domain) {
+  Relation rel{Schema({"X", "Y"})};
+  for (std::size_t i = 0; i < n; ++i) {
+    rel.Add({Value(static_cast<std::int64_t>(i)),
+             Value(static_cast<std::int64_t>(
+                 rng.NextBelow(static_cast<std::uint32_t>(domain))))});
+  }
+  return rel;
+}
+
+// Row counters of a run against those of its one-piece (threads 1) run,
+// and `morsels` against the decomposition RunMorsels must have chosen:
+// 0 for one piece, MorselCount(n, morsel) when split.
+void ExpectSameCounters(const OpMetrics& m, const OpMetrics& one,
+                        unsigned threads, std::size_t n, std::size_t morsel) {
+  EXPECT_EQ(m.rows_in, one.rows_in) << "threads=" << threads << " n=" << n;
+  EXPECT_EQ(m.rows_in_right, one.rows_in_right) << "threads=" << threads;
+  EXPECT_EQ(m.rows_out, one.rows_out) << "threads=" << threads;
+  EXPECT_EQ(m.tuples_probed, one.tuples_probed) << "threads=" << threads;
+  bool split = threads >= 2 && n >= 2 * morsel;
+  EXPECT_EQ(m.morsels, split ? (n + morsel - 1) / morsel : 0u)
+      << "threads=" << threads << " n=" << n;
+}
+
 // Reference natural join: nested loops over all row pairs.
 Relation ReferenceNaturalJoin(const Relation& a, const Relation& b) {
   std::vector<std::size_t> a_key, b_key, b_rest;
@@ -81,7 +108,7 @@ class OpsProperty : public ::testing::TestWithParam<int> {
 TEST_P(OpsProperty, NaturalJoinMatchesReference) {
   Relation a = RandomRelation(rng_, {"X", "Y"}, 40, 6);
   Relation b = RandomRelation(rng_, {"Y", "Z"}, 40, 6);
-  Relation fast = NaturalJoin(a, b);
+  Relation fast = NaturalJoin(a, b, 1);
   Relation reference = ReferenceNaturalJoin(a, b);
   EXPECT_EQ(Sorted(fast), Sorted(reference));
   EXPECT_TRUE(IsSet(fast));
@@ -91,23 +118,23 @@ TEST_P(OpsProperty, ParallelJoinMatchesSerial) {
   // Large enough to cross the parallel threshold with 2 workers.
   Relation a = RandomRelation(rng_, {"X", "Y"}, 10000, 400);
   Relation b = RandomRelation(rng_, {"Y", "Z"}, 3000, 400);
-  Relation serial = NaturalJoin(a, b);
-  Relation parallel2 = ParallelNaturalJoin(a, b, 2);
-  Relation parallel4 = ParallelNaturalJoin(a, b, 4);
+  Relation serial = NaturalJoin(a, b, 1);
+  Relation parallel2 = NaturalJoin(a, b, 2);
+  Relation parallel4 = NaturalJoin(a, b, 4);
   EXPECT_EQ(Sorted(serial), Sorted(parallel2));
   EXPECT_EQ(Sorted(serial), Sorted(parallel4));
-  // Small inputs and single-thread fall back to the serial join.
+  // Small inputs and a single thread run as one piece.
   Relation small = RandomRelation(rng_, {"X", "Y"}, 20, 5);
-  EXPECT_EQ(Sorted(NaturalJoin(small, b)),
-            Sorted(ParallelNaturalJoin(small, b, 4)));
-  EXPECT_EQ(Sorted(serial), Sorted(ParallelNaturalJoin(a, b, 1)));
+  EXPECT_EQ(Sorted(NaturalJoin(small, b, 1)),
+            Sorted(NaturalJoin(small, b, 4)));
+  EXPECT_EQ(Sorted(serial), Sorted(NaturalJoin(a, b, 1)));
 }
 
 TEST_P(OpsProperty, JoinIsCommutativeUpToColumnOrder) {
   Relation a = RandomRelation(rng_, {"X", "Y"}, 30, 5);
   Relation b = RandomRelation(rng_, {"Y", "Z"}, 30, 5);
-  Relation ab = NaturalJoin(a, b);
-  Relation ba = NaturalJoin(b, a);
+  Relation ab = NaturalJoin(a, b, 1);
+  Relation ba = NaturalJoin(b, a, 1);
   EXPECT_EQ(ab.size(), ba.size());
   Relation ba_reordered = Project(ba, ab.schema().columns());
   EXPECT_EQ(Sorted(ab), Sorted(ba_reordered));
@@ -128,7 +155,7 @@ TEST_P(OpsProperty, SemiJoinEqualsJoinProjection) {
   Relation a = RandomRelation(rng_, {"X", "Y"}, 40, 5);
   Relation b = RandomRelation(rng_, {"Y", "Z"}, 40, 5);
   Relation semi = SemiJoin(a, b);
-  Relation via_join = Project(NaturalJoin(a, b), a.schema().columns());
+  Relation via_join = Project(NaturalJoin(a, b, 1), a.schema().columns());
   EXPECT_EQ(Sorted(semi), Sorted(via_join));
 }
 
@@ -144,7 +171,7 @@ TEST_P(OpsProperty, UnionDifferenceRoundTrip) {
 
 TEST_P(OpsProperty, GroupCountMatchesReference) {
   Relation a = RandomRelation(rng_, {"K", "V"}, 60, 6);
-  Relation grouped = GroupAggregate(a, {"K"}, AggKind::kCount, "", "n");
+  Relation grouped = GroupAggregate(a, {"K"}, AggKind::kCount, "", "n", 1);
   std::map<Value, std::int64_t> reference;
   for (const Tuple& t : a.rows()) ++reference[t[0]];
   EXPECT_EQ(grouped.size(), reference.size());
@@ -155,7 +182,7 @@ TEST_P(OpsProperty, GroupCountMatchesReference) {
 
 TEST_P(OpsProperty, GroupSumMatchesReference) {
   Relation a = RandomRelation(rng_, {"K", "V"}, 60, 6);
-  Relation grouped = GroupAggregate(a, {"K"}, AggKind::kSum, "V", "s");
+  Relation grouped = GroupAggregate(a, {"K"}, AggKind::kSum, "V", "s", 1);
   std::map<Value, double> reference;
   for (const Tuple& t : a.rows()) reference[t[0]] += t[1].AsNumber();
   for (const Tuple& t : grouped.rows()) {
@@ -164,14 +191,14 @@ TEST_P(OpsProperty, GroupSumMatchesReference) {
 }
 
 TEST_P(OpsProperty, ParallelGroupAggregateMatchesSerial) {
-  // Big enough to span many morsels. The parallel overload sorts its
-  // output and must be bit-identical across thread counts; the serial
-  // overload must agree as a set.
+  // Big enough to span many morsels. Split runs sort their output and
+  // must be bit-identical across thread counts; the threads 1 (one-piece)
+  // run must agree as a set.
   Relation a = RandomRelation(rng_, {"K", "V"}, 6000, 40);
   for (AggKind kind : {AggKind::kCount, AggKind::kSum, AggKind::kMin,
                        AggKind::kMax}) {
     std::string agg_col = kind == AggKind::kCount ? "" : "V";
-    Relation serial = GroupAggregate(a, {"K"}, kind, agg_col, "agg");
+    Relation serial = GroupAggregate(a, {"K"}, kind, agg_col, "agg", 1);
     Relation t1 = GroupAggregate(a, {"K"}, kind, agg_col, "agg", 1);
     Relation t2 = GroupAggregate(a, {"K"}, kind, agg_col, "agg", 2);
     Relation t8 = GroupAggregate(a, {"K"}, kind, agg_col, "agg", 8);
@@ -180,6 +207,26 @@ TEST_P(OpsProperty, ParallelGroupAggregateMatchesSerial) {
     EXPECT_EQ(t1.rows(), t2.rows());
     EXPECT_EQ(t1.rows(), t8.rows());
     EXPECT_TRUE(IsSet(t8));
+  }
+  // The single-piece boundary (2048-row morsels): 4095 rows run as one
+  // piece at every thread count, 4096 split at threads >= 2. Integer
+  // inputs, so every aggregate — SUM included — is exact either way.
+  for (std::size_t n : {std::size_t{4095}, std::size_t{4096}}) {
+    Relation sized = SizedRelation(rng_, n, 40);
+    for (AggKind kind : {AggKind::kCount, AggKind::kSum, AggKind::kMin,
+                         AggKind::kMax}) {
+      std::string agg_col = kind == AggKind::kCount ? "" : "X";
+      OpMetrics one_m;
+      Relation one = GroupAggregate(sized, {"Y"}, kind, agg_col, "agg", 1,
+                                    &one_m);
+      for (unsigned threads : {0u, 1u, 2u, 8u}) {
+        OpMetrics m;
+        Relation g =
+            GroupAggregate(sized, {"Y"}, kind, agg_col, "agg", threads, &m);
+        EXPECT_EQ(g.rows(), one.rows()) << "threads=" << threads;
+        ExpectSameCounters(m, one_m, threads, n, 2048);
+      }
+    }
   }
 }
 
@@ -240,7 +287,7 @@ TEST_P(OpsProperty, MetricsRowsOutEqualsCardinality) {
   Relation b = RandomRelation(rng_, {"Y", "Z"}, 45, 6);
 
   OpMetrics join_m;
-  Relation joined = NaturalJoin(a, b, &join_m);
+  Relation joined = NaturalJoin(a, b, 1, &join_m);
   EXPECT_EQ(join_m.rows_in, a.size());
   EXPECT_EQ(join_m.rows_in_right, b.size());
   EXPECT_EQ(join_m.rows_out, joined.size());
@@ -263,7 +310,7 @@ TEST_P(OpsProperty, MetricsRowsOutEqualsCardinality) {
   EXPECT_EQ(union_m.rows_out, u.size());
 
   OpMetrics group_m;
-  Relation grouped = GroupAggregate(a, {"X"}, AggKind::kCount, "", "n",
+  Relation grouped = GroupAggregate(a, {"X"}, AggKind::kCount, "", "n", 1,
                                     &group_m);
   EXPECT_EQ(group_m.rows_in, a.size());
   EXPECT_EQ(group_m.rows_out, grouped.size());
@@ -287,12 +334,12 @@ TEST_P(OpsProperty, MetricsRowCountersThreadInvariant) {
   Relation a = RandomRelation(rng_, {"X", "Y"}, 10000, 400);
   Relation b = RandomRelation(rng_, {"Y", "Z"}, 3000, 400);
   OpMetrics serial_m;
-  Relation serial = NaturalJoin(a, b, &serial_m);
+  Relation serial = NaturalJoin(a, b, 1, &serial_m);
   EXPECT_EQ(serial_m.morsels, 0u);
   std::uint64_t parallel_morsels = 0;
   for (unsigned threads : {2u, 8u}) {
     OpMetrics m;
-    Relation parallel = ParallelNaturalJoin(a, b, threads, &m);
+    Relation parallel = NaturalJoin(a, b, threads, &m);
     EXPECT_EQ(Sorted(serial), Sorted(parallel));
     EXPECT_EQ(m.rows_in, serial_m.rows_in) << "threads=" << threads;
     EXPECT_EQ(m.rows_in_right, serial_m.rows_in_right);
@@ -306,7 +353,7 @@ TEST_P(OpsProperty, MetricsRowCountersThreadInvariant) {
 
   OpMetrics g_serial;
   Relation grouped =
-      GroupAggregate(a, {"X"}, AggKind::kCount, "", "n", &g_serial);
+      GroupAggregate(a, {"X"}, AggKind::kCount, "", "n", 1, &g_serial);
   for (unsigned threads : {1u, 2u, 8u}) {
     OpMetrics m;
     Relation parallel =
@@ -314,6 +361,36 @@ TEST_P(OpsProperty, MetricsRowCountersThreadInvariant) {
     EXPECT_EQ(Sorted(grouped), Sorted(parallel));
     EXPECT_EQ(m.rows_in, g_serial.rows_in) << "threads=" << threads;
     EXPECT_EQ(m.rows_out, g_serial.rows_out) << "threads=" << threads;
+  }
+
+  // The single-piece boundary of both kernels: 2 * morsel - 1 input rows
+  // run as one piece at every thread count, 2 * morsel split at threads
+  // >= 2. Rows, order and row counters match the threads 1 run either way.
+  for (std::size_t n : {std::size_t{8191}, std::size_t{8192}}) {
+    Relation probe = SizedRelation(rng_, n, 400);
+    OpMetrics one_m;
+    Relation one = NaturalJoin(probe, b, 1, &one_m);
+    for (unsigned threads : {0u, 1u, 2u, 8u}) {
+      OpMetrics m;
+      EXPECT_EQ(NaturalJoin(probe, b, threads, &m).rows(), one.rows())
+          << "threads=" << threads << " n=" << n;
+      ExpectSameCounters(m, one_m, threads, n, 4096);
+    }
+  }
+  for (std::size_t n : {std::size_t{4095}, std::size_t{4096}}) {
+    Relation sized = SizedRelation(rng_, n, 400);
+    OpMetrics one_m;
+    Relation one =
+        GroupAggregate(sized, {"Y"}, AggKind::kCount, "", "n", 1, &one_m);
+    for (unsigned threads : {0u, 1u, 2u, 8u}) {
+      OpMetrics m;
+      EXPECT_EQ(GroupAggregate(sized, {"Y"}, AggKind::kCount, "", "n",
+                               threads, &m)
+                    .rows(),
+                one.rows())
+          << "threads=" << threads << " n=" << n;
+      ExpectSameCounters(m, one_m, threads, n, 2048);
+    }
   }
 }
 
@@ -326,9 +403,9 @@ TEST_P(OpsProperty, MetricsChainLinksRowsAcrossOperators) {
   OpMetrics* join_m = root.AddChild("join");
   OpMetrics* group_m = root.AddChild("group_by");
   OpMetrics* project_m = root.AddChild("project");
-  Relation joined = NaturalJoin(a, b, join_m);
+  Relation joined = NaturalJoin(a, b, 1, join_m);
   Relation grouped =
-      GroupAggregate(joined, {"X"}, AggKind::kCount, "", "n", group_m);
+      GroupAggregate(joined, {"X"}, AggKind::kCount, "", "n", 1, group_m);
   Relation projected = Project(grouped, {"X"}, project_m);
   EXPECT_EQ(group_m->rows_in, join_m->rows_out);
   EXPECT_EQ(project_m->rows_in, group_m->rows_out);

@@ -54,7 +54,7 @@ TEST(OpsTest, NaturalJoinOnSharedColumn) {
                                        {Value(2), Value("beer")}});
   Relation b = MakeR({"BID", "Store"}, {{Value(1), Value("north")},
                                         {Value(3), Value("south")}});
-  Relation j = NaturalJoin(a, b);
+  Relation j = NaturalJoin(a, b, 1);
   EXPECT_EQ(j.schema(), Schema({"BID", "Item", "Store"}));
   EXPECT_EQ(j.size(), 2u);
   EXPECT_TRUE(j.Contains({Value(1), Value("beer"), Value("north")}));
@@ -64,7 +64,7 @@ TEST(OpsTest, NaturalJoinOnSharedColumn) {
 TEST(OpsTest, NaturalJoinMultiKey) {
   Relation a = MakeR({"X", "Y"}, {{Value(1), Value(2)}, {Value(1), Value(3)}});
   Relation b = MakeR({"X", "Y"}, {{Value(1), Value(2)}});
-  Relation j = NaturalJoin(a, b);
+  Relation j = NaturalJoin(a, b, 1);
   EXPECT_EQ(j.size(), 1u);
   EXPECT_EQ(j.arity(), 2u);
 }
@@ -72,15 +72,15 @@ TEST(OpsTest, NaturalJoinMultiKey) {
 TEST(OpsTest, NaturalJoinNoSharedIsCrossProduct) {
   Relation a = MakeR({"A"}, {{Value(1)}, {Value(2)}});
   Relation b = MakeR({"B"}, {{Value(10)}, {Value(20)}});
-  Relation j = NaturalJoin(a, b);
+  Relation j = NaturalJoin(a, b, 1);
   EXPECT_EQ(j.size(), 4u);
 }
 
 TEST(OpsTest, NaturalJoinEmptyInput) {
   Relation a = MakeR({"A"}, {});
   Relation b = MakeR({"A"}, {{Value(1)}});
-  EXPECT_TRUE(NaturalJoin(a, b).empty());
-  EXPECT_TRUE(NaturalJoin(b, a).empty());
+  EXPECT_TRUE(NaturalJoin(a, b, 1).empty());
+  EXPECT_TRUE(NaturalJoin(b, a, 1).empty());
 }
 
 TEST(OpsTest, SemiJoinKeepsMatching) {
@@ -152,7 +152,7 @@ TEST(OpsTest, GroupCount) {
   Relation r = MakeR({"Item", "BID"}, {{Value("beer"), Value(1)},
                                        {Value("beer"), Value(2)},
                                        {Value("wine"), Value(1)}});
-  Relation g = GroupAggregate(r, {"Item"}, AggKind::kCount, "", "n");
+  Relation g = GroupAggregate(r, {"Item"}, AggKind::kCount, "", "n", 1);
   EXPECT_EQ(g.size(), 2u);
   EXPECT_TRUE(g.Contains({Value("beer"), Value(std::int64_t{2})}));
   EXPECT_TRUE(g.Contains({Value("wine"), Value(std::int64_t{1})}));
@@ -162,7 +162,7 @@ TEST(OpsTest, GroupSum) {
   Relation r = MakeR({"K", "W"}, {{Value("a"), Value(1.5)},
                                   {Value("a"), Value(2.5)},
                                   {Value("b"), Value(4.0)}});
-  Relation g = GroupAggregate(r, {"K"}, AggKind::kSum, "W", "total");
+  Relation g = GroupAggregate(r, {"K"}, AggKind::kSum, "W", "total", 1);
   EXPECT_TRUE(g.Contains({Value("a"), Value(4.0)}));
   EXPECT_TRUE(g.Contains({Value("b"), Value(4.0)}));
 }
@@ -171,8 +171,8 @@ TEST(OpsTest, GroupMinMax) {
   Relation r = MakeR({"K", "V"}, {{Value("a"), Value(3)},
                                   {Value("a"), Value(1)},
                                   {Value("a"), Value(2)}});
-  Relation lo = GroupAggregate(r, {"K"}, AggKind::kMin, "V", "m");
-  Relation hi = GroupAggregate(r, {"K"}, AggKind::kMax, "V", "m");
+  Relation lo = GroupAggregate(r, {"K"}, AggKind::kMin, "V", "m", 1);
+  Relation hi = GroupAggregate(r, {"K"}, AggKind::kMax, "V", "m", 1);
   EXPECT_TRUE(lo.Contains({Value("a"), Value(1)}));
   EXPECT_TRUE(hi.Contains({Value("a"), Value(3)}));
 }
@@ -181,14 +181,14 @@ TEST(OpsTest, GroupByMultipleColumns) {
   Relation r = MakeR({"A", "B", "C"}, {{Value(1), Value(1), Value(10)},
                                        {Value(1), Value(1), Value(20)},
                                        {Value(1), Value(2), Value(30)}});
-  Relation g = GroupAggregate(r, {"A", "B"}, AggKind::kCount, "", "n");
+  Relation g = GroupAggregate(r, {"A", "B"}, AggKind::kCount, "", "n", 1);
   EXPECT_EQ(g.size(), 2u);
   EXPECT_TRUE(g.Contains({Value(1), Value(1), Value(std::int64_t{2})}));
 }
 
 TEST(OpsTest, GroupByEmptyGroupColumnsAggregatesAll) {
   Relation r = MakeR({"V"}, {{Value(1)}, {Value(2)}});
-  Relation g = GroupAggregate(r, {}, AggKind::kCount, "", "n");
+  Relation g = GroupAggregate(r, {}, AggKind::kCount, "", "n", 1);
   ASSERT_EQ(g.size(), 1u);
   EXPECT_EQ(g.rows()[0][0], Value(std::int64_t{2}));
 }
@@ -207,10 +207,10 @@ TEST(OpsTest, ParallelNaturalJoinPreservesSerialRowOrder) {
     b.Add({Value(y), Value(y * 10)});
     b.Add({Value(y), Value(y * 10 + 1)});
   }
-  Relation serial = NaturalJoin(a, b);
+  Relation serial = NaturalJoin(a, b, 1);
   ASSERT_GT(serial.size(), 0u);
   for (unsigned threads : {2u, 4u, 8u}) {
-    Relation parallel = ParallelNaturalJoin(a, b, threads);
+    Relation parallel = NaturalJoin(a, b, threads);
     EXPECT_EQ(serial.schema(), parallel.schema());
     // Exact vector equality: same rows, same order.
     EXPECT_EQ(serial.rows(), parallel.rows()) << "threads=" << threads;
@@ -219,13 +219,13 @@ TEST(OpsTest, ParallelNaturalJoinPreservesSerialRowOrder) {
 
 TEST(OpsTest, SerialGroupAggregateOutputIsSorted) {
   // Regression: the serial GroupAggregate used to emit rows in hash-table
-  // order; it now sorts like the parallel overload, so the two agree
-  // row-for-row and downstream consumers see a deterministic order.
+  // order; it now sorts at every thread count, so one-piece and split
+  // runs agree row-for-row and consumers see a deterministic order.
   Relation r = MakeR({"K", "V"}, {{Value("zebra"), Value(1)},
                                   {Value("ant"), Value(2)},
                                   {Value("mule"), Value(3)},
                                   {Value("ant"), Value(9)}});
-  Relation serial = GroupAggregate(r, {"K"}, AggKind::kCount, "", "n");
+  Relation serial = GroupAggregate(r, {"K"}, AggKind::kCount, "", "n", 1);
   ASSERT_EQ(serial.size(), 3u);
   std::vector<Tuple> rows = serial.rows();
   std::vector<Tuple> sorted = rows;
@@ -247,7 +247,7 @@ TEST(OpsTest, GroupAggregateEmptyInputEveryThreadCount) {
   for (AggKind kind : {AggKind::kCount, AggKind::kSum, AggKind::kMin,
                        AggKind::kMax}) {
     std::string agg_col = kind == AggKind::kCount ? "" : "V";
-    Relation serial = GroupAggregate(empty, {"K"}, kind, agg_col, "out");
+    Relation serial = GroupAggregate(empty, {"K"}, kind, agg_col, "out", 1);
     EXPECT_TRUE(serial.empty());
     EXPECT_EQ(serial.schema(), Schema({"K", "out"}));
     for (unsigned threads : {0u, 1u, 2u, 8u}) {
@@ -271,14 +271,14 @@ TEST(OpsTest, ParallelNaturalJoinEmptyInputsEveryThreadCount) {
   Relation empty_a{Schema({"X", "Y"})};
   for (unsigned threads : {0u, 1u, 2u, 8u}) {
     OpMetrics m1;
-    Relation r1 = ParallelNaturalJoin(a, empty_b, threads, &m1);
+    Relation r1 = NaturalJoin(a, empty_b, threads, &m1);
     EXPECT_TRUE(r1.empty()) << "threads=" << threads;
     EXPECT_EQ(r1.schema(), Schema({"X", "Y", "Z"}));
     EXPECT_EQ(m1.tuples_probed, 0u);  // probe phase short-circuited
     EXPECT_EQ(m1.morsels, 0u);        // fallback path, no decomposition
 
     OpMetrics m2;
-    Relation r2 = ParallelNaturalJoin(empty_a, empty_b, threads, &m2);
+    Relation r2 = NaturalJoin(empty_a, empty_b, threads, &m2);
     EXPECT_TRUE(r2.empty()) << "threads=" << threads;
     EXPECT_EQ(m2.rows_in, 0u);
     EXPECT_EQ(m2.rows_out, 0u);
@@ -293,16 +293,37 @@ TEST(OpsTest, ParallelNaturalJoinZeroAndOneThreadMatchSerialExactly) {
   Relation b{Schema({"Y", "Z"})};
   for (int y = 0; y < 7; ++y) b.Add({Value(y), Value(y * 100)});
   OpMetrics serial_m;
-  Relation serial = NaturalJoin(a, b, &serial_m);
+  Relation serial = NaturalJoin(a, b, 1, &serial_m);
   for (unsigned threads : {0u, 1u}) {
     OpMetrics m;
-    Relation parallel = ParallelNaturalJoin(a, b, threads, &m);
+    Relation parallel = NaturalJoin(a, b, threads, &m);
     EXPECT_EQ(serial.rows(), parallel.rows()) << "threads=" << threads;
     EXPECT_EQ(m.rows_in, serial_m.rows_in);
     EXPECT_EQ(m.rows_in_right, serial_m.rows_in_right);
     EXPECT_EQ(m.rows_out, serial_m.rows_out);
     EXPECT_EQ(m.tuples_probed, serial_m.tuples_probed);
     EXPECT_EQ(m.morsels, 0u) << "threads=" << threads;
+  }
+  // At the single-piece boundary (4096-row probe morsels): 8191 probe
+  // rows stay one piece at every thread count, 8192 split into two
+  // morsels at threads >= 2 — same rows, order and counters as threads 1.
+  for (int n : {8191, 8192}) {
+    Relation big{Schema({"X", "Y"})};
+    for (int i = 0; i < n; ++i) big.Add({Value(i), Value(i % 7)});
+    OpMetrics one_m;
+    Relation one = NaturalJoin(big, b, 1, &one_m);
+    EXPECT_EQ(one_m.morsels, 0u);
+    for (unsigned threads : {0u, 1u, 2u, 8u}) {
+      OpMetrics m;
+      Relation r = NaturalJoin(big, b, threads, &m);
+      EXPECT_EQ(r.rows(), one.rows()) << "threads=" << threads << " n=" << n;
+      EXPECT_EQ(m.rows_in, one_m.rows_in);
+      EXPECT_EQ(m.rows_in_right, one_m.rows_in_right);
+      EXPECT_EQ(m.rows_out, one_m.rows_out);
+      EXPECT_EQ(m.tuples_probed, one_m.tuples_probed);
+      EXPECT_EQ(m.morsels, threads >= 2 && n == 8192 ? 2u : 0u)
+          << "threads=" << threads << " n=" << n;
+    }
   }
 }
 

@@ -396,6 +396,60 @@ TEST(ParallelEvalTest, AprioriMetricsLevelsThreadInvariant) {
       EXPECT_EQ(tree, reference_tree) << "threads=" << threads;
     }
   }
+
+  // The single-piece boundary (256-basket morsels): 511 baskets count as
+  // one piece at every thread count, 512 split into two morsels at
+  // threads >= 2. Itemsets, pairs and level counters match the threads 1
+  // run, and every count_level node reports the decomposition.
+  auto same = [](const std::vector<Itemset>& a, const std::vector<Itemset>& b) {
+    if (a.size() != b.size()) return false;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      if (a[i].items != b[i].items || a[i].support != b[i].support) {
+        return false;
+      }
+    }
+    return true;
+  };
+  for (std::size_t n : {std::size_t{511}, std::size_t{512}}) {
+    Database sized = RandomBaskets(67, static_cast<std::uint32_t>(n), 30);
+    auto baskets = BasketsFromRelation(sized.Get("baskets"), "BID", "Item");
+    ASSERT_TRUE(baskets.ok());
+    ASSERT_EQ(baskets->baskets.size(), n);
+    AprioriOptions options;
+    options.min_support = 10;
+    OpMetrics one_m, one_pairs_m;
+    std::vector<Itemset> one =
+        AprioriFrequentItemsets(*baskets, options, {.metrics = &one_m});
+    std::vector<Itemset> one_pairs =
+        AprioriFrequentPairs(*baskets, 10, {.metrics = &one_pairs_m});
+    ASSERT_GT(one_m.children.size(), 2u);
+    ZeroTimingAndMorsels(one_m);
+    ZeroTimingAndMorsels(one_pairs_m);
+    for (unsigned threads : {0u, 1u, 2u, 8u}) {
+      OpMetrics m, pairs_m;
+      EXPECT_TRUE(same(AprioriFrequentItemsets(
+                           *baskets, options,
+                           {.threads = threads, .metrics = &m}),
+                       one))
+          << "threads=" << threads << " n=" << n;
+      EXPECT_TRUE(same(AprioriFrequentPairs(
+                           *baskets, 10,
+                           {.threads = threads, .metrics = &pairs_m}),
+                       one_pairs))
+          << "threads=" << threads << " n=" << n;
+      std::uint64_t morsels = threads >= 2 && n == 512 ? 2 : 0;
+      for (const OpMetrics* tree : {&m, &pairs_m}) {
+        for (const auto& level : tree->children) {
+          EXPECT_EQ(level->morsels, morsels)
+              << level->detail << " threads=" << threads << " n=" << n;
+        }
+      }
+      ZeroTimingAndMorsels(m);
+      ZeroTimingAndMorsels(pairs_m);
+      EXPECT_EQ(m.ToJson(), one_m.ToJson()) << "threads=" << threads;
+      EXPECT_EQ(pairs_m.ToJson(), one_pairs_m.ToJson());
+    }
+  }
 }
 
 TEST(ParallelEvalTest, TraceSinkSeesBalancedSpansUnderParallelism) {

@@ -8,6 +8,8 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <sstream>
+#include <vector>
 
 #include "common/vfs.h"
 #include "shell/shell.h"
@@ -65,6 +67,31 @@ TEST(ShellTest, GenRejectsBadKey) {
   Shell shell;
   EXPECT_FALSE(shell.Execute("GEN BASKETS b wibble=3").ok());
   EXPECT_FALSE(shell.Execute("GEN WIDGETS b").ok());
+  // Values outside a field's range, or that break a generator
+  // precondition (an empty Zipf domain, a negative size), are typed
+  // errors — never a narrowing cast or a crash in the generator.
+  for (const char* statement :
+       {"GEN GRAPH g n_nodes=0", "GEN WEB w n_words=0",
+        "GEN MEDICAL m n_symptoms=0", "GEN BASKETS b n_items=0",
+        "GEN WEB w n_docs=0", "GEN MEDICAL m n_diseases=0",
+        "GEN MEDICAL m n_medicines=0", "GEN BASKETS b n_baskets=-1",
+        "GEN BASKETS b avg_size=-2", "GEN BASKETS b avg_size=1e300",
+        "GEN GRAPH g degree=-1", "GEN BASKETS b n_baskets=2.5",
+        "GEN BASKETS b n_items=4294967296", "GEN BASKETS b seed=-1",
+        "GEN BASKETS b seed=1e30", "GEN BASKETS b theta=-0.5",
+        "GEN MEDICAL m theta=-1", "GEN BASKETS b locality=1.5",
+        "GEN WEB w topics=-3"}) {
+    Result<std::string> out = shell.Execute(statement);
+    ASSERT_FALSE(out.ok()) << statement;
+    EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument) << statement;
+  }
+  EXPECT_TRUE(shell.database().Names().empty());
+  // The boundary values themselves are accepted.
+  EXPECT_EQ(MustRun(shell, "GEN BASKETS b n_baskets=0 n_items=1"),
+            "generated b: 0 rows\n");
+  EXPECT_NE(MustRun(shell, "GEN GRAPH g n_nodes=1 degree=0 seed=0")
+                .find("generated g: "),
+            std::string::npos);
 }
 
 TEST(ShellTest, FlockDeclareRunDirectAndPlan) {
@@ -233,6 +260,40 @@ TEST(ShellTest, MaximalCommand) {
   EXPECT_FALSE(shell.Execute("MAXIMAL baskets").ok());          // no SUPPORT
   EXPECT_FALSE(shell.Execute("MAXIMAL nowhere SUPPORT 5").ok());
   EXPECT_FALSE(shell.Execute("MAXIMAL baskets SUPPORT x").ok());
+}
+
+TEST(ShellTest, MaximalRejectsBadArguments) {
+  Shell shell;
+  MustRun(shell,
+          "GEN BASKETS baskets n_baskets=200 n_items=20 avg_size=5 "
+          "theta=0.7 locality=0.6 topics=4 seed=17");
+  // MAXSIZE is a whole number >= 0 and SUPPORT a number > 0: a negative
+  // or fractional MAXSIZE is rejected, never cast to an unbounded or
+  // truncated size.
+  for (const char* statement :
+       {"MAXIMAL baskets SUPPORT 8 MAXSIZE -1",
+        "MAXIMAL baskets SUPPORT 8 MAXSIZE 2.7",
+        "MAXIMAL baskets SUPPORT 8 MAXSIZE x", "MAXIMAL baskets SUPPORT -3",
+        "MAXIMAL baskets SUPPORT 0", "MAXIMAL baskets SUPPORT 1e999"}) {
+    Result<std::string> out = shell.Execute(statement);
+    ASSERT_FALSE(out.ok()) << statement;
+    EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument) << statement;
+  }
+  // MAXSIZE 0 means unbounded; MAXSIZE 2 stops after the pair level.
+  std::string unbounded = MustRun(shell, "MAXIMAL baskets SUPPORT 8 MAXSIZE 0");
+  EXPECT_EQ(unbounded, MustRun(shell, "MAXIMAL baskets SUPPORT 8"));
+  auto levels = [](const std::string& out) {
+    std::istringstream counts(out.substr(out.find("level:") + 6));
+    std::vector<std::size_t> per_level;
+    for (std::size_t n; counts >> n;) per_level.push_back(n);
+    return per_level;
+  };
+  std::vector<std::size_t> all_levels = levels(unbounded);
+  ASSERT_GT(all_levels.size(), 2u) << unbounded;
+  all_levels.resize(2);
+  EXPECT_EQ(levels(MustRun(shell, "MAXIMAL baskets SUPPORT 8 MAXSIZE 2")),
+            all_levels);
+  MustRun(shell, "MAXIMAL baskets SUPPORT 8.5");  // fractional is fine
 }
 
 TEST(ShellTest, ScriptExecutesStatementsInOrder) {

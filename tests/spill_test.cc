@@ -176,7 +176,7 @@ std::vector<Tuple> MakeAnswerRows(int rows, int groups, unsigned seed) {
 Relation SinkOracle(const std::vector<Tuple>& rows, AggKind kind) {
   Relation pushed("pushed", Schema({"K", "H", "V"}));
   for (const Tuple& row : rows) pushed.Add(row);
-  return GroupAggregate(Distinct(pushed), {"K"}, kind, "V", "_agg");
+  return GroupAggregate(Distinct(pushed), {"K"}, kind, "V", "_agg", 1);
 }
 
 // Pushes `rows` through a SUM sink over `env` and drains it.
@@ -320,7 +320,7 @@ TEST(SpillGroupSinkTest, MatchesGroupAggregateOverDistinctRows) {
     Result<Relation> grouped = sink.Finish();
     ASSERT_TRUE(grouped.ok()) << grouped.status().ToString();
     Relation distinct = Distinct(pushed);
-    Relation oracle = GroupAggregate(distinct, {"K"}, kind, "V", "_agg");
+    Relation oracle = GroupAggregate(distinct, {"K"}, kind, "V", "_agg", 1);
     EXPECT_EQ(grouped->schema().columns(), oracle.schema().columns());
     EXPECT_EQ(grouped->rows(), oracle.rows())
         << "kind " << static_cast<int>(kind);
