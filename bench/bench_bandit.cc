@@ -11,9 +11,9 @@
 //                      a warmed-up history (every arm pre-played twice),
 //                      records the outcome, repeats — the steady-state
 //                      cost of `SET OPTIMIZER LEARNED`.
-// The acceptance property (asserted by the CI gate over BENCH_PR9.json):
-// after warm-up, Learned tracks the best static arm in *both* regimes —
-// within 1.3x of min(StaticPlan, StaticDirect, StaticDynamic) — even
+// The acceptance property (asserted by CI's bench job on this binary's
+// JSON output): after warm-up, Learned tracks the best static arm in
+// *both* regimes — within 1.3x of min(StaticPlan, StaticDirect, StaticDynamic) — even
 // though no single static arm is best in both. ChooseOverhead prices the
 // decision itself (a map lookup + a scan of ~6 arms), which must stay
 // microseconds-scale noise against millisecond-scale runs.

@@ -12,9 +12,10 @@
 //                       cached group table), the RUN-after-RUN cost.
 // Args are the delta row count: 1, 10, 100, and 2000 (~1% of the base
 // relation — the acceptance point: DeltaUpdate must beat FullRecompute
-// by >= 5x there; see BENCH_PR7.json). DeltaUpdate grows the relation by
-// N rows per iteration, so its numbers are (slightly) conservative —
-// late iterations probe a larger base than FullRecompute ever sees.
+// by >= 5x there, which CI's bench job asserts). DeltaUpdate grows the
+// relation by N rows per iteration, so its numbers are (slightly)
+// conservative — late iterations probe a larger base than FullRecompute
+// ever sees.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>

@@ -196,7 +196,6 @@ Result<std::int64_t> ParseBounded(std::string_view text, std::int64_t lo,
   return *n;
 }
 
-constexpr std::int64_t kMinInt64 = std::numeric_limits<std::int64_t>::min();
 constexpr std::int64_t kMaxInt64 = std::numeric_limits<std::int64_t>::max();
 constexpr std::int64_t kMaxThreads = std::numeric_limits<unsigned>::max();
 // Largest SET MEMORY / SET BUFFER value whose byte count fits in 64 bits.
@@ -205,6 +204,8 @@ constexpr std::int64_t kMaxMegabytes =
 // Largest SET TIMEOUT: half the nanosecond steady clock's range, so
 // now() + timeout cannot overflow when the deadline is set.
 constexpr std::int64_t kMaxTimeoutMs = kMaxInt64 / 2'000'000;
+// THREADS is a statement, a RUN option and the THREADS knob's WAL key.
+constexpr const char* kThreads = "THREADS";
 
 // Options shared by RUN and EXPLAIN ANALYZE:
 // [DIRECT|PLAN|DYNAMIC|REDUCED] [LIMIT <n>] [THREADS <n>] in any order.
@@ -220,6 +221,8 @@ struct RunOptions {
 
 Result<RunOptions> ParseRunOptions(std::string_view rest,
                                    unsigned default_threads,
+                                   std::int64_t min_threads,
+                                   std::int64_t max_threads,
                                    const DynamicKnobs& knobs) {
   RunOptions out;
   out.strategy = *StrategyForMode(out.mode, knobs);
@@ -231,12 +234,12 @@ Result<RunOptions> ParseRunOptions(std::string_view rest,
       out.strategy = std::move(*strategy);
       out.mode_explicit = true;
       rest = next;
-    } else if (word == "LIMIT" || word == "THREADS") {
+    } else if (word == "LIMIT" || word == kThreads) {
       auto [num, after] = SplitCommand(next);
       bool limit = word == "LIMIT";
-      Result<std::int64_t> n =
-          ParseBounded(num, limit ? 0 : 1, limit ? kMaxInt64 : kMaxThreads,
-                       "bad " + word + ": " + num);
+      Result<std::int64_t> n = ParseBounded(
+          num, limit ? 0 : min_threads, limit ? kMaxInt64 : max_threads,
+          "bad " + word + ": " + num);
       if (!n.ok()) return n.status();
       if (limit) {
         out.limit = static_cast<std::size_t>(*n);
@@ -251,7 +254,168 @@ Result<RunOptions> ParseRunOptions(std::string_view rest,
   return out;
 }
 
+// The rest of `text` after the words of `prefix`, compared as SplitCommand
+// reads them; nullopt when `text` does not start with those words.
+std::optional<std::string_view> AfterWords(std::string_view text,
+                                           std::string_view prefix) {
+  while (!prefix.empty()) {
+    auto [want, prefix_rest] = SplitCommand(prefix);
+    auto [word, rest] = SplitCommand(text);
+    if (word != want) return std::nullopt;
+    prefix = prefix_rest;
+    text = rest;
+  }
+  return text;
+}
+
+constexpr std::string_view kDynamicUsage =
+    "usage: SET DYNAMIC AGGRESSIVENESS|IMPROVEMENT|MINREMOVED <v>";
+// DYNAMIC knobs are stored in thousandths (the knob map holds int64s).
+constexpr int kMilli = 1000;
+
+// SET DYNAMIC's reply, which SHOW OPTIMIZER STATE also prints: all three
+// §4.4 knobs as the session holds them.
+std::string DynamicKnobsLine(const DynamicKnobs& k) {
+  char buf[128];
+  std::snprintf(buf, sizeof(buf),
+                "dynamic knobs: aggressiveness=%.3f improvement=%.3f "
+                "min_removed=%.3f\n",
+                k.aggressiveness, k.improvement_factor, k.min_removed_fraction);
+  return buf;
+}
+
 }  // namespace
+
+// A statement's value word becomes the knob's stored int64: the index of
+// one of `words`, a whole number when `scale` is 1, else a decimal times
+// `scale`, rounded. SET checks it against [lo, hi], persists it and calls
+// `apply`; OPEN calls `apply` with each persisted value in [lo, hi]. So a
+// reopened session holds exactly the values the live one held.
+struct Shell::Knob {
+  std::string_view statement;  // the words before the value
+  const char* key;             // catalog (WAL) key; part of the disk format
+  std::string_view words[2] = {};
+  int scale = 1;
+  std::int64_t lo = 0, hi = 0;
+  std::string_view usage;             // error for a malformed value
+  std::string_view range_error = {};  // for an out-of-bounds one, if set
+  // The reply: [0] for a stored 0 if set, else [1] with {} replaced by the
+  // value. The DYNAMIC knobs have none and reply with all three values.
+  std::string_view reply[2] = {};
+  void (*apply)(Shell&, std::int64_t);
+};
+
+// THREADS comes first: RUN's THREADS option takes its bounds.
+const Shell::Knob Shell::kKnobs[] = {
+    {.statement = kThreads, .key = kThreads, .lo = 1, .hi = kMaxThreads,
+     .usage = "usage: THREADS <n> (n >= 1)",
+     .reply = {"", "threads set to {}\n"},
+     .apply = [](Shell& s, std::int64_t v) {
+       s.default_threads_ = static_cast<unsigned>(v);
+     }},
+    {.statement = "SET TIMEOUT", .key = "TIMEOUT_MS", .hi = kMaxTimeoutMs,
+     .usage = "usage: SET TIMEOUT <ms> (0 = off)",
+     .reply = {"timeout off\n", "timeout set to {} ms\n"},
+     .apply = [](Shell& s, std::int64_t v) { s.timeout_ms_ = v; }},
+    {.statement = "SET MEMORY", .key = "MEMORY_MB", .hi = kMaxMegabytes,
+     .usage = "usage: SET MEMORY <mb> (0 = off)",
+     .reply = {"memory budget off\n", "memory budget set to {} MB\n"},
+     .apply = [](Shell& s, std::int64_t v) {
+       s.memory_bytes_ = static_cast<std::uint64_t>(v) << 20;
+     }},
+    {.statement = "SET BUFFER", .key = "BUFFER_MB", .hi = kMaxMegabytes,
+     .usage = "usage: SET BUFFER <mb>",
+     .reply = {"", "buffer pool set to {} MB\n"},
+     .apply = [](Shell& s, std::int64_t v) {
+       s.buffer_bytes_ = static_cast<std::uint64_t>(v) << 20;
+       if (s.buffer_pool_) s.buffer_pool_->set_capacity_bytes(s.buffer_bytes_);
+     }},
+    // OFF also drops the cached state: the knob is the memory opt-out.
+    {.statement = "SET INCREMENTAL", .key = "INCREMENTAL",
+     .words = {"OFF", "ON"}, .hi = 1, .usage = "usage: SET INCREMENTAL ON|OFF",
+     .reply = {"incremental evaluation off\n", "incremental evaluation on\n"},
+     .apply = [](Shell& s, std::int64_t v) {
+       s.incremental_on_ = v != 0;
+       if (v == 0) s.incremental_.Reset();
+     }},
+    {.statement = "SET OPTIMIZER", .key = "OPTIMIZER_LEARNED",
+     .words = {"STATIC", "LEARNED"}, .hi = 1,
+     .usage = "usage: SET OPTIMIZER LEARNED|STATIC",
+     .reply = {"optimizer static mode\n",
+               "optimizer learned mode on (RUN chooses plans from outcome "
+               "history)\n"},
+     .apply = [](Shell& s, std::int64_t v) { s.learned_optimizer_ = v != 0; }},
+    // §4.4 knobs. AGGRESSIVENESS has no upper bound but what its stored
+    // thousandths can hold.
+    {.statement = "SET DYNAMIC AGGRESSIVENESS",
+     .key = "DYN_AGGRESSIVENESS_MILLI", .scale = kMilli, .hi = kMaxInt64,
+     .usage = kDynamicUsage, .range_error = "AGGRESSIVENESS must be >= 0",
+     .apply = [](Shell& s, std::int64_t v) {
+       s.dynamic_knobs_.aggressiveness = static_cast<double>(v) / kMilli;
+     }},
+    {.statement = "SET DYNAMIC IMPROVEMENT", .key = "DYN_IMPROVEMENT_MILLI",
+     .scale = kMilli, .hi = kMilli, .usage = kDynamicUsage,
+     .range_error = "IMPROVEMENT must be in [0, 1]",
+     .apply = [](Shell& s, std::int64_t v) {
+       s.dynamic_knobs_.improvement_factor = static_cast<double>(v) / kMilli;
+     }},
+    {.statement = "SET DYNAMIC MINREMOVED", .key = "DYN_MIN_REMOVED_MILLI",
+     .scale = kMilli, .hi = kMilli, .usage = kDynamicUsage,
+     .range_error = "MINREMOVED must be in [0, 1]",
+     .apply = [](Shell& s, std::int64_t v) {
+       s.dynamic_knobs_.min_removed_fraction = static_cast<double>(v) / kMilli;
+     }},
+};
+
+Result<std::string> Shell::SetKnob(std::string_view statement) {
+  for (const Knob& knob : kKnobs) {
+    std::optional<std::string_view> rest =
+        AfterWords(statement, knob.statement);
+    if (!rest.has_value()) continue;
+    auto [text, tail] = SplitCommand(*rest);
+    const Status usage = InvalidArgumentError(std::string(knob.usage));
+    const Status range = InvalidArgumentError(std::string(
+        knob.range_error.empty() ? knob.usage : knob.range_error));
+    if (!StripWhitespace(tail).empty()) return usage;
+    Result<std::int64_t> stored = ParseInt64(text);
+    if (!knob.words[0].empty()) {
+      // A word not in the list indexes past it, out of bounds.
+      stored = std::find(std::begin(knob.words), std::end(knob.words), text) -
+               std::begin(knob.words);
+    } else if (knob.scale != 1) {
+      // Bounds apply before rounding, so -0.0001 is rejected, not rounded
+      // into range. A value past the int64 limit itself is malformed, as a
+      // too-long whole number is.
+      Result<double> v = ParseDouble(text);
+      if (!v.ok()) return usage;
+      double scaled = *v * knob.scale;
+      if (scaled < knob.lo || (scaled > knob.hi && knob.hi != kMaxInt64)) {
+        return range;
+      }
+      if (!(scaled < 0x1p63)) return usage;
+      stored = std::llround(scaled);
+    }
+    if (!stored.ok()) return usage;
+    if (*stored < knob.lo || *stored > knob.hi) return range;
+    if (Status s = PersistKnob(knob.key, *stored); !s.ok()) return s;
+    knob.apply(*this, *stored);
+    if (knob.reply[1].empty()) return DynamicKnobsLine(dynamic_knobs_);
+    std::string reply(
+        knob.reply[*stored == 0 && !knob.reply[0].empty() ? 0 : 1]);
+    if (std::size_t at = reply.find("{}"); at != std::string::npos) {
+      reply.replace(at, 2, std::to_string(*stored));
+    }
+    return reply;
+  }
+  // THREADS always matches its row, so this is SET with an unknown knob.
+  std::string what = SplitCommand(SplitCommand(statement).second).first;
+  return InvalidArgumentError(
+      what == "DYNAMIC"
+          ? std::string(kDynamicUsage)
+          : "usage: SET TIMEOUT <ms> | SET MEMORY <mb> | SET BUFFER <mb> | "
+            "SET INCREMENTAL ON|OFF | SET OPTIMIZER LEARNED|STATIC | "
+            "SET DYNAMIC <knob> <v>");
+}
 
 Result<std::string> Shell::Execute(std::string_view statement) {
   auto [command, rest] = SplitCommand(statement);
@@ -270,12 +434,7 @@ Result<std::string> Shell::Execute(std::string_view statement) {
              " rows\n";
       rels.push_back(std::move(rel));
     }
-    QueryContext ctx;
-    ConfigureContext(ctx);
-    if (Status s = PersistRelations(std::move(rels), &ctx); !s.ok()) {
-      return s;
-    }
-    views_dirty_ = true;
+    if (Status s = PersistRelations(std::move(rels)); !s.ok()) return s;
     return out;
   }
   if (command == "SAVEDB") {
@@ -300,146 +459,7 @@ Result<std::string> Shell::Execute(std::string_view statement) {
   if (command == "SHOW") return Show(rest);
   if (command == "MAXIMAL") return Maximal(rest);
   if (command == "TRACE") return Trace(rest);
-  if (command == "THREADS") {
-    auto [num, after] = SplitCommand(rest);
-    static constexpr std::string_view kUsage = "usage: THREADS <n> (n >= 1)";
-    Result<std::int64_t> n = ParseBounded(num, 1, kMaxThreads, kUsage);
-    if (!n.ok()) return n.status();
-    if (!StripWhitespace(after).empty()) {
-      return InvalidArgumentError(std::string(kUsage));
-    }
-    if (Status s = PersistKnob("THREADS", *n); !s.ok()) return s;
-    default_threads_ = static_cast<unsigned>(*n);
-    return "threads set to " + std::to_string(default_threads_) + "\n";
-  }
-  if (command == "SET") {
-    auto [what, next] = SplitCommand(rest);
-    auto [num, after] = SplitCommand(next);
-    if (what == "INCREMENTAL") {
-      if ((num != "ON" && num != "OFF") || !StripWhitespace(after).empty()) {
-        return InvalidArgumentError("usage: SET INCREMENTAL ON|OFF");
-      }
-      bool on = num == "ON";
-      if (Status s = PersistKnob("INCREMENTAL", on ? 1 : 0); !s.ok()) {
-        return s;
-      }
-      incremental_on_ = on;
-      // OFF also drops the cached state: the knob is the memory opt-out.
-      if (!on) incremental_.Reset();
-      return std::string(on ? "incremental evaluation on\n"
-                            : "incremental evaluation off\n");
-    }
-    if (what == "OPTIMIZER") {
-      if ((num != "LEARNED" && num != "STATIC") ||
-          !StripWhitespace(after).empty()) {
-        return InvalidArgumentError("usage: SET OPTIMIZER LEARNED|STATIC");
-      }
-      bool learned = num == "LEARNED";
-      if (Status s = PersistKnob("OPTIMIZER_LEARNED", learned ? 1 : 0);
-          !s.ok()) {
-        return s;
-      }
-      learned_optimizer_ = learned;
-      return std::string(learned
-                             ? "optimizer learned mode on (RUN chooses "
-                               "plans from outcome history)\n"
-                             : "optimizer static mode\n");
-    }
-    if (what == "DYNAMIC") {
-      // §4.4 knobs, persisted like every knob. Knob values are int64, so
-      // the doubles travel milli-scaled (2.5 -> 2500).
-      auto [val_text, tail] = SplitCommand(after);
-      Result<double> v = ParseDouble(val_text);
-      static constexpr std::string_view kUsage =
-          "usage: SET DYNAMIC AGGRESSIVENESS|IMPROVEMENT|MINREMOVED <v>";
-      if (!v.ok() || !StripWhitespace(tail).empty()) {
-        return InvalidArgumentError(std::string(kUsage));
-      }
-      double value = *v;
-      if (num == "AGGRESSIVENESS") {
-        if (value < 0) {
-          return InvalidArgumentError("AGGRESSIVENESS must be >= 0");
-        }
-        if (Status s = PersistKnob("DYN_AGGRESSIVENESS_MILLI",
-                                   std::llround(value * 1000));
-            !s.ok()) {
-          return s;
-        }
-        dynamic_knobs_.aggressiveness = value;
-      } else if (num == "IMPROVEMENT") {
-        if (value < 0 || value > 1) {
-          return InvalidArgumentError("IMPROVEMENT must be in [0, 1]");
-        }
-        if (Status s = PersistKnob("DYN_IMPROVEMENT_MILLI",
-                                   std::llround(value * 1000));
-            !s.ok()) {
-          return s;
-        }
-        dynamic_knobs_.improvement_factor = value;
-      } else if (num == "MINREMOVED") {
-        if (value < 0 || value > 1) {
-          return InvalidArgumentError("MINREMOVED must be in [0, 1]");
-        }
-        if (Status s = PersistKnob("DYN_MIN_REMOVED_MILLI",
-                                   std::llround(value * 1000));
-            !s.ok()) {
-          return s;
-        }
-        dynamic_knobs_.min_removed_fraction = value;
-      } else {
-        return InvalidArgumentError(std::string(kUsage));
-      }
-      char buf[112];
-      std::snprintf(buf, sizeof(buf),
-                    "dynamic knobs: aggressiveness=%.3f improvement=%.3f "
-                    "min_removed=%.3f\n",
-                    dynamic_knobs_.aggressiveness,
-                    dynamic_knobs_.improvement_factor,
-                    dynamic_knobs_.min_removed_fraction);
-      return std::string(buf);
-    }
-    auto bounded = [&](std::int64_t hi, std::string_view usage) {
-      Result<std::int64_t> n = ParseBounded(num, 0, hi, usage);
-      if (n.ok() && !StripWhitespace(after).empty()) {
-        return Result<std::int64_t>(InvalidArgumentError(std::string(usage)));
-      }
-      return n;
-    };
-    if (what == "TIMEOUT") {
-      Result<std::int64_t> n =
-          bounded(kMaxTimeoutMs, "usage: SET TIMEOUT <ms> (0 = off)");
-      if (!n.ok()) return n.status();
-      if (Status s = PersistKnob("TIMEOUT_MS", *n); !s.ok()) return s;
-      timeout_ms_ = *n;
-      return timeout_ms_ == 0
-                 ? std::string("timeout off\n")
-                 : "timeout set to " + std::to_string(timeout_ms_) + " ms\n";
-    }
-    if (what == "MEMORY") {
-      Result<std::int64_t> n =
-          bounded(kMaxMegabytes, "usage: SET MEMORY <mb> (0 = off)");
-      if (!n.ok()) return n.status();
-      if (Status s = PersistKnob("MEMORY_MB", *n); !s.ok()) return s;
-      memory_bytes_ = static_cast<std::uint64_t>(*n) * 1024 * 1024;
-      return memory_bytes_ == 0
-                 ? std::string("memory budget off\n")
-                 : "memory budget set to " + std::to_string(*n) + " MB\n";
-    }
-    if (what == "BUFFER") {
-      Result<std::int64_t> n = bounded(kMaxMegabytes, "usage: SET BUFFER <mb>");
-      if (!n.ok()) return n.status();
-      if (Status s = PersistKnob("BUFFER_MB", *n); !s.ok()) return s;
-      buffer_bytes_ = static_cast<std::uint64_t>(*n) * 1024 * 1024;
-      if (buffer_pool_ != nullptr) {
-        buffer_pool_->set_capacity_bytes(buffer_bytes_);
-      }
-      return "buffer pool set to " + std::to_string(*n) + " MB\n";
-    }
-    return InvalidArgumentError(
-        "usage: SET TIMEOUT <ms> | SET MEMORY <mb> | SET BUFFER <mb> | "
-        "SET INCREMENTAL ON|OFF | SET OPTIMIZER LEARNED|STATIC | "
-        "SET DYNAMIC <knob> <v>");
-  }
+  if (command == kThreads || command == "SET") return SetKnob(statement);
   if (command == "HELP") return std::string(kHelp);
   return InvalidArgumentError("unknown command: " + command +
                               " (try HELP)");
@@ -498,11 +518,9 @@ Result<std::string> Shell::Load(std::string_view args) {
     std::size_t added = appended->size() - old->size();
     std::size_t total = appended->size();
     std::uint64_t epoch = appended->epoch();
-    QueryContext ctx;
-    ConfigureContext(ctx);
     std::vector<Relation> rels;
     rels.push_back(std::move(*appended));
-    if (Status s = PersistRelations(std::move(rels), &ctx, /*append=*/true);
+    if (Status s = PersistRelations(std::move(rels), /*append=*/true);
         !s.ok()) {
       return s;
     }
@@ -512,7 +530,6 @@ Result<std::string> Shell::Load(std::string_view args) {
     // stability holds).
     incremental_.RecordAppend(rel_name, std::move(old),
                               db().GetShared(rel_name));
-    views_dirty_ = true;
     return "appended " + rel_name + ": +" + std::to_string(added) +
            " rows (" + std::to_string(total) + " total, epoch " +
            std::to_string(epoch) + ")\n";
@@ -520,12 +537,9 @@ Result<std::string> Shell::Load(std::string_view args) {
   Result<Relation> rel = LoadTsv(std::string(path), rel_name, &vfs());
   if (!rel.ok()) return rel.status();
   std::size_t rows = rel->size();
-  QueryContext ctx;
-  ConfigureContext(ctx);
   std::vector<Relation> rels;
   rels.push_back(std::move(*rel));
-  if (Status s = PersistRelations(std::move(rels), &ctx); !s.ok()) return s;
-  views_dirty_ = true;
+  if (Status s = PersistRelations(std::move(rels)); !s.ok()) return s;
   return "loaded " + rel_name + ": " + std::to_string(rows) + " rows\n";
 }
 
@@ -695,10 +709,7 @@ Result<std::string> Shell::Gen(std::string_view args) {
     out += "generated " + rel.name() + ": " + std::to_string(rel.size()) +
            " rows\n";
   }
-  QueryContext ctx;
-  ConfigureContext(ctx);
-  if (Status s = PersistRelations(std::move(rels), &ctx); !s.ok()) return s;
-  views_dirty_ = true;
+  if (Status s = PersistRelations(std::move(rels)); !s.ok()) return s;
   return out;
 }
 
@@ -964,8 +975,8 @@ Result<Shell::FlockRun> Shell::RunFlock(std::string_view args,
   auto it = flocks_.find(run.name);
   if (it == flocks_.end()) return NotFoundError("no flock named " + run.name);
   const QueryFlock& flock = it->second;
-  Result<RunOptions> opts =
-      ParseRunOptions(rest, default_threads_, dynamic_knobs_);
+  Result<RunOptions> opts = ParseRunOptions(
+      rest, default_threads_, kKnobs[0].lo, kKnobs[0].hi, dynamic_knobs_);
   if (!opts.ok()) return opts.status();
   run.limit = opts->limit;
   run.threads = opts->threads;
@@ -1143,10 +1154,10 @@ Result<std::string> Shell::ExplainAnalyze(std::string_view args) {
 
 Result<std::string> Shell::Trace(std::string_view args) {
   auto [what, rest] = SplitCommand(args);
+  if ((what == "ON" || what == "OFF") && !StripWhitespace(rest).empty()) {
+    return InvalidArgumentError("usage: TRACE ON|OFF|TO <path>");
+  }
   if (what == "ON") {
-    if (!StripWhitespace(rest).empty()) {
-      return InvalidArgumentError("usage: TRACE ON|OFF|TO <path>");
-    }
     auto sink = std::make_unique<MemoryTraceSink>();
     memory_trace_ = sink.get();
     file_trace_ = nullptr;
@@ -1155,9 +1166,6 @@ Result<std::string> Shell::Trace(std::string_view args) {
     return std::string("trace on (buffering in memory; SHOW TRACE to inspect)\n");
   }
   if (what == "OFF") {
-    if (!StripWhitespace(rest).empty()) {
-      return InvalidArgumentError("usage: TRACE ON|OFF|TO <path>");
-    }
     if (trace_sink_ == nullptr) return std::string("trace already off\n");
     std::size_t events = memory_trace_ != nullptr
                              ? memory_trace_->event_count()
@@ -1294,19 +1302,10 @@ Result<std::string> Shell::Show(std::string_view args) {
     if (StripWhitespace(rest) != "STATE") {
       return InvalidArgumentError("usage: SHOW OPTIMIZER STATE");
     }
-    char buf[160];
-    std::string out = learned_optimizer_
-                          ? "optimizer: learned (bandit picks RUN plans)\n"
-                          : "optimizer: static\n";
-    std::snprintf(buf, sizeof(buf),
-                  "dynamic knobs: aggressiveness=%.3f improvement=%.3f "
-                  "min_removed=%.3f\n",
-                  dynamic_knobs_.aggressiveness,
-                  dynamic_knobs_.improvement_factor,
-                  dynamic_knobs_.min_removed_fraction);
-    out += buf;
-    out += optimizer_history().Describe();
-    return out;
+    return std::string(learned_optimizer_
+                           ? "optimizer: learned (bandit picks RUN plans)\n"
+                           : "optimizer: static\n") +
+           DynamicKnobsLine(dynamic_knobs_) + optimizer_history().Describe();
   }
   if (what == "TRACE") {
     if (memory_trace_ != nullptr) {
@@ -1337,8 +1336,9 @@ Result<std::string> Shell::Show(std::string_view args) {
   return NotFoundError("no relation named " + rel_name);
 }
 
-Status Shell::PersistRelations(std::vector<Relation> rels, QueryContext* ctx,
-                               bool append) {
+Status Shell::PersistRelations(std::vector<Relation> rels, bool append) {
+  QueryContext ctx;
+  ConfigureContext(ctx);
   std::vector<std::string> names;
   names.reserve(rels.size());
   for (const Relation& rel : rels) names.push_back(rel.name());
@@ -1348,7 +1348,7 @@ Status Shell::PersistRelations(std::vector<Relation> rels, QueryContext* ctx,
     for (const Relation& rel : rels) ptrs.push_back(&rel);
     // One WAL commit for the whole batch: after a crash either all of
     // these relations are recovered or none, never a subset.
-    if (Status s = catalog_->PutRelations(ptrs, ctx); !s.ok()) return s;
+    if (Status s = catalog_->PutRelations(ptrs, &ctx); !s.ok()) return s;
   } else {
     for (Relation& rel : rels) db_.PutRelation(std::move(rel));
   }
@@ -1357,6 +1357,7 @@ Status Shell::PersistRelations(std::vector<Relation> rels, QueryContext* ctx,
     // states over them must rebuild, not walk a broken chain.
     for (const std::string& name : names) incremental_.RecordReplace(name);
   }
+  views_dirty_ = true;
   return Status::Ok();
 }
 
@@ -1419,44 +1420,18 @@ Result<std::string> Shell::Open(std::string_view args) {
   views_dirty_ = true;
   // Replay rebuilt the database from scratch: cached incremental state and
   // append lineage refer to pre-recovery relation handles, so they are
-  // dropped wholesale and rebuilt lazily by the next RUN. (The knob below
-  // restores whether the incremental path is on, not its state.)
+  // dropped wholesale and rebuilt lazily by the next RUN. (The knobs below
+  // restore whether the incremental path is on, not its state.)
   incremental_.Reset();
-  // Persisted values outside what the statements accept are ignored, not
-  // narrowed (a catalog is input from outside this process).
-  const auto& knobs = catalog_->state().knobs;
-  auto knob = [&knobs](const char* key, std::int64_t lo, std::int64_t hi) {
-    auto it = knobs.find(key);
-    return it != knobs.end() && it->second >= lo && it->second <= hi
-               ? std::optional<std::int64_t>(it->second)
-               : std::nullopt;
-  };
-  if (auto v = knob("THREADS", 1, kMaxThreads)) {
-    default_threads_ = static_cast<unsigned>(*v);
-  }
-  if (auto v = knob("TIMEOUT_MS", 0, kMaxTimeoutMs)) timeout_ms_ = *v;
-  if (auto v = knob("MEMORY_MB", 0, kMaxMegabytes)) {
-    memory_bytes_ = static_cast<std::uint64_t>(*v) * 1024 * 1024;
-  }
-  if (auto v = knob("BUFFER_MB", 0, kMaxMegabytes)) {
-    buffer_bytes_ = static_cast<std::uint64_t>(*v) * 1024 * 1024;
-    buffer_pool_->set_capacity_bytes(buffer_bytes_);
-  }
-  if (auto v = knob("INCREMENTAL", kMinInt64, kMaxInt64)) {
-    incremental_on_ = *v != 0;
-  }
-  if (auto v = knob("OPTIMIZER_LEARNED", kMinInt64, kMaxInt64)) {
-    learned_optimizer_ = *v != 0;
-  }
-  // §4.4 knobs travel as milli-scaled integers (the knob map is int64).
-  if (auto v = knob("DYN_AGGRESSIVENESS_MILLI", 0, kMaxInt64)) {
-    dynamic_knobs_.aggressiveness = static_cast<double>(*v) / 1000.0;
-  }
-  if (auto v = knob("DYN_IMPROVEMENT_MILLI", 0, kMaxInt64)) {
-    dynamic_knobs_.improvement_factor = static_cast<double>(*v) / 1000.0;
-  }
-  if (auto v = knob("DYN_MIN_REMOVED_MILLI", 0, kMaxInt64)) {
-    dynamic_knobs_.min_removed_fraction = static_cast<double>(*v) / 1000.0;
+  // Each persisted knob within its row's bounds is applied as SET applied
+  // it; others are ignored, not narrowed (a catalog is input from outside
+  // this process).
+  const std::map<std::string, std::int64_t>& knobs = catalog_->state().knobs;
+  for (const Knob& knob : kKnobs) {
+    auto it = knobs.find(knob.key);
+    if (it != knobs.end() && it->second >= knob.lo && it->second <= knob.hi) {
+      knob.apply(*this, it->second);
+    }
   }
   // The catalog's database replaced the in-memory one; its generation
   // counter is unrelated to whatever the cached model was keyed on.

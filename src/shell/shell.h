@@ -33,11 +33,11 @@
 // GEN BASKETS keys: n_baskets n_items avg_size theta locality topics seed.
 //
 // With a catalog open (OPEN <dir>), every mutating statement — LOAD,
-// LOADDB, GEN, DEFINE, FLOCK, THREADS, SET TIMEOUT/MEMORY — is written to
-// the catalog's WAL and fsynced *before* it is acknowledged, so the
-// session state survives crashes; OPEN replays it back (storage/catalog.h
-// has the recovery contract). After a commit-path I/O error the catalog
-// is read-only and mutating statements return the latched IO_ERROR.
+// LOADDB, GEN, DEFINE, FLOCK, THREADS and every SET — is written to the
+// catalog's WAL and fsynced *before* it is acknowledged, so the session
+// state survives crashes; OPEN replays it back (storage/catalog.h has the
+// recovery contract). After a commit-path I/O error the catalog is
+// read-only and mutating statements return the latched IO_ERROR.
 //
 // The shell is an ordinary library class (tools/qfshell.cc wraps it in a
 // REPL); Execute returns the printable output, so tests drive it
@@ -173,6 +173,16 @@ class Shell {
   Result<std::string> Show(std::string_view args);
   Result<std::string> Maximal(std::string_view args);
   Result<std::string> Trace(std::string_view args);
+  // THREADS <n> and SET <knob> <v>: one row of kKnobs parses, bounds,
+  // persists and applies the value.
+  Result<std::string> SetKnob(std::string_view statement);
+
+  // The session knob table (shell.cc): one row per knob names its
+  // statement, WAL key, stored units and bounds, and how a stored value
+  // applies to the session. SET, THREADS, OPEN and RUN's THREADS option
+  // all read it.
+  struct Knob;
+  static const Knob kKnobs[];
 
   // What the learned optimizer chose for one run (EXPLAIN ANALYZE
   // renders it; RUN shows the arm id in its mode string).
@@ -242,14 +252,14 @@ class Shell {
     return catalog_ != nullptr ? catalog_->state().db : db_;
   }
   Vfs& vfs() const { return vfs_ != nullptr ? *vfs_ : DefaultVfs(); }
-  // Stores relations, through the catalog's WAL (one commit, one fsync,
-  // all-or-nothing) when one is open. On failure nothing is applied.
-  // `append` marks the batch as LOAD ... APPEND lineage: replace severs
-  // each relation's incremental append chain, append leaves it to the
-  // caller to link old -> new handles.
-  Status PersistRelations(std::vector<Relation> rels, QueryContext* ctx,
-                          bool append = false);
-  // Persists a session knob ("THREADS"...) when a catalog is open.
+  // Stores relations under the session's limits, through the catalog's
+  // WAL (one commit, one fsync, all-or-nothing) when one is open, and
+  // marks the views stale. On failure nothing is applied. `append` marks
+  // the batch as LOAD ... APPEND lineage: replace severs each relation's
+  // incremental append chain, append leaves it to the caller to link
+  // old -> new handles.
+  Status PersistRelations(std::vector<Relation> rels, bool append = false);
+  // Persists a session knob's stored value when a catalog is open.
   Status PersistKnob(const std::string& key, std::int64_t value);
 
   Database db_;  // session relations when no catalog is open

@@ -68,7 +68,9 @@ struct CatalogState {
   // Flock name -> declaration source ("<name> QUERY ... FILTER ...",
   // minus the name; re-parsed by the shell on adoption).
   std::map<std::string, std::string> flocks;
-  // Session knobs ("THREADS", "TIMEOUT_MS", "MEMORY_MB").
+  // Session knobs by WAL key, as stored integers. The shell's knob table
+  // (Shell::kKnobs in shell/shell.cc) names the nine keys, their units and
+  // bounds; the catalog logs and replays whatever key it is given.
   std::map<std::string, std::int64_t> knobs;
   // Learned-optimizer outcome history (optimizer/history.h): one
   // kBanditOutcome WAL record per learned RUN, folded into aggregates.

@@ -470,6 +470,37 @@ TEST(LearnedShellTest, ShowOptimizerStateReportsModeKnobsAndHistory) {
   EXPECT_FALSE(shell.Execute("SET DYNAMIC BOGUS 1").ok());
 }
 
+// A DYNAMIC value whose stored thousandths overflow an int64 is rejected
+// as malformed (not as negative) and logs nothing; the largest accepted
+// one replies within its line and reopens to the same state.
+TEST(LearnedShellTest, DynamicKnobsRejectOverflowingValues) {
+  MemVfs vfs;
+  Shell shell;
+  shell.set_vfs(&vfs);
+  MustRun(shell, "OPEN cat");
+  for (const char* value : {"1e300", "1e16", "9223372036854776"}) {
+    Result<std::string> out =
+        shell.Execute(std::string("SET DYNAMIC AGGRESSIVENESS ") + value);
+    ASSERT_FALSE(out.ok()) << value << " -> " << *out;
+    EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument) << value;
+    EXPECT_EQ(out.status().message(),
+              "usage: SET DYNAMIC AGGRESSIVENESS|IMPROVEMENT|MINREMOVED <v>")
+        << value;
+  }
+  EXPECT_TRUE(shell.catalog()->state().knobs.empty());
+  EXPECT_EQ(shell.dynamic_knobs(), DynamicKnobs());
+
+  EXPECT_EQ(MustRun(shell, "SET DYNAMIC AGGRESSIVENESS 9223372036854774"),
+            "dynamic knobs: aggressiveness=9223372036854774.000 "
+            "improvement=0.500 min_removed=0.200\n");
+  std::string state = MustRun(shell, "SHOW OPTIMIZER STATE");
+  Shell reopened;
+  reopened.set_vfs(&vfs);
+  MustRun(reopened, "OPEN cat");
+  EXPECT_EQ(MustRun(reopened, "SHOW OPTIMIZER STATE"), state);
+  EXPECT_EQ(reopened.dynamic_knobs(), shell.dynamic_knobs());
+}
+
 TEST(LearnedShellTest, HistorySurvivesCheckpointAndReopen) {
   MemVfs vfs;
   std::string state_before;

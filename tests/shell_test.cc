@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <vector>
@@ -468,18 +469,155 @@ TEST(ShellGovernorTest, KnobsRejectValuesTheirTypeCannotHold) {
   MustRun(shell, "SET TIMEOUT 4611686018427");
   EXPECT_EQ(shell.timeout_ms(), 4611686018427);
 
-  // OPEN ignores such values in a catalog it did not write itself.
+  // OPEN ignores such values in a catalog it did not write itself, for
+  // every knob, with the bounds SET enforces: a value no statement can
+  // set is never restored.
   {
     Result<std::unique_ptr<Catalog>> raw = Catalog::Open(vfs, "raw");
     ASSERT_TRUE(raw.ok()) << raw.status().ToString();
     ASSERT_TRUE((*raw)->SetKnob("THREADS", 4294967296).ok());
+    ASSERT_TRUE((*raw)->SetKnob("TIMEOUT_MS", 4611686018428).ok());
     ASSERT_TRUE((*raw)->SetKnob("MEMORY_MB", 17592186044417).ok());
+    ASSERT_TRUE((*raw)->SetKnob("BUFFER_MB", -1).ok());
+    ASSERT_TRUE((*raw)->SetKnob("INCREMENTAL", 2).ok());
+    ASSERT_TRUE((*raw)->SetKnob("OPTIMIZER_LEARNED", -1).ok());
+    ASSERT_TRUE((*raw)->SetKnob("DYN_AGGRESSIVENESS_MILLI", -1).ok());
+    ASSERT_TRUE((*raw)->SetKnob("DYN_IMPROVEMENT_MILLI", 5000).ok());
+    ASSERT_TRUE((*raw)->SetKnob("DYN_MIN_REMOVED_MILLI", 1001).ok());
   }
   Shell reopened;
   reopened.set_vfs(&vfs);
   MustRun(reopened, "OPEN raw");
   EXPECT_EQ(reopened.default_threads(), 1u);
+  EXPECT_EQ(reopened.timeout_ms(), 0);
   EXPECT_EQ(reopened.memory_budget_bytes(), 0u);
+  EXPECT_EQ(reopened.buffer_capacity_bytes(), 64ull << 20);
+  EXPECT_FALSE(reopened.incremental_on());
+  EXPECT_FALSE(reopened.learned_optimizer());
+  EXPECT_EQ(reopened.dynamic_knobs(), DynamicKnobs());
+  Shell fresh;
+  EXPECT_EQ(MustRun(reopened, "SHOW OPTIMIZER STATE"),
+            MustRun(fresh, "SHOW OPTIMIZER STATE"));
+}
+
+void ExpectSameKnobs(const Shell& a, const Shell& b) {
+  EXPECT_EQ(a.default_threads(), b.default_threads());
+  EXPECT_EQ(a.timeout_ms(), b.timeout_ms());
+  EXPECT_EQ(a.memory_budget_bytes(), b.memory_budget_bytes());
+  EXPECT_EQ(a.buffer_capacity_bytes(), b.buffer_capacity_bytes());
+  EXPECT_EQ(a.incremental_on(), b.incremental_on());
+  EXPECT_EQ(a.learned_optimizer(), b.learned_optimizer());
+  EXPECT_EQ(a.dynamic_knobs(), b.dynamic_knobs());
+}
+
+// Every session knob at its bounds: the boundary values are accepted, log
+// exactly one record under the knob's WAL key, and reopen to what the live
+// session holds; the values just outside are rejected and log nothing.
+// The keys are pinned: renaming one would orphan every catalog written.
+TEST(ShellKnobTest, EveryKnobRoundTripsAtItsBounds) {
+  struct KnobCase {
+    const char* statement;
+    const char* key;
+    const char* low;
+    std::int64_t low_stored;
+    const char* high;
+    std::int64_t high_stored;
+    const char* below;  // rejected
+    const char* above;  // rejected
+  };
+  const KnobCase kCases[] = {
+      {"THREADS", "THREADS", "1", 1, "4294967295", 4294967295, "0",
+       "4294967296"},
+      {"SET TIMEOUT", "TIMEOUT_MS", "0", 0, "4611686018427", 4611686018427,
+       "-1", "4611686018428"},
+      {"SET MEMORY", "MEMORY_MB", "0", 0, "17592186044415", 17592186044415,
+       "-1", "17592186044416"},
+      {"SET BUFFER", "BUFFER_MB", "0", 0, "17592186044415", 17592186044415,
+       "-1", "17592186044416"},
+      {"SET INCREMENTAL", "INCREMENTAL", "OFF", 0, "ON", 1, "NO", "YES"},
+      {"SET OPTIMIZER", "OPTIMIZER_LEARNED", "STATIC", 0, "LEARNED", 1, "OFF",
+       "ON"},
+      // The largest AGGRESSIVENESS whose thousandths fit an int64 (as a
+      // double product, rounded).
+      {"SET DYNAMIC AGGRESSIVENESS", "DYN_AGGRESSIVENESS_MILLI", "0", 0,
+       "9223372036854774", 9223372036854773760, "-0.001", "1e16"},
+      {"SET DYNAMIC IMPROVEMENT", "DYN_IMPROVEMENT_MILLI", "0", 0, "1", 1000,
+       "-0.001", "1.001"},
+      {"SET DYNAMIC MINREMOVED", "DYN_MIN_REMOVED_MILLI", "0", 0, "1", 1000,
+       "-0.001", "1.001"},
+  };
+  MemVfs vfs;
+  int dirs = 0;
+  for (const KnobCase& c : kCases) {
+    for (const auto& [value, stored] :
+         {std::pair(c.low, c.low_stored), std::pair(c.high, c.high_stored)}) {
+      const std::string statement = std::string(c.statement) + " " + value;
+      SCOPED_TRACE(statement);
+      const std::string dir = "knobs" + std::to_string(dirs++);
+      Shell live;
+      live.set_vfs(&vfs);
+      MustRun(live, "OPEN " + dir);
+      std::string reply = MustRun(live, statement);
+      ASSERT_FALSE(reply.empty());
+      EXPECT_EQ(reply.back(), '\n');
+      const std::map<std::string, std::int64_t> logged = {{c.key, stored}};
+      EXPECT_EQ(live.catalog()->state().knobs, logged);
+      for (const char* bad : {c.below, c.above}) {
+        Result<std::string> out =
+            live.Execute(std::string(c.statement) + " " + bad);
+        ASSERT_FALSE(out.ok()) << bad;
+        EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument) << bad;
+      }
+      EXPECT_EQ(live.catalog()->state().knobs, logged);
+      Shell reopened;
+      reopened.set_vfs(&vfs);
+      MustRun(reopened, "OPEN " + dir);
+      ExpectSameKnobs(live, reopened);
+      EXPECT_EQ(MustRun(reopened, "SHOW OPTIMIZER STATE"),
+                MustRun(live, "SHOW OPTIMIZER STATE"));
+    }
+  }
+}
+
+// DYNAMIC values are kept to thousandths: the live session runs with the
+// rounded value it persists, so a reopen cannot differ from it.
+TEST(ShellKnobTest, SubMilliDynamicValuesRunAsTheyReopen) {
+  MemVfs vfs;
+  Shell live;
+  live.set_vfs(&vfs);
+  MustRun(live, "OPEN cat");
+  MustRun(live, "SET DYNAMIC IMPROVEMENT 0.0004");
+  MustRun(live, "SET DYNAMIC MINREMOVED 0.2506");
+  MustRun(live, "SET DYNAMIC AGGRESSIVENESS 2.0004");
+  EXPECT_EQ(live.dynamic_knobs().improvement_factor, 0.0);
+  EXPECT_EQ(live.dynamic_knobs().min_removed_fraction, 0.251);
+  EXPECT_EQ(live.dynamic_knobs().aggressiveness, 2.0);
+  Shell reopened;
+  reopened.set_vfs(&vfs);
+  MustRun(reopened, "OPEN cat");
+  EXPECT_EQ(reopened.dynamic_knobs(), live.dynamic_knobs());
+}
+
+// RUN's and EXPLAIN ANALYZE's THREADS option accepts what the THREADS
+// statement accepts, and nothing else.
+TEST(ShellKnobTest, RunThreadsOptionSharesTheThreadsBounds) {
+  Shell shell;
+  MustRun(shell, "GEN BASKETS b n_baskets=40 n_items=8 seed=3");
+  MustRun(shell,
+          "FLOCK f QUERY answer(B) :- b(B,$1) AND b(B,$2) AND $1 < $2 "
+          "FILTER COUNT >= 3");
+  for (const char* n : {"1", "4294967295"}) {
+    MustRun(shell, std::string("THREADS ") + n);
+    MustRun(shell, std::string("RUN f LIMIT 1 THREADS ") + n);
+    MustRun(shell, std::string("EXPLAIN ANALYZE f LIMIT 1 THREADS ") + n);
+  }
+  for (const char* n : {"0", "-1", "4294967296"}) {
+    EXPECT_FALSE(shell.Execute(std::string("THREADS ") + n).ok()) << n;
+    EXPECT_FALSE(shell.Execute(std::string("RUN f THREADS ") + n).ok()) << n;
+    EXPECT_FALSE(
+        shell.Execute(std::string("EXPLAIN ANALYZE f THREADS ") + n).ok())
+        << n;
+  }
 }
 
 TEST(ShellGovernorTest, MaximalIsGoverned) {

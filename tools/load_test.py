@@ -16,12 +16,12 @@ test doubles as a result-divergence check: concurrency must not change a
 single output byte.
 
     tools/load_test.py --serverd build/tools/qfserverd \
-        --qfshell build/tools/qfshell --clients 64 --out BENCH_PR6.json
+        --qfshell build/tools/qfshell --clients 64 --out load_test.json
 
 Without --serverd an already-running server is used (--host/--port).
-The report is google-benchmark-shaped JSON ({"context", "suites"}), the
-same layout BENCH_PR3.json uses, so tools/compare_bench.py can diff
-load-test runs across commits. Exit status: 0 on success, 1 on any
+The report is google-benchmark-shaped JSON ({"context", "suites"}), so
+load-test runs can be diffed across commits with the usual
+google-benchmark tooling. Exit status: 0 on success, 1 on any
 protocol error, failed statement, or transcript divergence.
 
 --chaos runs the live fault drill instead (DESIGN.md §16): every client
@@ -501,7 +501,7 @@ def main() -> int:
     parser.add_argument("--rounds", type=int, default=1,
                         help="workload repetitions per client")
     parser.add_argument("--executors", type=int, default=4)
-    parser.add_argument("--out", default="BENCH_PR6.json")
+    parser.add_argument("--out", default="load_test.json")
     parser.add_argument("--no-append", action="store_true",
                         help="skip the append-heavy incremental phase")
     parser.add_argument("--chaos", action="store_true",
@@ -592,8 +592,7 @@ def main() -> int:
         }
         print(json.dumps(summary, indent=1))
 
-        # google-benchmark-shaped report, mergeable with BENCH_PR3.json
-        # tooling (tools/compare_bench.py keys on suites/<name>/<bench>).
+        # google-benchmark-shaped report, keyed on suites/<name>/<bench>.
         benchmarks = [{
             "name": f"LT_Serve/clients:{args.clients}",
             "run_name": f"LT_Serve/clients:{args.clients}",
