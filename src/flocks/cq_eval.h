@@ -12,6 +12,7 @@
 #define QF_FLOCKS_CQ_EVAL_H_
 
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -23,11 +24,46 @@
 
 namespace qf {
 
-class TupleSink;  // relational/spill.h
+class GroupTable;      // relational/ops.h
+class SpillGroupSink;  // relational/spill.h
 
 // Column name a term binds: variables map to their name, parameters to
 // "$name". Constants have no column; callers must not ask.
 std::string TermColumn(const Term& term);
+
+// A value of a joined row — the columns of `a`, then those of `b` that
+// `a` lacks — resolved once: a constant, or the side and position of a
+// column.
+struct ColRef {
+  const Value* constant = nullptr;
+  bool right = false;  // in b's row, else in a's
+  std::size_t idx = 0;
+  const Value& Of(const Tuple& a, const Tuple& b) const {
+    return constant != nullptr ? *constant : right ? b[idx] : a[idx];
+  }
+};
+
+// Resolves `column` in the joined layout of `a` and `b` (`b` null: `a`
+// alone); nullopt when neither binds it.
+std::optional<ColRef> ResolveColumn(const std::string& column, const Schema& a,
+                                    const Schema* b = nullptr);
+
+// A comparison subgoal with both operands resolved once, so evaluating
+// it per row does no name lookup.
+struct BoundComparison {
+  CompareOp op;
+  ColRef lhs;
+  ColRef rhs;
+  bool Eval(const Tuple& a, const Tuple& b) const {
+    return EvalCompare(op, lhs.Of(a, b), rhs.Of(a, b));
+  }
+};
+
+// Binds comparison subgoal `s` against the joined layout of `a` and `b`
+// (as ResolveColumn); nullopt while an operand column is unbound.
+std::optional<BoundComparison> BindComparison(const Subgoal& s,
+                                              const Schema& a,
+                                              const Schema* b = nullptr);
 
 // Resolves body predicates: first among `extra` relations (results of
 // earlier plan steps), then in the database.
@@ -65,17 +101,17 @@ struct CqEvalOptions {
   // join_order when a join tree exists; silently falls back to the normal
   // fold on cyclic queries.
   bool full_reducer = false;
-  // Out-of-core streaming (relational/spill.h). When non-null AND the
-  // governor's spill-activation rule fires at the final join, the
-  // evaluation streams that join: each joined row has the still-pending
-  // comparisons/negations applied, is projected onto output_columns, and
-  // is Pushed into the sink instead of ever being materialized — the
-  // sink's `engaged` flag is set and an *empty* relation is returned (the
-  // caller reads the real result from the sink). When the rule does not
-  // fire (or streaming does not apply, e.g. a pending predicate is not
-  // bound by the joined schema), evaluation is exactly the conventional
-  // materialized path and `engaged` stays false.
-  TupleSink* sink = nullptr;
+  // Streamed final stage (the flock evaluator's pipeline). When `groups`
+  // is set, the final join is never materialized: each joined row runs
+  // the still-pending comparisons and negations in place, is projected
+  // onto output_columns into a reusable buffer and pushed into `groups`
+  // — or, when `spill` is set and the governor's spill-activation rule
+  // fires at that join, into `spill` (whose `engaged` flag is then set).
+  // A body with one positive subgoal streams its binding rows the same
+  // way. The evaluation then returns an empty relation; the caller reads
+  // the sink.
+  GroupTable* groups = nullptr;
+  SpillGroupSink* spill = nullptr;
 };
 
 // Evaluates the body of `cq` and projects the bindings onto
@@ -89,7 +125,9 @@ struct CqEvalOptions {
 // on NaturalJoin). env.metrics receives one child per operator —
 // "scan" per subgoal, then the fold chain ("join" / "select" /
 // "anti_join", plus "semi_join" nodes for full-reducer sweeps) and a
-// final "project". Under env.ctx every operator polls and charges its
+// final "project" — or, streamed, one "join <predicate> [stream]"
+// ("project [stream]" without a join) whose rows_out counts the rows
+// pushed. Under env.ctx every operator polls and charges its
 // output, and the evaluation returns the context's typed error as soon as
 // it latches, discarding intermediates.
 Result<Relation> EvaluateConjunctiveBindings(

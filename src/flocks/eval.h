@@ -46,15 +46,20 @@ struct FlockEvalInfo {
 // monotone filter; non-monotone filters need the naive evaluator
 // (flocks/naive_eval.h), which can see empty answers.
 //
-// `env`: with more than one thread, independent disjuncts of a union
-// flock evaluate concurrently on the shared pool (common/thread_pool.h),
-// each disjunct's scans and joins run morsel-parallel, and the
-// group-by/aggregate uses thread-local tables merged in morsel order.
-// env.metrics receives one "disjunct" child per disjunct (pre-allocated
-// before the fan-out, so concurrent disjuncts write disjoint subtrees),
-// then "union" / "group_by" / "filter" / "project" nodes; row counters
-// are identical for every thread count. env.ctx governs every disjunct
-// and the union/group/filter/project phases.
+// One pipeline, two sinks: the disjuncts run in order, each streaming its
+// final join (filtered, projected) into one GroupTable (relational/ops.h)
+// whose distinct set unions them; with a spill grant, a single-disjunct
+// flock's final join streams into a SpillGroupSink instead when the
+// governor's activation rule fires (DESIGN.md §14). Only the groups that
+// pass the filter become rows.
+//
+// `env`: with more than one thread, scans, joins, the streamed final
+// join and the group table's drain run morsel-parallel on the shared pool
+// (common/thread_pool.h); results, float SUMs included, are identical for
+// every thread count. env.metrics receives one "disjunct" child per
+// disjunct, then "union" (unions only), "group_by" and "filter" nodes;
+// row counters are identical for every thread count. env.ctx governs
+// every phase.
 Result<Relation> EvaluateFlock(
     const QueryFlock& flock, const Database& db,
     const FlockEvalOptions& options = {}, const ExecEnv& env = {},

@@ -187,7 +187,6 @@ class IncrementalFlockState {
   const TiltedTimeWindow* RingFor(const Tuple& params) const;
 
  private:
-  std::uint32_t GroupOf(const Tuple& row, bool* inserted);
   Value GroupValue(std::uint32_t gid) const;
 
   std::string flock_name_;

@@ -296,10 +296,7 @@ SpillGroupSink::SpillGroupSink(Schema schema, std::size_t key_columns,
       env_(env),
       ctx_(ctx),
       metrics_(metrics) {
-  key_idx_.reserve(key_columns);
-  key_names_.reserve(key_columns);
   for (std::size_t i = 0; i < key_columns; ++i) {
-    key_idx_.push_back(i);
     key_names_.push_back(schema_.column(i));
   }
   writers_ = MakeWriters(env_);
@@ -314,9 +311,9 @@ Status SpillGroupSink::Push(const Tuple& row) {
   }
   if (Status s = PollCtx(ctx_, ++pushed_rows_); !s.ok()) return status_ = s;
   // Group-key hash: the key is the leading prefix of the row, so this is
-  // exactly KeyCols(key_idx_).Hash(row) without the indirection.
-  std::size_t h = key_idx_.size();
-  for (std::size_t i = 0; i < key_idx_.size(); ++i) {
+  // exactly KeyCols of the key columns without the indirection.
+  std::size_t h = key_names_.size();
+  for (std::size_t i = 0; i < key_names_.size(); ++i) {
     h = TupleHash::HashCombineValue(h, row[i]);
   }
   EncodeRecord(scratch_, h, row);
@@ -335,7 +332,7 @@ Status SpillGroupSink::ProcessPartition(const std::string& path,
   // A leaf holds its rows and, while it aggregates them, its grouped
   // output (at most one row per loaded row): both must fit the budget.
   const std::size_t leaf_bytes =
-      row_bytes + ApproxTupleBytes(key_idx_.size() + 1);
+      row_bytes + ApproxTupleBytes(key_names_.size() + 1);
   if (ShouldRecurse(ctx_, env_, level, records * leaf_bytes)) {
     std::vector<std::unique_ptr<SpillWriter>> subs;
     if (Status s = Repartition(env_, path, level + 1, subs, ctx_); !s.ok()) {
@@ -352,15 +349,15 @@ Status SpillGroupSink::ProcessPartition(const std::string& path,
     return Status::Ok();  // subs destruct here -> sub-files removed
   }
 
-  // Leaf: stream-load with full-row dedup (set semantics). A group's rows
+  // Leaf: stream-load into a serial distinct GroupTable. A group's rows
   // all land in this partition and arrive in global push order, so the
   // per-group sequence of distinct rows — and with it the accumulation
   // order — matches the in-memory path exactly.
   CheckRefRange(records);
-  Relation distinct{schema_};
-  FlatTupleSet seen;
-  TupleHash full_hash;
-  OpGovernor gov(ctx_, row_bytes);
+  std::size_t agg_idx =
+      kind_ == AggKind::kCount ? 0 : schema_.IndexOfOrDie(agg_column_);
+  GroupTable table(arity, key_names_.size(), kind_, agg_idx,
+                   /*distinct=*/true, nullptr, ctx_);
   SpillReader reader(*env_.vfs, path, &env_);
   std::string_view rec;
   Tuple row;
@@ -371,30 +368,24 @@ Status SpillGroupSink::ProcessPartition(const std::string& path,
     if (Status s = DecodeRecord(rec, arity, &h, &row); !s.ok()) {
       return s;
     }
-    bool fresh = seen.Insert(
-        static_cast<std::uint32_t>(distinct.size()), full_hash(row),
-        [&](std::uint32_t prev) { return distinct.rows()[prev] == row; },
-        probes_);
-    if (fresh) {
-      if (row_check_ != nullptr) {
-        if (Status s = row_check_(row); !s.ok()) return s;
-      }
-      if (!gov.Admit()) return ctx_->Check();
-      distinct.Add(row);
+    // Copies of a row pass or fail alike, so checking every copy reports
+    // the same first failure as checking distinct rows only.
+    if (row_check_ != nullptr) {
+      if (Status s = row_check_(row); !s.ok()) return s;
     }
+    if (!table.Push(row)) break;
   }
   if (!reader.status().ok()) return reader.status();
-  if (!gov.Flush() && ctx_ != nullptr) return ctx_->Check();
-  answer_rows_ += distinct.size();
-
-  // Serial in-memory kernel per partition: per-group results are bit-
-  // identical to grouping the whole answer set at once.
-  Relation grouped = GroupAggregate(distinct, key_names_, kind_, agg_column_,
-                                    output_column_, /*threads=*/1, nullptr,
-                                    ctx_);
-  if (ctx_ != nullptr && !ctx_->ok()) return ctx_->Check();
+  if (Status s = table.Flush(); !s.ok()) return s;
+  answer_rows_ += table.rows();
+  probes_ += table.pushed();
+  std::vector<std::string> out_columns = key_names_;
+  out_columns.push_back(output_column_);
+  Relation grouped = table.Finish(Schema(std::move(out_columns)), nullptr,
+                                  /*with_aggregate=*/true);
   for (Tuple& t : grouped.mutable_rows()) out.Add(std::move(t));
-  if (ctx_ != nullptr) ctx_->Release(gov.total_bytes());  // drop the answers
+  // Drop the answers; the groups stay charged like the rows they became.
+  if (ctx_ != nullptr) ctx_->Release(table.rows() * row_bytes);
   return Status::Ok();
 }
 
