@@ -179,16 +179,16 @@ struct RowNegation {
   }
 };
 
-// The streamed final stage (CqEvalOptions::groups): `current` joined with
-// `build` (null: `current` alone) is never materialized; the caller
-// releases the inputs. Each joined row runs the pending comparisons and
-// negation probes in place, is projected onto `output_columns` in a
-// reusable buffer and pushed into the group table (morsel-parallel at
-// env.threads > 1) — or, when the spill rule fires, serially into the
-// spill sink. A predicate
-// or output column the joined row cannot bind never will be: the query
-// is unsafe, and the error is the materialized path's. `peak` takes the
-// joined row count, measured before the pending predicates.
+// The streamed final stage (CqEvalOptions::groups or ::rows): `current`
+// joined with `build` (null: `current` alone) is never materialized; the
+// caller releases the inputs. Each joined row runs the pending
+// comparisons and negation probes in place, is projected onto
+// `output_columns` in a reusable buffer and pushed into the group table
+// (morsel-parallel at env.threads > 1) — or serially into the spill sink
+// when the spill rule fires, or into the row sink. A predicate or output
+// column the joined row cannot bind never will be: the query is unsafe,
+// and the error is the materialized path's. `peak` takes the joined row
+// count, measured before the pending predicates.
 Status StreamFinal(const Relation& current, const Relation* build,
                    const Subgoal* goal,
                    const std::vector<PendingComparison>& comparisons,
@@ -297,10 +297,10 @@ Status StreamFinal(const Relation& current, const Relation* build,
     row_probes += n_probes;
   };
   Status status;
-  if (spilling) {
-    options.spill->engaged = true;
+  if (spilling || options.groups == nullptr) {
+    if (spilling) options.spill->engaged = true;
     body(std::size_t{0}, current.size(), [&](const Tuple& row) {
-      status = options.spill->Push(row);
+      status = spilling ? options.spill->Push(row) : options.rows(row);
       return status.ok();
     });
   } else {
@@ -471,7 +471,7 @@ Result<Relation> EvaluateConjunctiveBindings(
 
   // Fold joins, applying comparisons and negations as soon as bound. A
   // streamed evaluation leaves its final join to StreamFinal.
-  const bool streamed = options.groups != nullptr;
+  const bool streamed = options.groups != nullptr || options.rows != nullptr;
   const std::size_t folded =
       streamed && order.size() > 1 ? order.size() - 1 : order.size();
   Relation current = std::move(positive_bindings[order[0]]);

@@ -11,6 +11,7 @@
 #ifndef QF_FLOCKS_CQ_EVAL_H_
 #define QF_FLOCKS_CQ_EVAL_H_
 
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -112,6 +113,11 @@ struct CqEvalOptions {
   // the sink.
   GroupTable* groups = nullptr;
   SpillGroupSink* spill = nullptr;
+  // Serial row sink, used when `groups` is null: the final stage streams
+  // as above, but hands each projected row (duplicates included) to
+  // `rows` on the calling thread, in the threads=1 row order. A non-OK
+  // status stops the stream and is returned.
+  std::function<Status(const Tuple&)> rows = nullptr;
 };
 
 // Evaluates the body of `cq` and projects the bindings onto

@@ -68,6 +68,30 @@ void IncrementalEvaluator::RecordAppend(const std::string& name,
   if (chain.links.size() > kMaxChainLinks) {
     chain.links.erase(chain.links.begin());
   }
+  PruneChains();
+}
+
+void IncrementalEvaluator::PruneChains() {
+  for (auto it = chains_.begin(); it != chains_.end();) {
+    auto& links = it->second.links;
+    // A walk starts at a mark and only moves forward, so the links before
+    // the earliest one a mark starts from are unreachable.
+    std::size_t first = links.size();
+    for (const auto& [flock, st] : states_) {
+      for (const IncrementalFlockState::RelationMark& mark : st->marks()) {
+        if (mark.name != it->first) continue;
+        for (std::size_t i = 0; i < first; ++i) {
+          if (links[i].first == mark.handle) {
+            first = i;
+            break;
+          }
+        }
+      }
+    }
+    links.erase(links.begin(),
+                links.begin() + static_cast<std::ptrdiff_t>(first));
+    it = links.empty() ? chains_.erase(it) : std::next(it);
+  }
 }
 
 void IncrementalEvaluator::RecordReplace(const std::string& name) {
@@ -160,12 +184,18 @@ Status IncrementalEvaluator::BuildState(const std::string& name,
                                         IncrementalFlockState* st) {
   (void)name;
   std::vector<std::string> param_columns = FlockParameterColumns(flock);
-  std::vector<std::string> answer_columns = param_columns;
-  for (std::size_t i = 0; i < flock.query.head_arity(); ++i) {
-    answer_columns.push_back("_h" + std::to_string(i));
-  }
   std::size_t agg_idx = param_columns.size() + flock.filter.agg_head_index;
   bool check_sum = flock.filter.agg == FilterAgg::kSum;
+  // Answer rows stream straight into the state: the sink sees each CQ's
+  // rows in the threads=1 order, and AbsorbAnswer dedups them.
+  CqEvalOptions absorb;
+  absorb.rows = [&](const Tuple& row) {
+    if (check_sum) {
+      if (Status s = CheckSumRow(row, agg_idx); !s.ok()) return s;
+    }
+    st->AbsorbAnswer(row);
+    return Status::Ok();
+  };
 
   PredicateResolver resolver(db);
   OpMetrics* m = env.metrics;
@@ -182,15 +212,8 @@ Status IncrementalEvaluator::BuildState(const std::string& name,
     for (const std::string& h : cq.head_vars) wanted.push_back(h);
     ScopedOp span(disjunct_nodes[d], env.trace);
     Result<Relation> bindings = EvaluateConjunctiveBindings(
-        cq, resolver, wanted, {}, env.At(disjunct_nodes[d]));
+        cq, resolver, wanted, absorb, env.At(disjunct_nodes[d]));
     if (!bindings.ok()) return bindings.status();
-    Relation renamed = Rename(std::move(*bindings), answer_columns);
-    for (const Tuple& row : renamed.rows()) {
-      if (check_sum) {
-        if (Status s = CheckSumRow(row, agg_idx); !s.ok()) return s;
-      }
-      st->AbsorbAnswer(row);
-    }
     if (Status s = env.Check(); !s.ok()) return s;
   }
   st->SealBatch();
@@ -221,6 +244,7 @@ Status IncrementalEvaluator::Run(const std::string& name,
   // detail is filled in by `finish` once the decision is known.
   OpMetrics* inc_node = m != nullptr ? m->AddChild("incremental") : nullptr;
   auto finish = [&](std::string decision) {
+    PruneChains();
     info->decision = std::move(decision);
     auto st_it = states_.find(name);
     info->state_bytes =
@@ -349,10 +373,6 @@ Status IncrementalEvaluator::Run(const std::string& name,
         // everything else bound to the full new relations. Overlaps
         // (derivations with several delta tuples) are absorbed by dedup.
         std::vector<std::string> param_columns = FlockParameterColumns(flock);
-        std::vector<std::string> answer_columns = param_columns;
-        for (std::size_t i = 0; i < flock.query.head_arity(); ++i) {
-          answer_columns.push_back("_h" + std::to_string(i));
-        }
         std::size_t agg_idx =
             param_columns.size() + flock.filter.agg_head_index;
         bool check_sum = flock.filter.agg == FilterAgg::kSum;
@@ -365,6 +385,11 @@ Status IncrementalEvaluator::Run(const std::string& name,
         }
         PredicateResolver resolver(db, extra);
         std::vector<Tuple> staging;
+        CqEvalOptions stage;
+        stage.rows = [&staging](const Tuple& row) {
+          staging.push_back(row);
+          return Status::Ok();
+        };
         for (std::size_t d = 0; d < flock.query.disjuncts.size(); ++d) {
           const ConjunctiveQuery& cq = flock.query.disjuncts[d];
           std::vector<std::string> wanted = param_columns;
@@ -385,12 +410,8 @@ Status IncrementalEvaluator::Run(const std::string& name,
                     : nullptr;
             ScopedOp span(node, env.trace);
             Result<Relation> bindings = EvaluateConjunctiveBindings(
-                delta_cq, resolver, wanted, {}, env.At(node));
+                delta_cq, resolver, wanted, stage, env.At(node));
             if (!bindings.ok()) return bindings.status();
-            Relation renamed = Rename(std::move(*bindings), answer_columns);
-            for (const Tuple& row : renamed.rows()) {
-              staging.push_back(row);
-            }
             if (Status s = env.Check(); !s.ok()) return s;
           }
         }

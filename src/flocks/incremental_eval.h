@@ -112,6 +112,12 @@ class IncrementalEvaluator {
                           std::shared_ptr<const Relation>>> links;
   };
 
+  // Drops the links no state can walk any more: in each chain, those
+  // before the first link that starts at some state's mark — all of them
+  // when none does. A link pins its `from` version, so without this a
+  // chain would keep up to kMaxChainLinks dead relation versions alive.
+  void PruneChains();
+
   // Delta slice rows [mark.rows, cur->size()) when `cur` is reachable
   // from the mark's handle through the chain; false otherwise.
   bool DeltaSlice(const IncrementalFlockState::RelationMark& mark,

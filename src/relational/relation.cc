@@ -46,12 +46,15 @@ bool Relation::Contains(const Tuple& t) const {
 
 void Relation::SortRows() { std::sort(rows_.begin(), rows_.end()); }
 
+Status CheckAppendable(const Relation& base, const Relation& delta) {
+  if (base.schema() == delta.schema()) return Status::Ok();
+  return InvalidArgumentError("append schema mismatch: " + base.name() +
+                              base.schema().ToString() + " vs " +
+                              delta.schema().ToString());
+}
+
 Result<Relation> AppendRelation(const Relation& base, const Relation& delta) {
-  if (!(base.schema() == delta.schema())) {
-    return InvalidArgumentError(
-        "append schema mismatch: " + base.name() + base.schema().ToString() +
-        " vs " + delta.schema().ToString());
-  }
+  if (Status s = CheckAppendable(base, delta); !s.ok()) return s;
   QF_CHECK_MSG(base.size() + delta.size() < 0xFFFFFFFFull,
                "AppendRelation addresses at most 2^32-1 rows");
   Relation out(base.name(), base.schema());

@@ -62,9 +62,11 @@ class Relation {
   // (`epoch`, 0 for a relation loaded whole) and the number of leading
   // rows shared verbatim with its predecessor (`base_rows`); the slice
   // [base_rows, size) is the relation's delta batch. In-memory only: the
-  // catalog serializes rows, never these fields — lineage across the
-  // durable path is tracked by shared_ptr identity (shell append chains),
-  // not by epochs, so round-tripping through the WAL resets them to 0.
+  // catalog serializes rows, never these fields. Its append records keep
+  // them (the apply runs AppendRelation), but a relation decoded whole —
+  // from a snapshot or a whole-relation record — starts again at 0.
+  // Lineage is tracked by shared_ptr identity (shell append chains), not
+  // by epochs.
   std::uint64_t epoch() const { return epoch_; }
   std::size_t base_rows() const { return base_rows_; }
   void set_epoch(std::uint64_t epoch) { epoch_ = epoch; }
@@ -86,6 +88,11 @@ class Relation {
 // the column names disagree; the relation names may differ (the result
 // keeps base's name).
 Result<Relation> AppendRelation(const Relation& base, const Relation& delta);
+
+// The check AppendRelation starts with: OK when the column names agree,
+// else its InvalidArgument error. Lets a caller refuse an append before
+// committing to it (the catalog validates before logging).
+Status CheckAppendable(const Relation& base, const Relation& delta);
 
 }  // namespace qf
 

@@ -513,26 +513,26 @@ Result<std::string> Shell::Load(std::string_view args) {
     std::shared_ptr<const Relation> old = db().GetShared(rel_name);
     Result<Relation> delta = LoadTsv(std::string(path), rel_name, &vfs());
     if (!delta.ok()) return delta.status();
-    Result<Relation> appended = AppendRelation(*old, *delta);
-    if (!appended.ok()) return appended.status();
-    std::size_t added = appended->size() - old->size();
-    std::size_t total = appended->size();
-    std::uint64_t epoch = appended->epoch();
-    std::vector<Relation> rels;
-    rels.push_back(std::move(*appended));
-    if (Status s = PersistRelations(std::move(rels), /*append=*/true);
-        !s.ok()) {
-      return s;
+    if (catalog_ != nullptr) {
+      // The catalog logs the delta alone and runs the append itself.
+      QueryContext ctx;
+      ConfigureContext(ctx);
+      if (Status s = catalog_->AppendRows(rel_name, *delta, &ctx); !s.ok()) {
+        return s;
+      }
+    } else {
+      Result<Relation> appended = AppendRelation(*old, *delta);
+      if (!appended.ok()) return appended.status();
+      db_.PutRelation(std::move(*appended));
     }
-    // Link old -> new for the incremental evaluator's delta detection,
-    // using the handle the database actually serves now (in catalog mode
-    // that is the decoded copy; its rows are the same values, so prefix
-    // stability holds).
-    incremental_.RecordAppend(rel_name, std::move(old),
-                              db().GetShared(rel_name));
-    return "appended " + rel_name + ": +" + std::to_string(added) +
-           " rows (" + std::to_string(total) + " total, epoch " +
-           std::to_string(epoch) + ")\n";
+    views_dirty_ = true;
+    // Link old -> new for the incremental evaluator's delta detection.
+    std::shared_ptr<const Relation> now = db().GetShared(rel_name);
+    incremental_.RecordAppend(rel_name, old, now);
+    return "appended " + rel_name + ": +" +
+           std::to_string(now->size() - old->size()) + " rows (" +
+           std::to_string(now->size()) + " total, epoch " +
+           std::to_string(now->epoch()) + ")\n";
   }
   Result<Relation> rel = LoadTsv(std::string(path), rel_name, &vfs());
   if (!rel.ok()) return rel.status();
@@ -1336,7 +1336,7 @@ Result<std::string> Shell::Show(std::string_view args) {
   return NotFoundError("no relation named " + rel_name);
 }
 
-Status Shell::PersistRelations(std::vector<Relation> rels, bool append) {
+Status Shell::PersistRelations(std::vector<Relation> rels) {
   QueryContext ctx;
   ConfigureContext(ctx);
   std::vector<std::string> names;
@@ -1352,11 +1352,9 @@ Status Shell::PersistRelations(std::vector<Relation> rels, bool append) {
   } else {
     for (Relation& rel : rels) db_.PutRelation(std::move(rel));
   }
-  if (!append) {
-    // Overwrites sever the relations' append lineage: cached incremental
-    // states over them must rebuild, not walk a broken chain.
-    for (const std::string& name : names) incremental_.RecordReplace(name);
-  }
+  // Overwrites sever the relations' append lineage: cached incremental
+  // states over them must rebuild, not walk a broken chain.
+  for (const std::string& name : names) incremental_.RecordReplace(name);
   views_dirty_ = true;
   return Status::Ok();
 }

@@ -254,11 +254,10 @@ class Shell {
   Vfs& vfs() const { return vfs_ != nullptr ? *vfs_ : DefaultVfs(); }
   // Stores relations under the session's limits, through the catalog's
   // WAL (one commit, one fsync, all-or-nothing) when one is open, and
-  // marks the views stale. On failure nothing is applied. `append` marks
-  // the batch as LOAD ... APPEND lineage: replace severs each relation's
-  // incremental append chain, append leaves it to the caller to link
-  // old -> new handles.
-  Status PersistRelations(std::vector<Relation> rels, bool append = false);
+  // marks the views stale. On failure nothing is applied. Each stored
+  // relation replaces its predecessor, so its incremental append chain is
+  // severed (LOAD ... APPEND goes through Catalog::AppendRows instead).
+  Status PersistRelations(std::vector<Relation> rels);
   // Persists a session knob's stored value when a catalog is open.
   Status PersistKnob(const std::string& key, std::int64_t value);
 

@@ -52,7 +52,21 @@ enum class WalRecordType : unsigned char {
   kPutFlock = 3,
   kSetKnob = 4,
   kBanditOutcome = 5,
+  // {relation name, u64 base row count, u32 BaseCheck, delta relation}:
+  // LOAD ... APPEND logs its delta, not the merged relation.
+  kAppendRows = 6,
 };
+
+// What an append record pins its base by, in O(arity): CRC32C of the
+// base's encoded last row (0 for an empty base). Together with the row
+// count it tells the base the record was logged against from any other
+// base replay could meet.
+std::uint32_t BaseCheck(const Relation& base) {
+  if (base.empty()) return 0;
+  std::string row;
+  for (const Value& v : base.rows().back()) PutValue(row, v);
+  return Crc32c(row);
+}
 
 bool IsGovernorAbort(const Status& s) {
   return s.code() == StatusCode::kCancelled ||
@@ -60,12 +74,11 @@ bool IsGovernorAbort(const Status& s) {
          s.code() == StatusCode::kResourceExhausted;
 }
 
-// Forward declaration; defined below ApplyRecordBody.
-Status ApplyCommitBody(CatalogState& state, ByteReader& in, QueryContext* ctx);
-
-// Decodes the record body after the LSN and applies it to `state`.
-Status ApplyRecordBody(CatalogState& state, ByteReader& in,
-                       QueryContext* ctx) {
+// Decodes the record body after the LSN and applies it to `state`. Sets
+// *base_mismatch (and returns CORRUPT_WAL) when an append record meets a
+// base other than the one it was logged against.
+Status ApplyRecordBody(CatalogState& state, ByteReader& in, QueryContext* ctx,
+                       bool* base_mismatch) {
   std::string_view type_byte;
   if (!in.GetBytes(1, &type_byte)) {
     return CorruptWalError("record body missing type byte");
@@ -109,6 +122,37 @@ Status ApplyRecordBody(CatalogState& state, ByteReader& in,
       state.bandit.Record(outcome);
       break;
     }
+    case WalRecordType::kAppendRows: {
+      std::string_view name;
+      std::uint64_t base_rows = 0;
+      std::uint32_t base_check = 0;
+      if (!in.GetString(&name) || !in.GetU64(&base_rows) ||
+          !in.GetU32(&base_check)) {
+        return CorruptWalError("malformed append record");
+      }
+      Result<Relation> delta = DecodeRelation(in, ctx);
+      if (!delta.ok()) return delta.status();
+      // Appending this delta to any other base would build rows nobody
+      // acknowledged: unlike a torn tail, that is not truncated away.
+      const Relation* base =
+          state.db.Has(name) ? &state.db.Get(name) : nullptr;
+      if (base == nullptr || base->size() != base_rows ||
+          BaseCheck(*base) != base_check ||
+          !CheckAppendable(*base, *delta).ok()) {
+        *base_mismatch = true;
+        return CorruptWalError(
+            "append record for relation " + std::string(name) +
+            " does not match its base (logged against " +
+            std::to_string(base_rows) + " rows, found " +
+            (base == nullptr ? std::string("no relation")
+                             : std::to_string(base->size()) + " rows") +
+            ")");
+      }
+      Result<Relation> appended = AppendRelation(*base, *delta);
+      if (!appended.ok()) return appended.status();
+      state.db.PutRelation(std::move(*appended));
+      break;
+    }
     default:
       return CorruptWalError("unknown WAL record type " +
                              std::to_string(type_byte[0]));
@@ -123,8 +167,8 @@ Status ApplyRecordBody(CatalogState& state, ByteReader& in,
 // u32 record count followed by that many length-prefixed record bodies.
 // The whole batch shares one frame (and one CRC), which is what makes a
 // multi-record commit all-or-nothing across a torn write.
-Status ApplyCommitBody(CatalogState& state, ByteReader& in,
-                       QueryContext* ctx) {
+Status ApplyCommitBody(CatalogState& state, ByteReader& in, QueryContext* ctx,
+                       bool* base_mismatch) {
   std::uint32_t n = 0;
   // Each record needs >= 5 bytes (u32 length + type byte).
   if (!in.GetU32(&n) || n > in.remaining() / 5 + 1) {
@@ -137,7 +181,9 @@ Status ApplyCommitBody(CatalogState& state, ByteReader& in,
       return CorruptWalError("truncated commit batch record");
     }
     ByteReader sub(body);
-    if (Status s = ApplyRecordBody(state, sub, ctx); !s.ok()) return s;
+    if (Status s = ApplyRecordBody(state, sub, ctx, base_mismatch); !s.ok()) {
+      return s;
+    }
   }
   if (!in.AtEnd()) {
     return CorruptWalError("trailing bytes after commit batch");
@@ -370,7 +416,8 @@ Result<std::unique_ptr<Catalog>> Catalog::Open(Vfs& vfs, std::string dir,
 
   // Replay the log. `good` counts frames that survive (applied or
   // stale-skipped); the first undecodable record — like a torn frame —
-  // truncates the log from that point on.
+  // truncates the log from that point on. An append record whose base
+  // does not match fails the Open instead, leaving the log as it is.
   Result<WalReadResult> wal_read = ReadWal(vfs, wal_path);
   if (!wal_read.ok()) return wal_read.status();
   std::uint64_t last_lsn = snap_lsn;
@@ -391,7 +438,12 @@ Result<std::unique_ptr<Catalog>> Catalog::Open(Vfs& vfs, std::string dir,
     } else if (lsn != last_lsn + 1) {
       applied = CorruptWalError("LSN gap");
     } else {
-      applied = ApplyCommitBody(cat->state_, in, ctx);
+      bool base_mismatch = false;
+      applied = ApplyCommitBody(cat->state_, in, ctx, &base_mismatch);
+      if (base_mismatch) {
+        return CorruptWalError("WAL record at LSN " + std::to_string(lsn) +
+                               ": " + applied.message());
+      }
     }
     if (!applied.ok()) {
       if (IsGovernorAbort(applied)) return applied;
@@ -485,9 +537,10 @@ Status Catalog::Commit(const std::vector<std::string>& bodies,
   // must follow unconditionally.
   ByteReader in(payload);
   std::uint64_t lsn = 0;
-  Status applied = in.GetU64(&lsn)
-                       ? ApplyCommitBody(state_, in, nullptr)
-                       : CorruptWalError("self-encoded commit too short");
+  bool base_mismatch = false;
+  Status applied =
+      in.GetU64(&lsn) ? ApplyCommitBody(state_, in, nullptr, &base_mismatch)
+                      : CorruptWalError("self-encoded commit too short");
   if (!applied.ok()) {
     return Latch(InternalError("logged commit failed to apply: " +
                                applied.ToString()));
@@ -512,6 +565,24 @@ Status Catalog::PutRelations(const std::vector<const Relation*>& rels,
     if (!encode_status.ok()) return encode_status;  // governor abort
   }
   return Commit(bodies, ctx);
+}
+
+Status Catalog::AppendRows(const std::string& name, const Relation& delta,
+                           QueryContext* ctx) {
+  if (!state_.db.Has(name)) {
+    return FailedPreconditionError("cannot append to missing relation " +
+                                   name);
+  }
+  const Relation& base = state_.db.Get(name);
+  // Refused before logging: a logged record that cannot apply latches.
+  if (Status s = CheckAppendable(base, delta); !s.ok()) return s;
+  std::string body;
+  body.push_back(static_cast<char>(WalRecordType::kAppendRows));
+  PutString(body, name);
+  PutU64(body, static_cast<std::uint64_t>(base.size()));
+  PutU32(body, BaseCheck(base));
+  if (Status s = EncodeRelation(delta, body, ctx); !s.ok()) return s;
+  return Commit({std::move(body)}, ctx);
 }
 
 Status Catalog::DefineRule(const std::string& rule_text) {

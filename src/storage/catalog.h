@@ -28,9 +28,11 @@
 // LSN > snapshot LSN. The first torn or checksum-failing record truncates
 // the log (crash artifact — see wal.h); a record that checksums but does
 // not decode also truncates, and the file is rewritten to the valid
-// prefix so future commits append after good bytes. LSNs make the
-// snapshot-then-truncate rotation crash-safe at every intermediate point:
-// stale records (LSN <= snapshot) replay as no-ops.
+// prefix so future commits append after good bytes. An append record
+// whose base does not match is not a crash artifact: Open fails with
+// CORRUPT_WAL naming the relation and LSN and leaves the log untouched.
+// LSNs make the snapshot-then-truncate rotation crash-safe at every
+// intermediate point: stale records (LSN <= snapshot) replay as no-ops.
 //
 // Failure containment: after any I/O error on the commit path the
 // catalog latches read-only — further mutations return the latched
@@ -114,9 +116,10 @@ class Catalog {
   };
 
   // Opens (creating if needed) the catalog in `dir`, recovering state
-  // from snapshot + WAL. Returns CORRUPT_WAL for an unreadable snapshot,
-  // IO_ERROR for OS failures, and the governor's typed status if `ctx`
-  // trips mid-recovery. Unreferenced page files and orphaned spill files
+  // from snapshot + WAL. Returns CORRUPT_WAL for an unreadable snapshot
+  // or an append record whose base does not match, IO_ERROR for OS
+  // failures, and the governor's typed status if `ctx` trips
+  // mid-recovery. Unreferenced page files and orphaned spill files
   // under the directory are swept (crash leftovers; best-effort).
   static Result<std::unique_ptr<Catalog>> Open(Vfs& vfs, std::string dir,
                                                QueryContext* ctx = nullptr,
@@ -132,6 +135,16 @@ class Catalog {
   // across a crash, for multi-relation statements like GEN MEDICAL.
   Status PutRelations(const std::vector<const Relation*>& rels,
                       QueryContext* ctx = nullptr);
+  // Set-semantics append of `delta` to relation `name` (AppendRelation).
+  // Logs only the delta, with the base's row count and a check of its last
+  // row, so the commit costs O(delta) bytes. The apply — at commit and at
+  // replay alike — runs AppendRelation on the base it finds; a replay that
+  // finds a different base fails Open with CORRUPT_WAL instead of building
+  // rows nobody acknowledged. FAILED_PRECONDITION for a missing relation,
+  // AppendRelation's INVALID_ARGUMENT for a schema mismatch (both before
+  // anything is logged).
+  Status AppendRows(const std::string& name, const Relation& delta,
+                    QueryContext* ctx = nullptr);
   Status DefineRule(const std::string& rule_text);
   Status PutFlock(const std::string& name, const std::string& source);
   Status SetKnob(const std::string& key, std::int64_t value);

@@ -69,12 +69,27 @@ inline Relation MinedPairs(const Relation& baskets, unsigned threads) {
   return rel;
 }
 
+// A LOAD ... APPEND batch for the baskets: a new basket `bid` holding the
+// items of the first `fresh` rows, plus one row the baskets already hold
+// (deduped away on apply).
+inline Relation BasketsDelta(const Relation& baskets, int bid, int fresh) {
+  Relation delta("baskets", baskets.schema());
+  for (int i = 0; i < fresh; ++i) {
+    delta.AddRow({Value(bid), baskets.rows()[i][1]});
+  }
+  delta.Add(baskets.rows().front());
+  return delta;
+}
+
 // The scripted workload: every catalog mutation type, two checkpoints at
-// asymmetric positions, and one multi-relation batch commit. Knob values
-// are fixed (never `threads`) so the oracle bytes are thread-invariant.
+// asymmetric positions, one multi-relation batch commit, and a baskets
+// append on each side of the first checkpoint. Knob values are fixed
+// (never `threads`) so the oracle bytes are thread-invariant.
 inline std::vector<WorkloadStep> BuildWorkload(unsigned threads) {
   auto baskets = std::make_shared<Relation>(CrashTestBaskets());
   auto pairs = std::make_shared<Relation>(MinedPairs(*baskets, threads));
+  auto delta1 = std::make_shared<Relation>(BasketsDelta(*baskets, 1000, 3));
+  auto delta2 = std::make_shared<Relation>(BasketsDelta(*baskets, 1001, 2));
   auto r1 = std::make_shared<Relation>("batch_a", Schema({"A"}));
   r1->AddRow({Value(1)});
   r1->AddRow({Value(2)});
@@ -89,8 +104,14 @@ inline std::vector<WorkloadStep> BuildWorkload(unsigned threads) {
        [](Catalog& c) { return c.DefineRule("big(B) :- baskets(B, I)"); }},
       {"put mined pairs",
        [pairs](Catalog& c) { return c.PutRelation(*pairs); }},
+      // Appends log only their delta: replay must rebuild the merged
+      // relation from the snapshot or the WAL record it lands on.
+      {"append baskets",
+       [delta1](Catalog& c) { return c.AppendRows("baskets", *delta1); }},
       {"checkpoint",
        [](Catalog& c) { return c.Checkpoint(); }},
+      {"append baskets again",
+       [delta2](Catalog& c) { return c.AppendRows("baskets", *delta2); }},
       {"declare flock",
        [](Catalog& c) {
          return c.PutFlock("pairs_flock",

@@ -284,6 +284,56 @@ TEST(FusedPipelineTest, GraphPathsAgreeWithOracle) {
                db);
 }
 
+// The serial row sink (CqEvalOptions::rows) sees the materialized
+// bindings in their order, duplicates included, at every thread count.
+TEST(FusedPipelineTest, RowSinkSeesTheMaterializedRowsInOrder) {
+  Database db = Baskets(8, 120, 12, 1.0);
+  for (const char* text :
+       {"answer(B) :- b(B,$1) AND b(B,$2) AND $1 < $2 AND NOT z($1,$2)",
+        "answer(B) :- b(B,$1) AND $1 < 9",
+        "answer(B) :- b(B,$1) AND flag(1)",
+        "answer(B) :- b(B,$1) AND b(B,$2) AND 2 < 1"}) {
+    QueryFlock flock = Flock(text, FilterCondition::MinSupport(1));
+    const ConjunctiveQuery& cq = flock.query.disjuncts[0];
+    std::vector<std::string> wanted = FlockParameterColumns(flock);
+    wanted.insert(wanted.end(), cq.head_vars.begin(), cq.head_vars.end());
+    Result<Relation> expect =
+        EvaluateConjunctiveBindings(cq, PredicateResolver(db), wanted);
+    ASSERT_TRUE(expect.ok()) << expect.status().ToString();
+    for (unsigned threads : kThreadCounts) {
+      Relation seen{Schema(wanted)};
+      CqEvalOptions sink;
+      sink.rows = [&seen](const Tuple& row) {
+        seen.Add(row);
+        return Status::Ok();
+      };
+      Result<Relation> r = EvaluateConjunctiveBindings(
+          cq, PredicateResolver(db), wanted, sink, {.threads = threads});
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_TRUE(r->empty());
+      seen.Dedup();
+      EXPECT_EQ(seen.rows(), expect->rows()) << text << " threads=" << threads;
+    }
+  }
+}
+
+TEST(FusedPipelineTest, RowSinkErrorStopsTheStream) {
+  Database db = Baskets(9, 120, 12, 1.0);
+  QueryFlock flock = Flock("answer(B) :- b(B,$1) AND b(B,$2) AND $1 < $2",
+                           FilterCondition::MinSupport(1));
+  std::size_t calls = 0;
+  CqEvalOptions sink;
+  sink.rows = [&calls](const Tuple&) {
+    return ++calls == 5 ? FailedPreconditionError("sink full") : Status::Ok();
+  };
+  Result<Relation> r = EvaluateConjunctiveBindings(
+      flock.query.disjuncts[0], PredicateResolver(db), {"$1", "$2", "B"},
+      sink, {.threads = 4});
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().message(), "sink full");
+  EXPECT_EQ(calls, 5u);
+}
+
 TEST(FusedPipelineTest, NegativeSumWeightIsRejected) {
   Database db = Baskets(12, 60, 8, 1.0);
   Relation w("w", Schema({"B", "W"}));

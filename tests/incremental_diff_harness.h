@@ -12,9 +12,10 @@
 // The schedule generator is deliberately adversarial: deltas repeat
 // existing rows (empty batches), touch new group keys, interleave with
 // threshold tightening *and* loosening (rebuild), and optionally run
-// against a durable catalog so WAL replay and CHECKPOINT interact with
-// the cached state. Everything is driven through MemVfs, so suites can
-// layer fault injection (tests/crash_recovery_harness.h) on top.
+// against a durable catalog so CHECKPOINT and re-OPEN (WAL replay of the
+// append records) interact with the cached state. Everything is driven
+// through MemVfs, so suites can layer fault injection
+// (tests/crash_recovery_harness.h) on top.
 #ifndef QF_TESTS_INCREMENTAL_DIFF_HARNESS_H_
 #define QF_TESTS_INCREMENTAL_DIFF_HARNESS_H_
 
@@ -55,8 +56,8 @@ struct DiffScheduleOptions {
   // lives in the direct EvaluateFlock comparisons of the test suites).
   unsigned threads = 1;
   // Both shells OPEN a durable catalog (separate directories in the
-  // shared MemVfs) so appends/declarations ride the WAL and CHECKPOINT
-  // steps are generated.
+  // shared MemVfs) so appends/declarations ride the WAL, and CHECKPOINT
+  // and re-OPEN steps are generated.
   bool use_catalog = false;
   // SET MEMORY <mb> issued to both shells (0 = unlimited). Small budgets
   // force the subject into evicted(budget) fallbacks — results must not
@@ -168,11 +169,18 @@ class DeltaReplayHarness {
       std::int64_t t = 2 + static_cast<std::int64_t>(rng_.NextBelow(5));
       DeclareThreshold(t);
       RunFlockAndCompare();
-    } else if (roll < 85 && opts_.use_catalog) {
+    } else if (roll < 80 && opts_.use_catalog) {
       // Snapshot byte counts legitimately differ (the subject's catalog
       // also carries the INCREMENTAL knob), so no output comparison.
       Must(subject_, "CHECKPOINT");
       Must(oracle_, "CHECKPOINT");
+      RunFlockAndCompare();
+    } else if (roll < 85 && opts_.use_catalog) {
+      // Both shells recover their catalogs, replaying the append records
+      // logged since the last checkpoint; the subject's state rebuilds.
+      // OPEN's output names the directory, so it is not compared.
+      Must(subject_, "OPEN subj");
+      Must(oracle_, "OPEN orac");
       RunFlockAndCompare();
     } else if (roll < 90) {
       // Subject-only introspection must never perturb results.

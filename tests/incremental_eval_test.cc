@@ -359,6 +359,37 @@ TEST(IncrementalShellTest, ExplainAnalyzeShowsDecisionAndDeltas) {
   EXPECT_NE(ea2.find("baskets"), std::string::npos);
 }
 
+TEST(IncrementalShellTest, BuildRunStreamsIntoTheState) {
+  MemVfs vfs;
+  StoreBasketsTsv(vfs);
+  Shell shell;
+  shell.set_vfs(&vfs);
+  MustRun(shell, "LOAD baskets FROM base.tsv");
+  MustRun(shell, "SET INCREMENTAL ON");
+  DeclarePairs(shell, 2);
+  // Build and delta runs alike stream their final join into the state:
+  // no select or project node materializes the answer rows.
+  for (const char* stmt : {"EXPLAIN ANALYZE pairs",
+                           "LOAD baskets APPEND FROM delta.tsv",
+                           "EXPLAIN ANALYZE pairs"}) {
+    std::string out = MustRun(shell, stmt);
+    if (out.rfind("appended", 0) == 0) continue;
+    EXPECT_NE(out.find("join baskets [stream]"), std::string::npos) << out;
+    std::size_t at = 0;
+    while (at < out.size()) {
+      std::size_t nl = out.find('\n', at);
+      std::string line = out.substr(at, nl == std::string::npos
+                                            ? std::string::npos
+                                            : nl - at);
+      line.erase(0, line.find_first_not_of(' '));
+      EXPECT_NE(line.rfind("select", 0), 0u) << out;
+      EXPECT_NE(line.rfind("project", 0), 0u) << out;
+      if (nl == std::string::npos) break;
+      at = nl + 1;
+    }
+  }
+}
+
 TEST(IncrementalShellTest, SetIncrementalOffDropsState) {
   Shell shell;
   SeedBaskets(shell);
@@ -396,6 +427,37 @@ TEST(IncrementalShellTest, CatalogReopenRestoresKnobAndRebuilds) {
   std::string after = MustRun(reopened, "RUN pairs LIMIT 100");
   EXPECT_EQ(RunMode(after), "INCREMENTAL:build");
   EXPECT_EQ(NormalizeRunOutput(after), before);
+}
+
+TEST(IncrementalShellTest, CatalogAppendsCountEpochsAcrossReplay) {
+  MemVfs vfs;
+  StoreBasketsTsv(vfs);
+  {
+    Shell shell;
+    shell.set_vfs(&vfs);
+    MustRun(shell, "OPEN cat");
+    MustRun(shell, "LOAD baskets FROM base.tsv");
+    EXPECT_NE(MustRun(shell, "LOAD baskets APPEND FROM delta.tsv")
+                  .find("+3 rows (10 total, epoch 1)"),
+              std::string::npos);
+    EXPECT_NE(MustRun(shell, "LOAD baskets APPEND FROM delta.tsv")
+                  .find("+0 rows (10 total, epoch 2)"),
+              std::string::npos);
+  }
+  // The append records replay through AppendRelation, epochs included.
+  Shell shell;
+  shell.set_vfs(&vfs);
+  MustRun(shell, "OPEN cat");
+  EXPECT_EQ(shell.database().Get("baskets").epoch(), 2u);
+  EXPECT_NE(MustRun(shell, "LOAD baskets APPEND FROM delta.tsv")
+                .find("(10 total, epoch 3)"),
+            std::string::npos);
+  // A snapshot stores rows only: after CHECKPOINT the count restarts.
+  MustRun(shell, "CHECKPOINT");
+  MustRun(shell, "OPEN cat");
+  EXPECT_NE(MustRun(shell, "LOAD baskets APPEND FROM delta.tsv")
+                .find("(10 total, epoch 1)"),
+            std::string::npos);
 }
 
 TEST(IncrementalShellTest, AppendRequiresExistingRelation) {
@@ -615,6 +677,42 @@ TEST(IncrementalEvalApiTest, UnrelatedRelationChangeStaysCached) {
   // And the refreshed generation makes the next probe cheap again.
   ASSERT_NE(inc.state("pairs"), nullptr);
   EXPECT_EQ(inc.state("pairs")->last_generation(), db.generation());
+}
+
+TEST(IncrementalEvalApiTest, AppendChainsReleaseDeadVersions) {
+  std::map<std::string, Relation> no_views;
+  Database db = ApiBaskets();
+  IncrementalEvaluator inc;
+  QueryFlock flock = ApiPairs(2);
+  Relation delta("d", Schema({"BID", "Item"}));
+  delta.AddRow({Value(20), Value(5)});
+  // With no state, no walk can start anywhere: the link goes at once.
+  std::weak_ptr<const Relation> v0 = db.GetShared("baskets");
+  ApiAppend(inc, db, "baskets", delta);
+  EXPECT_TRUE(v0.expired());
+
+  Relation served;
+  IncrementalRunInfo info;
+  ASSERT_TRUE(
+      inc.Run("pairs", flock, db, no_views, {}, {}, &served, &info).ok());
+  EXPECT_EQ(info.decision, "build");
+  // A lagging state keeps every version from its mark on...
+  std::weak_ptr<const Relation> v1 = db.GetShared("baskets");
+  for (int bid : {21, 22}) {
+    delta.mutable_rows()[0][0] = Value(bid);
+    ApiAppend(inc, db, "baskets", delta);
+  }
+  std::weak_ptr<const Relation> v2 = db.GetShared("baskets");
+  delta.mutable_rows()[0][0] = Value(23);
+  ApiAppend(inc, db, "baskets", delta);
+  EXPECT_FALSE(v1.expired());
+  EXPECT_FALSE(v2.expired());
+  // ...until it absorbs them; then only the current version stays.
+  ASSERT_TRUE(
+      inc.Run("pairs", flock, db, no_views, {}, {}, &served, &info).ok());
+  EXPECT_EQ(info.decision, "delta(+3 rows)");
+  EXPECT_TRUE(v1.expired());
+  EXPECT_TRUE(v2.expired());
 }
 
 // --- quick differential schedules (the full sweep is the slow suite) ---

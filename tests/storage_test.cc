@@ -545,6 +545,144 @@ TEST(CatalogTest, BatchCommitIsAllOrNothing) {
   EXPECT_TRUE((*reopened)->state().db.Has("r2"));
 }
 
+// ------------------------------------------------------ append records
+
+Relation AppendBase(int rows, int last) {
+  Relation r("baskets", Schema({"BID", "Item"}));
+  for (int i = 0; i < rows - 1; ++i) r.AddRow({Value(i), Value("item")});
+  r.AddRow({Value(last), Value("last")});
+  return r;
+}
+
+Relation AppendDelta() {
+  Relation d("baskets", Schema({"BID", "Item"}));
+  d.AddRow({Value(900), Value("new")});
+  d.AddRow({Value(0), Value("item")});  // already in the base
+  d.AddRow({Value(901), Value("new")});
+  return d;
+}
+
+TEST(CatalogAppendTest, LogsTheDeltaAndReplaysTheMergedRelation) {
+  MemVfs vfs;
+  Relation base = AppendBase(500, 499);
+  Result<Relation> merged = AppendRelation(base, AppendDelta());
+  ASSERT_TRUE(merged.ok());
+  Result<std::unique_ptr<Catalog>> cat = Catalog::Open(vfs, "cat");
+  ASSERT_TRUE(cat.ok());
+  ASSERT_TRUE((*cat)->PutRelation(base).ok());
+  std::uint64_t bytes_before = (*cat)->stats().wal_bytes;
+  std::uint64_t fsyncs_before = (*cat)->stats().fsyncs;
+  ASSERT_TRUE((*cat)->AppendRows("baskets", AppendDelta()).ok());
+  // One frame of about the delta's size, one fsync.
+  EXPECT_LT((*cat)->stats().wal_bytes - bytes_before, 200u);
+  EXPECT_EQ((*cat)->stats().fsyncs, fsyncs_before + 1);
+  const Relation& now = (*cat)->state().db.Get("baskets");
+  EXPECT_EQ(now.rows(), merged->rows());
+  EXPECT_EQ(now.epoch(), 1u);
+  EXPECT_EQ(now.base_rows(), 500u);
+  ASSERT_TRUE((*cat)->AppendRows("baskets", AppendDelta()).ok());
+  EXPECT_EQ((*cat)->state().db.Get("baskets").epoch(), 2u);
+  std::string acked = StateBytes(**cat);
+
+  vfs.Crash();
+  Result<std::unique_ptr<Catalog>> reopened = Catalog::Open(vfs, "cat");
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(StateBytes(**reopened), acked);
+  EXPECT_EQ((*reopened)->open_info().replayed_records, 3u);
+  EXPECT_EQ((*reopened)->state().db.Get("baskets").epoch(), 2u);
+}
+
+TEST(CatalogAppendTest, RefusedAppendsLogNothing) {
+  MemVfs vfs;
+  Result<std::unique_ptr<Catalog>> cat = Catalog::Open(vfs, "cat");
+  ASSERT_TRUE(cat.ok());
+  ASSERT_TRUE((*cat)->PutRelation(AppendBase(3, 2)).ok());
+  Result<std::string> wal = vfs.ReadFile("cat/catalog.wal");
+  ASSERT_TRUE(wal.ok());
+  Status missing = (*cat)->AppendRows("nope", AppendDelta());
+  EXPECT_EQ(missing.code(), StatusCode::kFailedPrecondition);
+  Relation wrong("baskets", Schema({"BID", "Other"}));
+  wrong.AddRow({Value(1), Value("x")});
+  Status mismatch = (*cat)->AppendRows("baskets", wrong);
+  EXPECT_EQ(mismatch.code(), StatusCode::kInvalidArgument);
+  Result<std::string> after = vfs.ReadFile("cat/catalog.wal");
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(*after, *wal);
+  EXPECT_TRUE((*cat)->Healthy().ok());
+}
+
+// Splices catalog `from`'s append frame (its last) after the frames of
+// catalog `onto`, whose LSNs end one before it.
+std::string SpliceAppendFrame(MemVfs& vfs, const std::string& onto,
+                              const std::string& from) {
+  Result<std::string> base = vfs.ReadFile(onto + "/catalog.wal");
+  Result<std::string> donor = vfs.ReadFile(from + "/catalog.wal");
+  EXPECT_TRUE(base.ok() && donor.ok());
+  WalReadResult frames = ParseWal(*donor);
+  EXPECT_FALSE(frames.payloads.empty());
+  std::string spliced = *base;
+  AppendWalFrame(spliced, frames.payloads.back());
+  return spliced;
+}
+
+TEST(CatalogAppendTest, AppendOnAnotherBaseIsCorruptWalAndLeavesTheLog) {
+  // The donor's append was logged against a 5-row base ending in BID 4.
+  // Other bases: the same row count with another last row, and a
+  // different row count with the same last row.
+  for (const Relation& other : {AppendBase(5, 77), AppendBase(6, 4)}) {
+    MemVfs vfs;
+    {
+      Result<std::unique_ptr<Catalog>> donor = Catalog::Open(vfs, "donor");
+      ASSERT_TRUE(donor.ok());
+      ASSERT_TRUE((*donor)->PutRelation(AppendBase(5, 4)).ok());
+      ASSERT_TRUE((*donor)->AppendRows("baskets", AppendDelta()).ok());
+      Result<std::unique_ptr<Catalog>> onto = Catalog::Open(vfs, "cat");
+      ASSERT_TRUE(onto.ok());
+      ASSERT_TRUE((*onto)->PutRelation(other).ok());
+    }
+    std::string spliced = SpliceAppendFrame(vfs, "cat", "donor");
+    ASSERT_TRUE(AtomicWriteFile(vfs, "cat/catalog.wal", spliced).ok());
+
+    Result<std::unique_ptr<Catalog>> reopened = Catalog::Open(vfs, "cat");
+    ASSERT_FALSE(reopened.ok());
+    EXPECT_EQ(reopened.status().code(), StatusCode::kCorruptWal);
+    EXPECT_NE(reopened.status().message().find("LSN 2"), std::string::npos)
+        << reopened.status().ToString();
+    EXPECT_NE(reopened.status().message().find("baskets"), std::string::npos)
+        << reopened.status().ToString();
+    Result<std::string> after = vfs.ReadFile("cat/catalog.wal");
+    ASSERT_TRUE(after.ok());
+    EXPECT_EQ(*after, spliced);
+  }
+}
+
+TEST(CatalogAppendTest, ParentWholeRelationAppendRecordReopensIdentically) {
+  // Earlier builds logged LOAD ... APPEND as a whole-relation record of
+  // the merged relation. Such a log reopens to the state an append
+  // record builds.
+  MemVfs vfs;
+  Relation base = AppendBase(40, 39);
+  Result<Relation> merged = AppendRelation(base, AppendDelta());
+  ASSERT_TRUE(merged.ok());
+  {
+    Result<std::unique_ptr<Catalog>> parent = Catalog::Open(vfs, "parent");
+    ASSERT_TRUE(parent.ok());
+    ASSERT_TRUE((*parent)->PutRelation(base).ok());
+    ASSERT_TRUE((*parent)->PutRelation(*merged).ok());
+    Result<std::unique_ptr<Catalog>> child = Catalog::Open(vfs, "child");
+    ASSERT_TRUE(child.ok());
+    ASSERT_TRUE((*child)->PutRelation(base).ok());
+    ASSERT_TRUE((*child)->AppendRows("baskets", AppendDelta()).ok());
+  }
+  Result<std::unique_ptr<Catalog>> parent = Catalog::Open(vfs, "parent");
+  Result<std::unique_ptr<Catalog>> child = Catalog::Open(vfs, "child");
+  ASSERT_TRUE(parent.ok() && child.ok());
+  EXPECT_EQ(StateBytes(**parent), StateBytes(**child));
+  // Appends continue on top of the parent's record.
+  ASSERT_TRUE((*parent)->AppendRows("baskets", AppendDelta()).ok());
+  EXPECT_EQ((*parent)->state().db.Get("baskets").rows(), merged->rows());
+}
+
 TEST(CatalogTest, GovernorAbortsSlowRecovery) {
   MemVfs vfs;
   {
