@@ -112,11 +112,10 @@ void BM_Incr_DeltaUpdate(benchmark::State& state) {
       bench::MustFlock(kPairQuery, FilterCondition::MinSupport(kSupport));
   std::map<std::string, Relation> no_views;
   IncrementalEvaluator inc;
-  IncrementalEvalOptions opts;
   Relation served;
   IncrementalRunInfo info;
   QF_CHECK(
-      inc.Run("pairs", flock, db, no_views, opts, {}, &served, &info).ok());
+      inc.Run("pairs", flock, db, no_views, 0, {}, &served, &info).ok());
   QF_CHECK(info.served && info.decision == "build");
   std::int64_t counter = 0;
   std::size_t assignments = 0;
@@ -126,7 +125,7 @@ void BM_Incr_DeltaUpdate(benchmark::State& state) {
                FreshDelta(static_cast<int>(state.range(0)), &counter));
     state.ResumeTiming();
     QF_CHECK(
-        inc.Run("pairs", flock, db, no_views, opts, {}, &served, &info).ok());
+        inc.Run("pairs", flock, db, no_views, 0, {}, &served, &info).ok());
     QF_CHECK(info.served && info.decision.rfind("delta", 0) == 0);
     assignments = served.size();
     bench::ConsumeScalar(assignments);
@@ -141,16 +140,15 @@ void BM_Incr_CachedServe(benchmark::State& state) {
       bench::MustFlock(kPairQuery, FilterCondition::MinSupport(kSupport));
   std::map<std::string, Relation> no_views;
   IncrementalEvaluator inc;
-  IncrementalEvalOptions opts;
   Relation served;
   IncrementalRunInfo info;
   QF_CHECK(
-      inc.Run("pairs", flock, db, no_views, opts, {}, &served, &info).ok());
+      inc.Run("pairs", flock, db, no_views, 0, {}, &served, &info).ok());
   QF_CHECK(info.served && info.decision == "build");
   std::size_t assignments = 0;
   for (auto _ : state) {
     QF_CHECK(
-        inc.Run("pairs", flock, db, no_views, opts, {}, &served, &info).ok());
+        inc.Run("pairs", flock, db, no_views, 0, {}, &served, &info).ok());
     QF_CHECK(info.served && info.decision == "cached");
     assignments = served.size();
     bench::ConsumeScalar(assignments);

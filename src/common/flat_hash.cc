@@ -46,6 +46,7 @@ void FlatIdTable::Redistribute(std::size_t new_capacity) {
 
 void FlatKeyIndex::Reserve(std::size_t n) {
   groups_.Reserve(n);
+  first_rows_.reserve(n);
   counts_.reserve(n);
   added_rows_.reserve(n);
   group_of_row_.reserve(n);

@@ -29,7 +29,6 @@
 // The family:
 //   FlatIdTable   — hash -> dense id (the core; keys fully caller-side).
 //   FlatTupleSet  — set-semantics dedup: insert-if-absent over refs.
-//   FlatGroupTable— group key -> dense group id with representative ref.
 //   FlatKeyIndex  — join build side: key -> span of row ids (build order).
 #ifndef QF_COMMON_FLAT_HASH_H_
 #define QF_COMMON_FLAT_HASH_H_
@@ -158,47 +157,6 @@ class FlatTupleSet {
   std::vector<std::uint32_t> refs_;
 };
 
-// Group key -> dense group id (0..group_count-1 in first-occurrence
-// order), remembering one representative ref per group. Accumulators
-// live with the caller in a plain vector indexed by group id.
-class FlatGroupTable {
- public:
-  void Reserve(std::size_t n) {
-    table_.Reserve(n);
-    refs_.reserve(n);
-  }
-  std::size_t size() const { return refs_.size(); }
-
-  // Returns {group id, inserted}; on insert, `ref` becomes the group's
-  // representative. `eq(stored_ref)` compares group keys.
-  template <typename Eq>
-  std::pair<std::uint32_t, bool> Upsert(std::uint32_t ref,
-                                        std::uint64_t hash, const Eq& eq,
-                                        std::uint64_t& probes) {
-    auto result =
-        table_.Upsert(hash, [&](std::uint32_t i) { return eq(refs_[i]); },
-                      probes);
-    if (result.second) refs_.push_back(ref);
-    return result;
-  }
-
-  template <typename Eq>
-  std::uint32_t Find(std::uint64_t hash, const Eq& eq,
-                     std::uint64_t& probes) const {
-    return table_.Find(hash, [&](std::uint32_t i) { return eq(refs_[i]); },
-                       probes);
-  }
-
-  std::uint32_t ref_at(std::uint32_t group) const { return refs_[group]; }
-  std::uint64_t hash_at(std::uint32_t group) const {
-    return table_.hash_at(group);
-  }
-
- private:
-  FlatIdTable table_;
-  std::vector<std::uint32_t> refs_;
-};
-
 // Hash-join build side: key -> the row ids carrying that key, as a
 // contiguous span in build-insertion order. Build protocol:
 //   index.Reserve(n);
@@ -221,8 +179,10 @@ class FlatKeyIndex {
   template <typename Eq>
   void AddRow(std::uint32_t row, std::uint64_t hash, const Eq& eq,
               std::uint64_t& probes) {
-    auto [group, inserted] = groups_.Upsert(row, hash, eq, probes);
+    auto [group, inserted] = groups_.Upsert(
+        hash, [&](std::uint32_t g) { return eq(first_rows_[g]); }, probes);
     if (inserted) {
+      first_rows_.push_back(row);
       counts_.push_back(1);
     } else {
       ++counts_[group];
@@ -241,7 +201,8 @@ class FlatKeyIndex {
   // columns in place.
   template <typename Eq>
   Span Probe(std::uint64_t hash, const Eq& eq, std::uint64_t& probes) const {
-    std::uint32_t group = groups_.Find(hash, eq, probes);
+    std::uint32_t group = groups_.Find(
+        hash, [&](std::uint32_t g) { return eq(first_rows_[g]); }, probes);
     if (group == FlatIdTable::kNone) return Span{};
     const std::uint32_t* base = rows_.data();
     return Span{base + offsets_[group], base + offsets_[group + 1]};
@@ -252,7 +213,8 @@ class FlatKeyIndex {
   std::size_t row_count() const { return added_rows_.size() + rows_.size(); }
 
  private:
-  FlatGroupTable groups_;
+  FlatIdTable groups_;                       // key hash -> group
+  std::vector<std::uint32_t> first_rows_;    // group -> its first row
   std::vector<std::uint32_t> counts_;        // rows per group (build phase)
   std::vector<std::uint32_t> added_rows_;    // rows in AddRow order
   std::vector<std::uint32_t> group_of_row_;  // group of each added row

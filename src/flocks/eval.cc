@@ -16,6 +16,26 @@ std::vector<std::string> FlockParameterColumns(const QueryFlock& flock) {
   return out;
 }
 
+AggKind FilterAggKind(FilterAgg agg) {
+  switch (agg) {
+    case FilterAgg::kCount: return AggKind::kCount;
+    case FilterAgg::kSum: return AggKind::kSum;
+    case FilterAgg::kMin: return AggKind::kMin;
+    case FilterAgg::kMax: return AggKind::kMax;
+  }
+  return AggKind::kCount;
+}
+
+Status CheckSumWeight(const Value& weight) {
+  if (!weight.IsNumeric() || weight.AsNumber() < 0) {
+    return FailedPreconditionError(
+        "SUM filter saw a negative or non-numeric weight; monotone "
+        "pruning would be unsound (set require_nonnegative_sum=false "
+        "to override)");
+  }
+  return Status::Ok();
+}
+
 Result<Relation> EvaluateFlock(
     const QueryFlock& flock, const Database& db,
     const FlockEvalOptions& options, const ExecEnv& env,
@@ -50,10 +70,7 @@ Result<Relation> EvaluateFlock(
   auto governed = [&env]() { return env.Check(); };
 
   const FilterCondition& filter = flock.filter;
-  AggKind agg_kind = filter.agg == FilterAgg::kCount ? AggKind::kCount
-                     : filter.agg == FilterAgg::kSum ? AggKind::kSum
-                     : filter.agg == FilterAgg::kMin ? AggKind::kMin
-                                                     : AggKind::kMax;
+  AggKind agg_kind = FilterAggKind(filter.agg);
   const std::size_t agg_idx =
       n_params + (filter.agg == FilterAgg::kCount ? 0 : filter.agg_head_index);
   std::string agg_column = filter.agg == FilterAgg::kCount
@@ -70,15 +87,7 @@ Result<Relation> EvaluateFlock(
   // every partition of the table sees the answers in disjunct order.
   std::function<Status(const Value&)> check;
   if (filter.agg == FilterAgg::kSum && options.require_nonnegative_sum) {
-    check = [](const Value& weight) -> Status {
-      if (!weight.IsNumeric() || weight.AsNumber() < 0) {
-        return FailedPreconditionError(
-            "SUM filter saw a negative or non-numeric weight; monotone "
-            "pruning would be unsound (set require_nonnegative_sum=false "
-            "to override)");
-      }
-      return Status::Ok();
-    };
+    check = CheckSumWeight;
   }
   GroupTable groups(answer_columns.size(), n_params, agg_kind, agg_idx,
                     /*distinct=*/true, check, ctx);

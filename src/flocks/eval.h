@@ -21,6 +21,7 @@
 #include "common/status.h"
 #include "flocks/cq_eval.h"
 #include "flocks/flock.h"
+#include "relational/ops.h"
 
 namespace qf {
 
@@ -69,6 +70,13 @@ Result<Relation> EvaluateFlock(
 // Sorted "$"-tagged parameter columns of `flock` — the schema of its
 // result.
 std::vector<std::string> FlockParameterColumns(const QueryFlock& flock);
+
+// The group-by aggregate that computes a filter's `agg`.
+AggKind FilterAggKind(FilterAgg agg);
+
+// The SUM filter's monotonicity precondition (Future Work): a
+// FAILED_PRECONDITION error for a negative or non-numeric weight.
+Status CheckSumWeight(const Value& weight);
 
 }  // namespace qf
 

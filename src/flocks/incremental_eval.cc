@@ -1,6 +1,8 @@
 #include "flocks/incremental_eval.h"
 
 #include <cmath>
+#include <cstdio>
+#include <functional>
 #include <set>
 #include <utility>
 
@@ -38,27 +40,70 @@ std::map<std::string, bool> CollectPredicates(const UnionQuery& query) {
   return preds;
 }
 
-// The exact SUM-soundness check of flocks/eval.cc, applied per answer row
-// before it enters the cached state. The message must match the direct
-// evaluator's byte for byte: differential tests compare statement errors.
-Status CheckSumRow(const Tuple& row, std::size_t agg_idx) {
-  if (!row[agg_idx].IsNumeric() || row[agg_idx].AsNumber() < 0) {
-    return FailedPreconditionError(
-        "SUM filter saw a negative or non-numeric weight; monotone "
-        "pruning would be unsound (set require_nonnegative_sum=false "
-        "to override)");
-  }
-  return Status::Ok();
-}
-
-// True when `v` is exactly representable as an integer (addition over such
-// doubles is associative, the condition for bit-identical incremental sums).
+// SUM states are cached only while every weight is integral: integral
+// doubles below 2^53 add exactly in any order, so the cached sums stay
+// bit-identical to a from-scratch fold at every thread count.
 bool IntegralSummand(const Value& v) {
   double x = v.AsNumber();
   return std::nearbyint(x) == x && std::abs(x) <= 9007199254740992.0;
 }
 
 }  // namespace
+
+IncrementalFlockState::IncrementalFlockState(std::string flock_name,
+                                             const QueryFlock& flock)
+    : flock_name_(std::move(flock_name)),
+      query_(flock.query),
+      built_filter_(flock.filter),
+      param_columns_(FlockParameterColumns(flock)),
+      table_(param_columns_.size() + flock.query.head_arity(),
+             param_columns_.size(), FilterAggKind(flock.filter.agg),
+             param_columns_.size() + flock.filter.agg_head_index,
+             /*distinct=*/true,
+             flock.filter.agg == FilterAgg::kSum
+                 ? std::function<Status(const Value&)>(CheckSumWeight)
+                 : nullptr) {}
+
+bool IncrementalFlockState::Serves(const QueryFlock& flock) const {
+  const FilterCondition& f = flock.filter;
+  return f.IsMonotone() && query_ == flock.query &&
+         f.agg == built_filter_.agg &&
+         (f.agg == FilterAgg::kCount ||
+          f.agg_head_index == built_filter_.agg_head_index);
+}
+
+Relation IncrementalFlockState::Serve(const FilterCondition& filter) const {
+  Relation out = table_.Finish(
+      Schema(param_columns_),
+      [&filter](const Value& agg) { return filter.Accepts(agg); },
+      /*with_aggregate=*/false);
+  out.set_name("flock_result");
+  return out;
+}
+
+std::string IncrementalFlockState::Describe() const {
+  char buf[256];
+  std::snprintf(buf, sizeof(buf),
+                "flock %s: %zu answers, %zu groups, ~%llu bytes\n",
+                flock_name_.c_str(), answer_rows(), group_count(),
+                static_cast<unsigned long long>(ApproxBytes()));
+  std::string out = buf;
+  out += "  built filter: " +
+         built_filter_.ToString(query_.head_name(),
+                                query_.disjuncts.front().head_vars) +
+         "\n";
+  std::snprintf(buf, sizeof(buf),
+                "  decisions: builds=%llu deltas=%llu cached=%llu\n",
+                static_cast<unsigned long long>(full_builds),
+                static_cast<unsigned long long>(delta_batches),
+                static_cast<unsigned long long>(served_cached));
+  out += buf;
+  for (const RelationMark& mark : marks_) {
+    out += "  base " + mark.name + ": " + std::to_string(mark.rows) +
+           " rows" + (mark.negated ? " (negated)" : "") + "\n";
+  }
+  return out;
+}
 
 void IncrementalEvaluator::RecordAppend(const std::string& name,
                                         std::shared_ptr<const Relation> from,
@@ -177,23 +222,20 @@ bool IncrementalEvaluator::DeltaSlice(
   return true;
 }
 
-Status IncrementalEvaluator::BuildState(const std::string& name,
-                                        const QueryFlock& flock,
+Status IncrementalEvaluator::BuildState(const QueryFlock& flock,
                                         const Database& db,
                                         const ExecEnv& env,
-                                        IncrementalFlockState* st) {
-  (void)name;
+                                        IncrementalFlockState* st,
+                                        bool* exact) {
   std::vector<std::string> param_columns = FlockParameterColumns(flock);
   std::size_t agg_idx = param_columns.size() + flock.filter.agg_head_index;
-  bool check_sum = flock.filter.agg == FilterAgg::kSum;
+  bool sum = flock.filter.agg == FilterAgg::kSum;
   // Answer rows stream straight into the state: the sink sees each CQ's
-  // rows in the threads=1 order, and AbsorbAnswer dedups them.
+  // rows in the threads=1 order, and the state's table dedups them.
   CqEvalOptions absorb;
   absorb.rows = [&](const Tuple& row) {
-    if (check_sum) {
-      if (Status s = CheckSumRow(row, agg_idx); !s.ok()) return s;
-    }
-    st->AbsorbAnswer(row);
+    if (!st->Absorb(row)) return st->Flush();
+    if (sum && !IntegralSummand(row[agg_idx])) *exact = false;
     return Status::Ok();
   };
 
@@ -216,7 +258,7 @@ Status IncrementalEvaluator::BuildState(const std::string& name,
     if (!bindings.ok()) return bindings.status();
     if (Status s = env.Check(); !s.ok()) return s;
   }
-  st->SealBatch();
+  if (Status s = st->Flush(); !s.ok()) return s;
 
   for (const auto& [pred, negated] : CollectPredicates(flock.query)) {
     std::shared_ptr<const Relation> handle = db.GetShared(pred);
@@ -232,7 +274,7 @@ Status IncrementalEvaluator::BuildState(const std::string& name,
 Status IncrementalEvaluator::Run(const std::string& name,
                                  const QueryFlock& flock, const Database& db,
                                  const std::map<std::string, Relation>& views,
-                                 const IncrementalEvalOptions& opts,
+                                 std::uint64_t state_budget,
                                  const ExecEnv& env, Relation* result,
                                  IncrementalRunInfo* info) {
   QF_CHECK_MSG(result != nullptr && info != nullptr,
@@ -287,195 +329,173 @@ Status IncrementalEvaluator::Run(const std::string& name,
 
   std::string build_reason = "build";
   auto it = states_.find(name);
+  if (it != states_.end() && !it->second->Serves(flock)) {
+    build_reason = "rebuild(definition)";
+    states_.erase(it);
+    it = states_.end();
+  }
   if (it != states_.end()) {
     IncrementalFlockState& st = *it->second;
-    switch (st.CompatibilityWith(flock)) {
-      case IncrementalFlockState::Compat::kIncompatible: {
-        bool threshold_only =
-            st.query() == flock.query &&
-            st.built_filter().agg == flock.filter.agg &&
-            st.built_filter().cmp == flock.filter.cmp &&
-            (flock.filter.agg == FilterAgg::kCount ||
-             st.built_filter().agg_head_index == flock.filter.agg_head_index);
-        build_reason =
-            threshold_only ? "rebuild(threshold)" : "rebuild(definition)";
-        states_.erase(it);
-        break;
-      }
-      case IncrementalFlockState::Compat::kSame:
-      case IncrementalFlockState::Compat::kTightened: {
-        if (db.generation() == st.last_generation()) {
-          // Unchanged generation: every relation pointer is unchanged.
-          *result = st.Serve(flock.filter);
-          st.served_cached += 1;
-          info->served = true;
-          TouchState(name);
-          return finish("cached");
-        }
-        // Classify each marked base relation: unchanged, appended (delta
-        // slice reachable through the append chain), or invalidating.
-        std::vector<std::pair<std::string, Relation>> changed;
-        for (const IncrementalFlockState::RelationMark& mark : st.marks()) {
-          std::shared_ptr<const Relation> cur = db.GetShared(mark.name);
-          if (cur == mark.handle) continue;
-          if (mark.negated) {
-            build_reason = "rebuild(negated)";
-            break;
-          }
-          Relation slice;
-          if (!DeltaSlice(mark, cur, &slice)) {
-            build_reason = "rebuild(lineage)";
-            break;
-          }
-          changed.emplace_back(mark.name, std::move(slice));
-        }
-        if (build_reason != "build") {
-          states_.erase(it);
+    // Classify each marked base relation: unchanged, appended (delta
+    // slice reachable through the append chain), or invalidating. An
+    // unchanged generation means every relation pointer is unchanged.
+    std::vector<std::pair<std::string, Relation>> changed;
+    if (db.generation() != st.last_generation()) {
+      for (const IncrementalFlockState::RelationMark& mark : st.marks()) {
+        std::shared_ptr<const Relation> cur = db.GetShared(mark.name);
+        if (cur == mark.handle) continue;
+        if (mark.negated) {
+          build_reason = "rebuild(negated)";
           break;
         }
-        std::size_t total_delta = 0;
-        for (const auto& [rel, slice] : changed) {
-          info->delta_rows.emplace_back(rel, slice.size());
-          total_delta += slice.size();
+        Relation slice;
+        if (!DeltaSlice(mark, cur, &slice)) {
+          build_reason = "rebuild(lineage)";
+          break;
         }
-        if (changed.empty()) {
-          // Only unrelated relations changed: refresh the generation so
-          // the cheap probe works next time, and serve.
-          st.set_last_generation(db.generation());
-          *result = st.Serve(flock.filter);
-          st.served_cached += 1;
-          info->served = true;
-          TouchState(name);
-          return finish("cached");
+        changed.emplace_back(mark.name, std::move(slice));
+      }
+    }
+    if (build_reason != "build") {
+      states_.erase(it);
+    } else if (changed.empty()) {
+      // At most unrelated relations changed: refresh the generation so
+      // the cheap probe works next time, and serve.
+      st.set_last_generation(db.generation());
+      *result = st.Serve(flock.filter);
+      st.served_cached += 1;
+      info->served = true;
+      TouchState(name);
+      return finish("cached");
+    } else {
+      std::vector<std::string> param_columns = FlockParameterColumns(flock);
+      std::size_t total_delta = 0;
+      for (const auto& [rel, slice] : changed) {
+        info->delta_rows.emplace_back(rel, slice.size());
+        total_delta += slice.size();
+      }
+      // Residency pre-check BEFORE any work mutates the state: a
+      // governed statement cannot un-latch a mid-flight budget trip, so
+      // the projection (current footprint + one answer row per delta
+      // tuple) decides up front. Colder flocks' states are evicted to
+      // make room; only a projection the whole budget cannot hold drops
+      // this state.
+      if (state_budget > 0) {
+        std::size_t answer_arity =
+            param_columns.size() + flock.query.head_arity();
+        std::uint64_t projected =
+            st.ApproxBytes() + static_cast<std::uint64_t>(total_delta) *
+                                   ApproxTupleBytes(answer_arity);
+        if (!MakeRoom(name, projected, state_budget)) {
+          states_.erase(it);
+          last_use_.erase(name);
+          return finish("evicted(budget)");
         }
-        // Residency pre-check BEFORE any work mutates the state: a
-        // governed statement cannot un-latch a mid-flight budget trip, so
-        // the projection (current footprint + one answer row per delta
-        // tuple) decides up front. Colder flocks' states are evicted to
-        // make room; only a projection the whole budget cannot hold
-        // drops this state.
-        if (opts.state_budget > 0) {
-          std::uint64_t projected = st.ApproxBytes();
-          std::size_t answer_arity =
-              st.param_count() + flock.query.head_arity();
-          projected += static_cast<std::uint64_t>(total_delta) *
-                       ApproxTupleBytes(answer_arity);
-          if (!MakeRoom(name, projected, opts.state_budget)) {
-            states_.erase(it);
-            last_use_.erase(name);
-            return finish("evicted(budget)");
-          }
-        }
+      }
 
-        // New answers are exactly the derivations using >= 1 delta tuple:
-        // for every positive occurrence of a changed relation, evaluate
-        // the query with that one occurrence bound to the delta slice and
-        // everything else bound to the full new relations. Overlaps
-        // (derivations with several delta tuples) are absorbed by dedup.
-        std::vector<std::string> param_columns = FlockParameterColumns(flock);
+      // New answers are exactly the derivations using >= 1 delta tuple:
+      // for every positive occurrence of a changed relation, evaluate
+      // the query with that one occurrence bound to the delta slice and
+      // everything else bound to the full new relations. Overlaps
+      // (derivations with several delta tuples) are absorbed by dedup.
+      std::map<std::string, const Relation*> extra;
+      std::set<std::string> changed_names;
+      for (const auto& [rel, slice] : changed) {
+        if (slice.size() == 0) continue;  // deduped-away append
+        extra[DeltaPredicate(rel)] = &slice;
+        changed_names.insert(rel);
+      }
+      PredicateResolver resolver(db, extra);
+      std::vector<Tuple> staging;
+      CqEvalOptions stage;
+      stage.rows = [&staging](const Tuple& row) {
+        staging.push_back(row);
+        return Status::Ok();
+      };
+      for (std::size_t d = 0; d < flock.query.disjuncts.size(); ++d) {
+        const ConjunctiveQuery& cq = flock.query.disjuncts[d];
+        std::vector<std::string> wanted = param_columns;
+        for (const std::string& h : cq.head_vars) wanted.push_back(h);
+        for (std::size_t j = 0; j < cq.subgoals.size(); ++j) {
+          const Subgoal& sg = cq.subgoals[j];
+          if (!sg.is_positive() || changed_names.count(sg.predicate()) == 0) {
+            continue;
+          }
+          ConjunctiveQuery delta_cq = cq;
+          delta_cq.subgoals[j] =
+              Subgoal::Positive(DeltaPredicate(sg.predicate()), sg.args());
+          OpMetrics* node =
+              inc_node != nullptr
+                  ? inc_node->AddChild("disjunct",
+                                       "delta d" + std::to_string(d) + " " +
+                                           sg.predicate())
+                  : nullptr;
+          ScopedOp span(node, env.trace);
+          Result<Relation> bindings = EvaluateConjunctiveBindings(
+              delta_cq, resolver, wanted, stage, env.At(node));
+          if (!bindings.ok()) return bindings.status();
+          if (Status s = env.Check(); !s.ok()) return s;
+        }
+      }
+      // Pre-scan the staged rows BEFORE absorbing: a SUM violation must
+      // surface as the evaluator's error with the state untouched, and a
+      // non-integral summand must drop the state without having polluted
+      // it (the fallback full run then owns the statement).
+      if (flock.filter.agg == FilterAgg::kSum) {
         std::size_t agg_idx =
             param_columns.size() + flock.filter.agg_head_index;
-        bool check_sum = flock.filter.agg == FilterAgg::kSum;
-        std::map<std::string, const Relation*> extra;
-        std::set<std::string> changed_names;
-        for (const auto& [rel, slice] : changed) {
-          if (slice.size() == 0) continue;  // deduped-away append
-          extra[DeltaPredicate(rel)] = &slice;
-          changed_names.insert(rel);
+        for (const Tuple& row : staging) {
+          if (Status s = CheckSumWeight(row[agg_idx]); !s.ok()) return s;
         }
-        PredicateResolver resolver(db, extra);
-        std::vector<Tuple> staging;
-        CqEvalOptions stage;
-        stage.rows = [&staging](const Tuple& row) {
-          staging.push_back(row);
-          return Status::Ok();
-        };
-        for (std::size_t d = 0; d < flock.query.disjuncts.size(); ++d) {
-          const ConjunctiveQuery& cq = flock.query.disjuncts[d];
-          std::vector<std::string> wanted = param_columns;
-          for (const std::string& h : cq.head_vars) wanted.push_back(h);
-          for (std::size_t j = 0; j < cq.subgoals.size(); ++j) {
-            const Subgoal& sg = cq.subgoals[j];
-            if (!sg.is_positive() || changed_names.count(sg.predicate()) == 0) {
-              continue;
-            }
-            ConjunctiveQuery delta_cq = cq;
-            delta_cq.subgoals[j] =
-                Subgoal::Positive(DeltaPredicate(sg.predicate()), sg.args());
-            OpMetrics* node =
-                inc_node != nullptr
-                    ? inc_node->AddChild("disjunct",
-                                         "delta d" + std::to_string(d) + " " +
-                                             sg.predicate())
-                    : nullptr;
-            ScopedOp span(node, env.trace);
-            Result<Relation> bindings = EvaluateConjunctiveBindings(
-                delta_cq, resolver, wanted, stage, env.At(node));
-            if (!bindings.ok()) return bindings.status();
-            if (Status s = env.Check(); !s.ok()) return s;
+        for (const Tuple& row : staging) {
+          if (!IntegralSummand(row[agg_idx])) {
+            states_.erase(name);
+            return finish("unsupported(sum-inexact)");
           }
         }
-        // Pre-scan the staged rows BEFORE absorbing: a SUM violation must
-        // surface as the evaluator's error with the state untouched, and
-        // a non-integral summand must drop the state without having
-        // polluted it (the fallback full run then owns the statement).
-        if (check_sum) {
-          for (const Tuple& row : staging) {
-            if (Status s = CheckSumRow(row, agg_idx); !s.ok()) return s;
-          }
-          for (const Tuple& row : staging) {
-            if (!IntegralSummand(row[agg_idx])) {
-              states_.erase(name);
-              return finish("unsupported(sum-inexact)");
-            }
-          }
-        }
-        for (const Tuple& row : staging) st.AbsorbAnswer(row);
-        st.SealBatch();
-        st.delta_batches += 1;
-        for (IncrementalFlockState::RelationMark& mark : st.marks()) {
-          std::shared_ptr<const Relation> cur = db.GetShared(mark.name);
-          mark.rows = cur->size();
-          mark.handle = std::move(cur);
-        }
-        st.set_last_generation(db.generation());
-        *result = st.Serve(flock.filter);
-        info->served = true;
-        TouchState(name);
-        Status done = finish("delta(+" + std::to_string(total_delta) +
-                             " rows)");
-        // Post-absorb residency check: the projection above is an
-        // estimate; if the real footprint now exceeds what the whole
-        // budget can hold (after evicting colder states), the (correct)
-        // result still serves but the state is not retained.
-        if (opts.state_budget > 0) {
-          auto grown = states_.find(name);
-          if (grown != states_.end() &&
-              !MakeRoom(name, grown->second->ApproxBytes(),
-                        opts.state_budget)) {
-            states_.erase(grown);
-            last_use_.erase(name);
-          }
-        }
-        return done;
       }
+      for (const Tuple& row : staging) st.Absorb(row);
+      if (Status s = st.Flush(); !s.ok()) return s;
+      st.delta_batches += 1;
+      for (IncrementalFlockState::RelationMark& mark : st.marks()) {
+        std::shared_ptr<const Relation> cur = db.GetShared(mark.name);
+        mark.rows = cur->size();
+        mark.handle = std::move(cur);
+      }
+      st.set_last_generation(db.generation());
+      *result = st.Serve(flock.filter);
+      info->served = true;
+      TouchState(name);
+      Status done =
+          finish("delta(+" + std::to_string(total_delta) + " rows)");
+      // Post-absorb residency check: the projection above is an
+      // estimate; if the real footprint now exceeds what the whole
+      // budget can hold (after evicting colder states), the (correct)
+      // result still serves but the state is not retained.
+      if (state_budget > 0 &&
+          !MakeRoom(name, st.ApproxBytes(), state_budget)) {
+        states_.erase(name);
+        last_use_.erase(name);
+      }
+      return done;
     }
   }
 
   // --- full build (no state, or invalidated above) ---
 
   auto st = std::make_unique<IncrementalFlockState>(name, flock);
-  if (Status s = BuildState(name, flock, db, env, st.get()); !s.ok()) {
+  bool exact = true;
+  if (Status s = BuildState(flock, db, env, st.get(), &exact); !s.ok()) {
     return s;
   }
-  if (flock.filter.agg == FilterAgg::kSum && !st->sum_exact()) {
+  if (!exact) {
     // Non-integral summands: incremental re-addition is not guaranteed
     // bit-identical to a from-scratch fold, so nothing is cached and the
     // caller runs the ordinary evaluation.
     return finish("unsupported(sum-inexact)");
   }
-  if (opts.state_budget > 0 &&
-      !MakeRoom(name, st->ApproxBytes(), opts.state_budget)) {
+  if (state_budget > 0 &&
+      !MakeRoom(name, st->ApproxBytes(), state_budget)) {
     return finish("evicted(budget)");
   }
   *result = st->Serve(flock.filter);

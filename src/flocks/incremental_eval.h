@@ -1,8 +1,16 @@
-// Incremental flock evaluation: the decision layer over
-// mining/incremental.h's per-flock cached state (DESIGN.md §13).
+// Incremental flock evaluation: per-flock cached state and the decision
+// layer over it (DESIGN.md §13).
 //
-// The evaluator owns one IncrementalFlockState per flock name plus the
-// per-relation *append chains* the shell records after every successful
+// A flock's result depends only on the exact aggregate of each parameter
+// assignment's answer set, and under append-only deltas that answer set
+// only grows: the new answers are exactly the CQ derivations that use at
+// least one delta tuple. IncrementalFlockState caches every answer,
+// deduplicated and aggregated per assignment, in one GroupTable
+// (relational/ops.h) built as EvaluateFlock builds its own; absorbing
+// the new answers updates every aggregate without rescanning history.
+//
+// The evaluator owns one state per flock name plus the per-relation
+// *append chains* the shell records after every successful
 // `LOAD ... APPEND` (old handle -> new handle). On RUN it decides:
 //
 //   cached  — every base relation handle is unchanged (probed first by
@@ -12,8 +20,8 @@
 //             delta bindings (per positive-subgoal occurrence, that
 //             occurrence bound to the delta slice, the rest to the full
 //             new relations — sound for monotone CQs), absorb, serve.
-//   build   — no state (or signature/threshold/lineage invalidation):
-//             evaluate everything once, materializing the state.
+//   build   — no state (or definition/lineage invalidation): evaluate
+//             everything once, materializing the state.
 //   (not served) — views, non-monotone filters, non-integral SUMs, or
 //             memory-budget pressure: the caller falls back to the
 //             ordinary full evaluation, uncached.
@@ -35,21 +43,83 @@
 #include "common/exec_env.h"
 #include "common/status.h"
 #include "flocks/flock.h"
-#include "mining/incremental.h"
 #include "relational/database.h"
+#include "relational/ops.h"
 
 namespace qf {
 
-struct IncrementalEvalOptions {
-  // Session memory budget ALL persistent flock states are held against,
-  // pooled (the shell passes SET MEMORY's bytes; 0 = unlimited). When a
-  // state's projected footprint would overflow the pool, *other* cached
-  // states are evicted first — least-recently-served first, smaller
-  // (cheaper-to-rebuild) first on ties — so a hot flock survives
-  // pressure from cold ones. Only a state that exceeds the whole budget
-  // by itself is dropped ("evicted(budget)"), falling back to the
-  // ordinary uncached evaluation.
-  std::uint64_t state_budget = 0;
+// The cached evaluation state of one flock: its answer rows (parameter
+// columns then canonical head columns, the direct evaluator's answer
+// schema) in a distinct GroupTable keyed on the parameters. The table
+// holds the exact aggregate of *every* group, so the state serves any
+// monotone filter over the same query, aggregate and aggregated column.
+// SUM weights pass CheckSumWeight as they are absorbed; the evaluator
+// caches SUM states only while every weight is integral, so the sums
+// are exact in any absorb order.
+class IncrementalFlockState {
+ public:
+  IncrementalFlockState(std::string flock_name, const QueryFlock& flock);
+
+  const std::string& flock_name() const { return flock_name_; }
+
+  // True when `flock`'s filter is monotone and reads the aggregate this
+  // state computes: the same query, aggregate and aggregated column.
+  // The comparison and threshold may differ from the built ones.
+  bool Serves(const QueryFlock& flock) const;
+
+  // Adds one answer row; copies of a row count once. False once a SUM
+  // weight failed its check; Flush() then returns that error.
+  bool Absorb(const Tuple& row) { return table_.Push(row); }
+  // Ends a run of Absorb calls: refreshes answer_rows(), group_count()
+  // and ApproxBytes(), and returns the first weight error.
+  Status Flush() { return table_.Flush(); }
+
+  // The flock result under `filter`: parameters of passing groups,
+  // canonically sorted, named "flock_result" — bit-identical to the
+  // direct evaluator over the same answers.
+  Relation Serve(const FilterCondition& filter) const;
+
+  // Lineage marks: the relation handles (and row counts) this state's
+  // answers were computed from, recorded by the evaluator after every
+  // build/update. `negated` marks predicates under NOT — any change to
+  // those is non-monotone and forces a rebuild.
+  struct RelationMark {
+    std::string name;
+    std::shared_ptr<const Relation> handle;
+    std::size_t rows = 0;
+    bool negated = false;
+  };
+  std::vector<RelationMark>& marks() { return marks_; }
+  const std::vector<RelationMark>& marks() const { return marks_; }
+
+  // Database::generation() observed at the last build/update — the cheap
+  // all-pointers-unchanged probe.
+  std::uint64_t last_generation() const { return last_generation_; }
+  void set_last_generation(std::uint64_t g) { last_generation_ = g; }
+
+  std::size_t answer_rows() const { return table_.rows(); }
+  std::size_t group_count() const { return table_.groups(); }
+
+  // Cumulative decision counters (SHOW FLOCK STATE).
+  std::uint64_t full_builds = 0;
+  std::uint64_t delta_batches = 0;
+  std::uint64_t served_cached = 0;
+
+  // Bytes the group table holds for its answers and groups — what the
+  // evaluator holds against the session memory budget.
+  std::uint64_t ApproxBytes() const { return table_.charged(); }
+
+  // Multi-line description for SHOW FLOCK STATE.
+  std::string Describe() const;
+
+ private:
+  std::string flock_name_;
+  UnionQuery query_;
+  FilterCondition built_filter_;
+  std::vector<std::string> param_columns_;  // "$"-tagged, sorted
+  GroupTable table_;
+  std::vector<RelationMark> marks_;
+  std::uint64_t last_generation_ = 0;
 };
 
 struct IncrementalRunInfo {
@@ -84,6 +154,15 @@ class IncrementalEvaluator {
   // violations) surface as non-OK statuses exactly as the full
   // evaluator's would.
   //
+  // `state_budget` is the session memory budget ALL cached states are
+  // held against, pooled (the shell passes SET MEMORY's bytes; 0 =
+  // unlimited). When a state's projected footprint would overflow the
+  // pool, *other* states are evicted first — least-recently-served
+  // first, smaller (cheaper-to-rebuild) first on ties — so a hot flock
+  // survives pressure from cold ones. Only a state that exceeds the
+  // whole budget by itself is dropped ("evicted(budget)"), falling back
+  // to the ordinary uncached evaluation.
+  //
   // `env` runs the build/delta binding evaluations (served results are
   // identical for every thread count; env.ctx takes their transient
   // charges). env.metrics receives an "incremental" node (decision +
@@ -91,7 +170,7 @@ class IncrementalEvaluator {
   // row count) plus the usual disjunct subtrees for build/delta work.
   Status Run(const std::string& name, const QueryFlock& flock,
              const Database& db, const std::map<std::string, Relation>& views,
-             const IncrementalEvalOptions& opts, const ExecEnv& env,
+             std::uint64_t state_budget, const ExecEnv& env,
              Relation* result, IncrementalRunInfo* info);
 
   const IncrementalFlockState* state(const std::string& name) const;
@@ -124,9 +203,11 @@ class IncrementalEvaluator {
                   const std::shared_ptr<const Relation>& cur,
                   Relation* slice) const;
 
-  Status BuildState(const std::string& name, const QueryFlock& flock,
-                    const Database& db, const ExecEnv& env,
-                    IncrementalFlockState* st);
+  // Absorbs every answer of `flock` over `db` into `st` and marks its
+  // lineage. Clears *exact when a SUM weight is non-integral.
+  Status BuildState(const QueryFlock& flock, const Database& db,
+                    const ExecEnv& env, IncrementalFlockState* st,
+                    bool* exact);
 
   // Makes `projected` bytes for `subject` fit within the pooled `budget`
   // by evicting other states (LRU order, smaller state first on ties).

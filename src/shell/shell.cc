@@ -998,11 +998,9 @@ Result<Shell::FlockRun> Shell::RunFlock(std::string_view args,
     Result<const std::map<std::string, Relation>*> views = Views();
     if (!views.ok()) return views.status();
     ConfigureContext(ictx);
-    IncrementalEvalOptions iopts;
-    iopts.state_budget = memory_bytes_;
     IncrementalRunInfo rinfo;
-    if (Status s = incremental_.Run(run.name, flock, db(), **views, iopts,
-                                    env, &run.result, &rinfo);
+    if (Status s = incremental_.Run(run.name, flock, db(), **views,
+                                    memory_bytes_, env, &run.result, &rinfo);
         !s.ok()) {
       return s;
     }

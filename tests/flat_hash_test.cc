@@ -145,31 +145,6 @@ TEST(FlatTupleSet, MatchesUnorderedSetOnRandomInput) {
   }
 }
 
-TEST(FlatGroupTable, MatchesUnorderedMapGroupCounts) {
-  Rng rng(11);
-  std::vector<std::uint64_t> values;
-  for (int i = 0; i < 10000; ++i) values.push_back(rng.NextBelow(97));
-  FlatGroupTable groups;
-  std::vector<std::size_t> counts;
-  std::uint64_t probes = 0;
-  std::unordered_map<std::uint64_t, std::size_t> oracle;
-  for (std::size_t r = 0; r < values.size(); ++r) {
-    std::uint64_t v = values[r];
-    auto [g, inserted] = groups.Upsert(
-        static_cast<std::uint32_t>(r), IdentityHash(v),
-        [&](std::uint32_t prev) { return values[prev] == v; }, probes);
-    if (inserted) counts.push_back(0);
-    ++counts[g];
-    ++oracle[v];
-  }
-  ASSERT_EQ(groups.size(), oracle.size());
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    std::uint64_t v = values[groups.ref_at(static_cast<std::uint32_t>(g))];
-    ASSERT_EQ(counts[g], oracle.at(v));
-    ASSERT_EQ(groups.hash_at(static_cast<std::uint32_t>(g)), IdentityHash(v));
-  }
-}
-
 TEST(FlatKeyIndex, SpansMatchUnorderedMapChainsInBuildOrder) {
   Rng rng(13);
   std::vector<std::uint64_t> keys;

@@ -11,11 +11,11 @@
 //
 // The schedule generator is deliberately adversarial: deltas repeat
 // existing rows (empty batches), touch new group keys, interleave with
-// threshold tightening *and* loosening (rebuild), and optionally run
-// against a durable catalog so CHECKPOINT and re-OPEN (WAL replay of the
-// append records) interact with the cached state. Everything is driven
-// through MemVfs, so suites can layer fault injection
-// (tests/crash_recovery_harness.h) on top.
+// threshold tightening *and* loosening (both served from the state),
+// and optionally run against a durable catalog so CHECKPOINT and re-OPEN
+// (WAL replay of the append records) interact with the cached state.
+// Everything is driven through MemVfs, so suites can layer fault
+// injection (tests/crash_recovery_harness.h) on top.
 #ifndef QF_TESTS_INCREMENTAL_DIFF_HARNESS_H_
 #define QF_TESTS_INCREMENTAL_DIFF_HARNESS_H_
 
@@ -145,7 +145,7 @@ class DeltaReplayHarness {
   }
 
   // Re-declares the flock at threshold `t` on both shells (support
-  // change: tighten reuses the subject's state, loosen rebuilds).
+  // change: the subject's state serves either direction).
   void DeclareThreshold(std::int64_t t) {
     threshold_ = t;
     Both(

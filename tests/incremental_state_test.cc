@@ -1,18 +1,16 @@
-// Unit and property tests for the incremental-evaluation building blocks:
-// the FP-Stream tilted-time window (mining/incremental.h), the
+// Unit tests for the incremental-evaluation building blocks: the
 // AppendRelation delta-batch contract (relational/relation.h), the
-// Database generation counter, and IncrementalFlockState's exactness
-// against the direct evaluator over the same rows.
+// Database generation counter, and IncrementalFlockState's
+// (flocks/incremental_eval.h) exactness against the direct evaluator
+// over the same rows.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
-#include "common/rng.h"
 #include "flocks/eval.h"
 #include "flocks/flock.h"
-#include "mining/incremental.h"
+#include "flocks/incremental_eval.h"
 #include "relational/database.h"
 #include "relational/relation.h"
 
@@ -23,127 +21,6 @@ QueryFlock Flock(const char* text, FilterCondition filter) {
   auto f = MakeFlock(text, filter);
   EXPECT_TRUE(f.ok()) << f.status().ToString();
   return *f;
-}
-
-// --- TiltedTimeWindow ---
-
-TEST(TiltedTimeWindowTest, EmptyWindow) {
-  TiltedTimeWindow w(4);
-  EXPECT_EQ(w.batches(), 0u);
-  EXPECT_EQ(w.total(), 0u);
-  EXPECT_EQ(w.entries(), 0u);
-  TiltedTimeWindow::LastN r = w.CountLastN(0);
-  EXPECT_EQ(r.count, 0u);
-  EXPECT_EQ(r.slack, 0u);
-  r = w.CountLastN(5);  // n past the history: exact empty total
-  EXPECT_EQ(r.count, 0u);
-  EXPECT_EQ(r.slack, 0u);
-}
-
-TEST(TiltedTimeWindowTest, SingleBatch) {
-  TiltedTimeWindow w(4);
-  w.Add(7);
-  EXPECT_EQ(w.batches(), 1u);
-  EXPECT_EQ(w.total(), 7u);
-  EXPECT_EQ(w.entries(), 1u);
-  TiltedTimeWindow::LastN r = w.CountLastN(1);
-  EXPECT_EQ(r.count, 7u);
-  EXPECT_EQ(r.slack, 0u);
-  // n >= batches reports the exact total.
-  r = w.CountLastN(100);
-  EXPECT_EQ(r.count, 7u);
-  EXPECT_EQ(r.slack, 0u);
-}
-
-TEST(TiltedTimeWindowTest, ZeroCountBatchesAreRealBatches) {
-  TiltedTimeWindow w(4);
-  w.Add(5);
-  w.Add(0);
-  w.Add(0);
-  w.Add(0);
-  EXPECT_EQ(w.batches(), 4u);
-  EXPECT_EQ(w.total(), 5u);
-  // The last three batches contributed nothing — and that is exact.
-  TiltedTimeWindow::LastN r = w.CountLastN(3);
-  EXPECT_EQ(r.count, 0u);
-  EXPECT_EQ(r.slack, 0u);
-}
-
-TEST(TiltedTimeWindowTest, OverflowRolloverPreservesTotals) {
-  // Capacity 2 overflows fastest: every level holds at most 2 entries, so
-  // the ring is forced through many promotions.
-  TiltedTimeWindow w(2);
-  std::uint64_t expect_total = 0;
-  for (std::uint64_t i = 1; i <= 100; ++i) {
-    w.Add(i);
-    expect_total += i;
-    EXPECT_EQ(w.total(), expect_total);
-    EXPECT_EQ(w.batches(), i);
-    // Logarithmic compression: entries bounded by capacity+1 per level
-    // (the transient overflow slot is resolved before Add returns).
-    EXPECT_LE(w.entries(), 2 * w.level_count() + 1);
-  }
-  // 100 batches at capacity 2 must have promoted several levels deep.
-  EXPECT_GE(w.level_count(), 4u);
-  EXPECT_LT(w.entries(), 100u);
-  EXPECT_NE(w.ToString().find("total=5050 batches=100"), std::string::npos);
-}
-
-TEST(TiltedTimeWindowTest, MergedPrefixIsReportedAsSlack) {
-  // Capacity 2: after 5 batches the two oldest have merged, so a horizon
-  // cutting through the merged entry must surface nonzero slack.
-  TiltedTimeWindow w(2);
-  for (std::uint64_t c : {10, 20, 30, 40, 50}) w.Add(c);
-  bool saw_slack = false;
-  for (std::uint64_t n = 1; n < 5; ++n) {
-    saw_slack |= w.CountLastN(n).slack > 0;
-  }
-  EXPECT_TRUE(saw_slack);
-}
-
-// The documented approximation bound, checked against an exact suffix-sum
-// oracle over every horizon of every prefix of a randomized batch stream:
-// true count in [count - slack, count], and count never exceeds total.
-TEST(TiltedTimeWindowTest, PropertyCountLastNBracketsTruth) {
-  Rng rng(0xbadcafe);
-  for (int round = 0; round < 40; ++round) {
-    std::size_t capacity = 2 + rng.NextBelow(4);
-    TiltedTimeWindow w(capacity);
-    std::vector<std::uint64_t> counts;
-    int batches = 1 + static_cast<int>(rng.NextBelow(120));
-    for (int b = 0; b < batches; ++b) {
-      // Zero-heavy distribution: sparse groups are the common case.
-      std::uint64_t c =
-          rng.NextBernoulli(0.3) ? 0 : rng.NextBelow(50);
-      w.Add(c);
-      counts.push_back(c);
-      std::uint64_t suffix = 0;
-      for (std::size_t i = counts.size(); i-- > 0;) {
-        suffix += counts[i];
-        std::uint64_t n = counts.size() - i;
-        TiltedTimeWindow::LastN r = w.CountLastN(n);
-        ASSERT_GE(r.count, suffix)
-            << "capacity=" << capacity << " batch=" << b << " n=" << n;
-        ASSERT_LE(r.count - r.slack, suffix)
-            << "capacity=" << capacity << " batch=" << b << " n=" << n;
-        ASSERT_LE(r.count, w.total());
-      }
-      // Full-history horizons are always exact.
-      TiltedTimeWindow::LastN all = w.CountLastN(counts.size());
-      ASSERT_EQ(all.count, w.total());
-      ASSERT_EQ(all.slack, 0u);
-    }
-  }
-}
-
-TEST(TiltedTimeWindowTest, ApproxBytesGrowsLogarithmically) {
-  TiltedTimeWindow small(4), big(4);
-  small.Add(1);
-  for (int i = 0; i < 1000; ++i) big.Add(1);
-  EXPECT_GT(big.ApproxBytes(), small.ApproxBytes());
-  // 1000 batches compress to O(capacity * log2(1000)) entries.
-  EXPECT_LE(big.entries(), 4 * big.level_count() + 1);
-  EXPECT_LE(big.level_count(), 12u);
 }
 
 // --- AppendRelation ---
@@ -239,7 +116,7 @@ Database SmallBaskets() {
 }
 
 // Answer rows in the state's schema (params then canonical heads) for the
-// single-disjunct pairs flock — what incremental_eval feeds AbsorbAnswer.
+// single-disjunct pairs flock — what the evaluator feeds Absorb.
 std::vector<Tuple> PairAnswers(const Database& db) {
   std::vector<Tuple> rows;
   const Relation& b = db.Get("baskets");
@@ -259,8 +136,8 @@ TEST(IncrementalFlockStateTest, ServeMatchesDirectEvaluator) {
       Flock("answer(B) :- baskets(B,$1) AND baskets(B,$2) AND $1 < $2",
             FilterCondition::MinSupport(2));
   IncrementalFlockState st("pairs", f);
-  for (const Tuple& row : PairAnswers(db)) st.AbsorbAnswer(row);
-  st.SealBatch();
+  for (const Tuple& row : PairAnswers(db)) ASSERT_TRUE(st.Absorb(row));
+  ASSERT_TRUE(st.Flush().ok());
 
   Result<Relation> direct = EvaluateFlock(f, db);
   ASSERT_TRUE(direct.ok()) << direct.status().ToString();
@@ -278,105 +155,49 @@ TEST(IncrementalFlockStateTest, AbsorbDeduplicates) {
             FilterCondition::MinSupport(2));
   IncrementalFlockState st("pairs", f);
   Tuple row{Value("beer"), Value("diapers"), Value(1)};
-  EXPECT_TRUE(st.AbsorbAnswer(row));
-  EXPECT_FALSE(st.AbsorbAnswer(row));
+  EXPECT_TRUE(st.Absorb(row));
+  EXPECT_TRUE(st.Absorb(row));
+  ASSERT_TRUE(st.Flush().ok());
   EXPECT_EQ(st.answer_rows(), 1u);
   EXPECT_EQ(st.group_count(), 1u);
 }
 
-TEST(IncrementalFlockStateTest, RingsTrackOnlyTheFrontier) {
-  Database db = SmallBaskets();
-  QueryFlock f =
-      Flock("answer(B) :- baskets(B,$1) AND baskets(B,$2) AND $1 < $2",
-            FilterCondition::MinSupport(2));
-  IncrementalFlockState st("pairs", f);
-  for (const Tuple& row : PairAnswers(db)) st.AbsorbAnswer(row);
-  st.SealBatch();
-  // (beer, diapers) passes the built filter: tracked, seeded with its
-  // cumulative count. (beer, wine) has support 1: untracked.
-  const TiltedTimeWindow* frequent =
-      st.RingFor({Value("beer"), Value("diapers")});
-  ASSERT_NE(frequent, nullptr);
-  EXPECT_EQ(frequent->total(), 3u);
-  EXPECT_EQ(frequent->batches(), 1u);
-  EXPECT_EQ(st.RingFor({Value("beer"), Value("wine")}), nullptr);
-  EXPECT_EQ(st.RingFor({Value("nope"), Value("nope")}), nullptr);
-  EXPECT_EQ(st.tracked_rings(), 1u);
-  EXPECT_GT(st.group_count(), 1u);  // infrequent groups still counted
-}
-
-TEST(IncrementalFlockStateTest, RingStartsWhenGroupCrossesThreshold) {
-  Database db = SmallBaskets();
-  QueryFlock f =
-      Flock("answer(B) :- baskets(B,$1) AND baskets(B,$2) AND $1 < $2",
-            FilterCondition::MinSupport(2));
-  IncrementalFlockState st("pairs", f);
-  for (const Tuple& row : PairAnswers(db)) st.AbsorbAnswer(row);
-  st.SealBatch();
-  ASSERT_EQ(st.RingFor({Value("beer"), Value("wine")}), nullptr);
-  // A second batch pushes (beer, wine) to support 2: its ring starts at
-  // this seal, seeded with the cumulative count — and the already-tracked
-  // ring absorbs the batch too (zero horizons stay aligned).
-  st.AbsorbAnswer({Value("beer"), Value("wine"), Value(9)});
-  st.SealBatch();
-  const TiltedTimeWindow* wine = st.RingFor({Value("beer"), Value("wine")});
-  ASSERT_NE(wine, nullptr);
-  EXPECT_EQ(wine->total(), 2u);
-  EXPECT_EQ(wine->batches(), 1u);
-  const TiltedTimeWindow* beer_diapers =
-      st.RingFor({Value("beer"), Value("diapers")});
-  ASSERT_NE(beer_diapers, nullptr);
-  EXPECT_EQ(beer_diapers->batches(), 2u);
-  EXPECT_EQ(beer_diapers->total(), 3u);  // second batch contributed 0
-  EXPECT_EQ(beer_diapers->CountLastN(1).count, 0u);
-}
-
 TEST(IncrementalFlockStateTest, CompatibilityMatrix) {
-  QueryFlock base =
-      Flock("answer(B) :- baskets(B,$1) AND baskets(B,$2) AND $1 < $2",
-            FilterCondition::MinSupport(5));
-  IncrementalFlockState st("pairs", base);
-  using Compat = IncrementalFlockState::Compat;
+  const char* pairs =
+      "answer(B) :- baskets(B,$1) AND baskets(B,$2) AND $1 < $2";
+  IncrementalFlockState st("pairs",
+                           Flock(pairs, FilterCondition::MinSupport(5)));
 
-  EXPECT_EQ(st.CompatibilityWith(base), Compat::kSame);
-  // COUNT >= N: raising N tightens (fewer survivors) — reusable.
-  EXPECT_EQ(st.CompatibilityWith(Flock(
-                "answer(B) :- baskets(B,$1) AND baskets(B,$2) AND $1 < $2",
-                FilterCondition::MinSupport(8))),
-            Compat::kTightened);
-  // Lowering N loosens: ring history is missing for admitted groups.
-  EXPECT_EQ(st.CompatibilityWith(Flock(
-                "answer(B) :- baskets(B,$1) AND baskets(B,$2) AND $1 < $2",
-                FilterCondition::MinSupport(3))),
-            Compat::kIncompatible);
-  // Different aggregate, comparison, or query: incompatible.
-  EXPECT_EQ(st.CompatibilityWith(Flock(
-                "answer(B) :- baskets(B,$1) AND baskets(B,$2) AND $1 < $2",
-                {FilterAgg::kSum, CompareOp::kGe, 5, 0})),
-            Compat::kIncompatible);
-  EXPECT_EQ(st.CompatibilityWith(Flock(
-                "answer(B) :- baskets(B,$1) AND baskets(B,$2) AND $1 < $2",
-                {FilterAgg::kCount, CompareOp::kLe, 5, 0})),
-            Compat::kIncompatible);
-  EXPECT_EQ(st.CompatibilityWith(
-                Flock("answer(B) :- baskets(B,$1)",
-                      FilterCondition::MinSupport(5))),
-            Compat::kIncompatible);
+  // Any monotone filter over the same query, aggregate and column is
+  // served: the table holds every group's exact COUNT.
+  EXPECT_TRUE(st.Serves(Flock(pairs, FilterCondition::MinSupport(5))));
+  EXPECT_TRUE(st.Serves(Flock(pairs, FilterCondition::MinSupport(8))));
+  EXPECT_TRUE(st.Serves(Flock(pairs, FilterCondition::MinSupport(3))));
+  EXPECT_TRUE(
+      st.Serves(Flock(pairs, {FilterAgg::kCount, CompareOp::kGt, 5, 0})));
+  // A non-monotone filter, another aggregate or another query: not.
+  EXPECT_FALSE(
+      st.Serves(Flock(pairs, {FilterAgg::kCount, CompareOp::kLe, 5, 0})));
+  EXPECT_FALSE(
+      st.Serves(Flock(pairs, {FilterAgg::kSum, CompareOp::kGe, 5, 0})));
+  EXPECT_FALSE(st.Serves(
+      Flock("answer(B) :- baskets(B,$1)", FilterCondition::MinSupport(5))));
 }
 
 TEST(IncrementalFlockStateTest, UpperBoundFilterTightensDownward) {
-  QueryFlock base =
-      Flock("answer(B) :- baskets(B,$1)",
-            {FilterAgg::kMin, CompareOp::kLe, 10, 0});
-  IncrementalFlockState st("mins", base);
-  using Compat = IncrementalFlockState::Compat;
-  EXPECT_EQ(st.CompatibilityWith(Flock("answer(B) :- baskets(B,$1)",
-                                       {FilterAgg::kMin, CompareOp::kLe, 5, 0})),
-            Compat::kTightened);
-  EXPECT_EQ(st.CompatibilityWith(
-                Flock("answer(B) :- baskets(B,$1)",
-                      {FilterAgg::kMin, CompareOp::kLe, 20, 0})),
-            Compat::kIncompatible);
+  // An upper bound on MIN serves at any threshold, tightened downward or
+  // loosened upward; MAX or another aggregated column does not.
+  const char* weights = "answer(B,W) :- sales(B,$1,W)";
+  IncrementalFlockState st(
+      "mins", Flock(weights, {FilterAgg::kMin, CompareOp::kLe, 10, 1}));
+  EXPECT_TRUE(
+      st.Serves(Flock(weights, {FilterAgg::kMin, CompareOp::kLe, 5, 1})));
+  EXPECT_TRUE(
+      st.Serves(Flock(weights, {FilterAgg::kMin, CompareOp::kLt, 20, 1})));
+  EXPECT_FALSE(
+      st.Serves(Flock(weights, {FilterAgg::kMax, CompareOp::kGe, 5, 1})));
+  EXPECT_FALSE(
+      st.Serves(Flock(weights, {FilterAgg::kMin, CompareOp::kLe, 5, 0})));
 }
 
 TEST(IncrementalFlockStateTest, TightenedServeMatchesDirect) {
@@ -385,31 +206,18 @@ TEST(IncrementalFlockStateTest, TightenedServeMatchesDirect) {
       Flock("answer(B) :- baskets(B,$1) AND baskets(B,$2) AND $1 < $2",
             FilterCondition::MinSupport(1));
   IncrementalFlockState st("pairs", built);
-  for (const Tuple& row : PairAnswers(db)) st.AbsorbAnswer(row);
-  st.SealBatch();
+  for (const Tuple& row : PairAnswers(db)) ASSERT_TRUE(st.Absorb(row));
+  ASSERT_TRUE(st.Flush().ok());
   for (std::int64_t t = 1; t <= 4; ++t) {
     QueryFlock tight =
         Flock("answer(B) :- baskets(B,$1) AND baskets(B,$2) AND $1 < $2",
               FilterCondition::MinSupport(t));
-    ASSERT_NE(st.CompatibilityWith(tight),
-              IncrementalFlockState::Compat::kIncompatible);
+    ASSERT_TRUE(st.Serves(tight));
     Result<Relation> direct = EvaluateFlock(tight, db);
     ASSERT_TRUE(direct.ok());
     EXPECT_EQ(st.Serve(tight.filter).rows(), direct->rows())
         << "threshold " << t;
   }
-}
-
-TEST(IncrementalFlockStateTest, SumExactTracksIntegrality) {
-  QueryFlock f = Flock("answer(B,W) :- sales(B,$1,W)",
-                       {FilterAgg::kSum, CompareOp::kGe, 1, 1});
-  IncrementalFlockState st("sums", f);
-  EXPECT_TRUE(st.sum_exact());
-  // Schema: $1, _h0 (B), _h1 (W); the SUM reads _h1.
-  st.AbsorbAnswer({Value("a"), Value(1), Value(3.0)});
-  EXPECT_TRUE(st.sum_exact());  // 3.0 is integral: still exact
-  st.AbsorbAnswer({Value("a"), Value(2), Value(0.5)});
-  EXPECT_FALSE(st.sum_exact());  // non-integral summand: latched off
 }
 
 TEST(IncrementalFlockStateTest, DescribeListsCountersAndMarks) {
@@ -418,8 +226,8 @@ TEST(IncrementalFlockStateTest, DescribeListsCountersAndMarks) {
       Flock("answer(B) :- baskets(B,$1) AND baskets(B,$2) AND $1 < $2",
             FilterCondition::MinSupport(2));
   IncrementalFlockState st("pairs", f);
-  for (const Tuple& row : PairAnswers(db)) st.AbsorbAnswer(row);
-  st.SealBatch();
+  for (const Tuple& row : PairAnswers(db)) ASSERT_TRUE(st.Absorb(row));
+  ASSERT_TRUE(st.Flush().ok());
   st.marks().push_back(IncrementalFlockState::RelationMark{
       "baskets", db.GetShared("baskets"), db.Get("baskets").size(), false});
   st.full_builds = 1;

@@ -63,8 +63,9 @@ TEST(IncrementalStressTest, ScheduleSweepUnderTightBudgets) {
 // --- crash sweep: the incremental schedule dies at every I/O op ---
 
 // The statement schedule the crash sweep replays through a faulting vfs.
-// Every mutation rides the catalog WAL; RUNs exercise build, delta, and
-// rebuild(threshold) transitions between crash points.
+// Every mutation rides the catalog WAL; RUNs exercise build and delta
+// transitions between crash points, the last delta served under a
+// changed threshold.
 std::vector<std::string> CrashSchedule() {
   return {
       "OPEN cat",
