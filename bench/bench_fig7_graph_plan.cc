@@ -28,7 +28,7 @@ const Database& GraphDb() {
     config.n_nodes = 2500;
     config.avg_out_degree = 5;
     config.target_theta = 0.9;
-    config.sink_fraction = 0.35;  // dangling arcs for the reducer to kill
+    config.sink_fraction = 0.35;  // dangling arcs that direct joins drag along
     config.seed = 5;
     auto* out = new Database;
     out->PutRelation(GenerateGraph(config));
@@ -91,32 +91,8 @@ void BM_Fig7_Cascade(benchmark::State& state) {
   state.counters["peak_rows"] = static_cast<double>(peak);
 }
 
-// The Yannakakis full reducer prunes by *joinability* where the cascade
-// prunes by *support*; on path queries both attack the same dangling-
-// tuple blowup, so it makes a natural third column.
-void BM_Fig7_FullReducer(benchmark::State& state) {
-  int n = static_cast<int>(state.range(0));
-  QueryFlock flock = PathFlock(n);
-  FlockEvalOptions options;
-  CqEvalOptions cq_options;
-  cq_options.full_reducer = true;
-  options.per_disjunct.push_back(cq_options);
-  std::size_t answers = 0, peak = 0;
-  for (auto _ : state) {
-    FlockEvalInfo info;
-    Relation result = bench::MustOk(
-        EvaluateFlock(flock, GraphDb(), options, {}, nullptr, &info));
-    answers = result.size();
-    peak = info.peak_rows;
-    benchmark::DoNotOptimize(result);
-  }
-  state.counters["answers"] = static_cast<double>(answers);
-  state.counters["peak_rows"] = static_cast<double>(peak);
-}
-
 BENCHMARK(BM_Fig7_Direct)->DenseRange(1, 3)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Fig7_Cascade)->DenseRange(1, 3)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Fig7_FullReducer)->DenseRange(1, 3)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace qf

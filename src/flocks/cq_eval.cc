@@ -7,7 +7,6 @@
 #include "common/check.h"
 #include "common/flat_hash.h"
 #include "common/thread_pool.h"
-#include "datalog/acyclic.h"
 #include "relational/ops.h"
 #include "relational/spill.h"
 
@@ -18,8 +17,24 @@ std::string TermColumn(const Term& term) {
   return term.is_parameter() ? "$" + term.name() : term.name();
 }
 
+namespace {
+
+// A value of a joined row — the columns of `a`, then those of `b` that
+// `a` lacks — resolved once: a constant, or the side and position of a
+// column.
+struct ColRef {
+  const Value* constant = nullptr;
+  bool right = false;  // in b's row, else in a's
+  std::size_t idx = 0;
+  const Value& Of(const Tuple& a, const Tuple& b) const {
+    return constant != nullptr ? *constant : right ? b[idx] : a[idx];
+  }
+};
+
+// Resolves `column` in the joined layout of `a` and `b` (`b` null: `a`
+// alone); nullopt when neither binds it.
 std::optional<ColRef> ResolveColumn(const std::string& column, const Schema& a,
-                                    const Schema* b) {
+                                    const Schema* b = nullptr) {
   if (std::optional<std::size_t> i = a.IndexOf(column)) {
     return ColRef{.idx = *i};
   }
@@ -31,9 +46,22 @@ std::optional<ColRef> ResolveColumn(const std::string& column, const Schema& a,
   return std::nullopt;
 }
 
+// A comparison subgoal with both operands resolved once, so evaluating
+// it per row does no name lookup.
+struct BoundComparison {
+  CompareOp op;
+  ColRef lhs;
+  ColRef rhs;
+  bool Eval(const Tuple& a, const Tuple& b) const {
+    return EvalCompare(op, lhs.Of(a, b), rhs.Of(a, b));
+  }
+};
+
+// Binds comparison subgoal `s` against the joined layout of `a` and `b`
+// (as ResolveColumn); nullopt while an operand column is unbound.
 std::optional<BoundComparison> BindComparison(const Subgoal& s,
                                               const Schema& a,
-                                              const Schema* b) {
+                                              const Schema* b = nullptr) {
   auto bind = [&](const Term& t) -> std::optional<ColRef> {
     if (t.is_constant()) return ColRef{.constant = &t.constant()};
     return ResolveColumn(TermColumn(t), a, b);
@@ -43,6 +71,8 @@ std::optional<BoundComparison> BindComparison(const Subgoal& s,
   if (!lhs.has_value() || !rhs.has_value()) return std::nullopt;
   return BoundComparison{s.op(), *lhs, *rhs};
 }
+
+}  // namespace
 
 Result<const Relation*> PredicateResolver::Resolve(
     const std::string& name) const {
@@ -404,55 +434,8 @@ Result<Relation> EvaluateConjunctiveBindings(
     }
   }
 
-  // Optional Yannakakis full-reducer pass (acyclic queries only).
-  std::optional<JoinTree> tree;
-  if (options.full_reducer) {
-    tree = BuildJoinTree(cq);
-    if (tree.has_value()) {
-      auto reduce = [&](std::size_t target, std::size_t with) {
-        OpMetrics* node =
-            m != nullptr
-                ? m->AddChild("semi_join",
-                              "reduce " + positives[target]->predicate() +
-                                  " by " + positives[with]->predicate())
-                : nullptr;
-        ScopedOp span(node, tr);
-        std::uint64_t dropped = 0;
-        if (ctx != nullptr) {
-          dropped = static_cast<std::uint64_t>(
-                        positive_bindings[target].size()) *
-                    ApproxTupleBytes(positive_bindings[target].arity());
-        }
-        positive_bindings[target] = SemiJoin(positive_bindings[target],
-                                             positive_bindings[with], node,
-                                             ctx);
-        if (ctx != nullptr) ctx->Release(dropped);
-      };
-      // Bottom-up: parents lose tuples with no match in their ears.
-      for (std::size_t k = 0; k < tree->ears.size(); ++k) {
-        reduce(tree->parents[k], tree->ears[k]);
-        if (Status s2 = governed(); !s2.ok()) return s2;
-      }
-      // Top-down: ears lose tuples with no match in their (reduced)
-      // parents. After both sweeps the bindings are globally consistent.
-      for (std::size_t k = tree->ears.size(); k-- > 0;) {
-        reduce(tree->ears[k], tree->parents[k]);
-        if (Status s2 = governed(); !s2.ok()) return s2;
-      }
-    }
-  }
-
   // Join order.
   std::vector<std::size_t> order = options.join_order;
-  if (tree.has_value()) {
-    // Tree order: root first, then ears innermost-out, so every join
-    // touches its already-present parent (no cross products).
-    order.clear();
-    order.push_back(tree->root);
-    for (std::size_t k = tree->ears.size(); k-- > 0;) {
-      order.push_back(tree->ears[k]);
-    }
-  }
   if (order.empty()) {
     order.resize(positives.size());
     for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
@@ -470,12 +453,20 @@ Result<Relation> EvaluateConjunctiveBindings(
   }
 
   // Fold joins, applying comparisons and negations as soon as bound. A
-  // streamed evaluation leaves its final join to StreamFinal.
+  // streamed evaluation leaves its final join to StreamFinal unless the
+  // inspect hook must see it.
   const bool streamed = options.groups != nullptr || options.rows != nullptr;
-  const std::size_t folded =
-      streamed && order.size() > 1 ? order.size() - 1 : order.size();
+  const bool hooked = options.inspect != nullptr;
+  const std::size_t folded = streamed && !hooked && order.size() > 1
+                                 ? order.size() - 1
+                                 : order.size();
+  auto inspect_leaf = [&](std::size_t k) -> Status {
+    if (!hooked) return Status::Ok();
+    return options.inspect(positive_bindings[order[k]],
+                           "leaf " + positives[order[k]]->ToString(), env);
+  };
+  if (Status s2 = inspect_leaf(0); !s2.ok()) return s2;
   Relation current = std::move(positive_bindings[order[0]]);
-  std::size_t peak = current.size();
   auto apply_ready = [&]() {
     for (PendingComparison& pc : comparisons) {
       if (pc.applied) continue;
@@ -514,7 +505,9 @@ Result<Relation> EvaluateConjunctiveBindings(
   };
   apply_ready();
   if (Status s2 = governed(); !s2.ok()) return s2;
+  std::size_t peak = current.size();
   for (std::size_t k = 1; k < folded; ++k) {
+    if (Status s2 = inspect_leaf(k); !s2.ok()) return s2;
     {
       OpMetrics* node =
           m != nullptr ? m->AddChild("join", positives[order[k]]->predicate())
@@ -538,11 +531,16 @@ Result<Relation> EvaluateConjunctiveBindings(
     peak = std::max(peak, current.size());
     apply_ready();
     if (Status s2 = governed(); !s2.ok()) return s2;
+    if (hooked) {
+      Status s2 = options.inspect(current, "after join " + std::to_string(k),
+                                  env);
+      if (!s2.ok()) return s2;
+    }
   }
   if (streamed) {
     std::size_t last = order.back();
-    const Relation* build = order.size() > 1 ? &positive_bindings[last]
-                                             : nullptr;
+    const Relation* build =
+        folded < order.size() ? &positive_bindings[last] : nullptr;
     if (Status s2 = StreamFinal(current, build, positives[last], comparisons,
                                 negations, output_columns, options, env, peak);
         !s2.ok()) {

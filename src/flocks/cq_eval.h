@@ -13,7 +13,6 @@
 
 #include <functional>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -31,40 +30,6 @@ class SpillGroupSink;  // relational/spill.h
 // Column name a term binds: variables map to their name, parameters to
 // "$name". Constants have no column; callers must not ask.
 std::string TermColumn(const Term& term);
-
-// A value of a joined row — the columns of `a`, then those of `b` that
-// `a` lacks — resolved once: a constant, or the side and position of a
-// column.
-struct ColRef {
-  const Value* constant = nullptr;
-  bool right = false;  // in b's row, else in a's
-  std::size_t idx = 0;
-  const Value& Of(const Tuple& a, const Tuple& b) const {
-    return constant != nullptr ? *constant : right ? b[idx] : a[idx];
-  }
-};
-
-// Resolves `column` in the joined layout of `a` and `b` (`b` null: `a`
-// alone); nullopt when neither binds it.
-std::optional<ColRef> ResolveColumn(const std::string& column, const Schema& a,
-                                    const Schema* b = nullptr);
-
-// A comparison subgoal with both operands resolved once, so evaluating
-// it per row does no name lookup.
-struct BoundComparison {
-  CompareOp op;
-  ColRef lhs;
-  ColRef rhs;
-  bool Eval(const Tuple& a, const Tuple& b) const {
-    return EvalCompare(op, lhs.Of(a, b), rhs.Of(a, b));
-  }
-};
-
-// Binds comparison subgoal `s` against the joined layout of `a` and `b`
-// (as ResolveColumn); nullopt while an operand column is unbound.
-std::optional<BoundComparison> BindComparison(const Subgoal& s,
-                                              const Schema& a,
-                                              const Schema* b = nullptr);
 
 // Resolves body predicates: first among `extra` relations (results of
 // earlier plan steps), then in the database.
@@ -95,13 +60,19 @@ struct CqEvalOptions {
   // Join order as positions into the query's list of *positive* subgoals
   // (0 = first positive subgoal in text order). Empty means text order.
   std::vector<std::size_t> join_order;
-  // Yannakakis-style evaluation: when the positive part of the query is
-  // alpha-acyclic (datalog/acyclic.h), run a full-reducer pass (two
-  // semi-join sweeps over the join tree) before joining, and join in tree
-  // order — dangling tuples never enter an intermediate. Overrides
-  // join_order when a join tree exists; silently falls back to the normal
-  // fold on cyclic queries.
-  bool full_reducer = false;
+  // Per-node hook, DYNAMIC's §4.4 FILTER decision (optimizer/dynamic.h):
+  // called with each positive leaf's bindings just before that leaf joins
+  // (the first leaf before its ready comparisons and negations apply) and
+  // with the running intermediate after each join and its ready
+  // predicates. `at` names the point ("leaf <subgoal>", "after join k");
+  // `env` is the fold's, so the hook's operators nest beside the joins.
+  // The hook may replace the relation (with a semi-joined one); a non-OK
+  // status stops the evaluation and is returned. While set, every join is
+  // materialized so the hook sees it, and a streamed final stage projects
+  // the last intermediate alone.
+  std::function<Status(Relation& rel, const std::string& at,
+                       const ExecEnv& env)>
+      inspect = nullptr;
   // Streamed final stage (the flock evaluator's pipeline). When `groups`
   // is set, the final join is never materialized: each joined row runs
   // the still-pending comparisons and negations in place, is projected
@@ -130,8 +101,8 @@ struct CqEvalOptions {
 // env.threads workers, preserving the one-piece row order (relational/ops.h
 // on NaturalJoin). env.metrics receives one child per operator —
 // "scan" per subgoal, then the fold chain ("join" / "select" /
-// "anti_join", plus "semi_join" nodes for full-reducer sweeps) and a
-// final "project" — or, streamed, one "join <predicate> [stream]"
+// "anti_join", plus whatever the inspect hook adds) and a final
+// "project" — or, streamed, one "join <predicate> [stream]"
 // ("project [stream]" without a join) whose rows_out counts the rows
 // pushed. Under env.ctx every operator polls and charges its
 // output, and the evaluation returns the context's typed error as soon as

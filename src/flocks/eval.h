@@ -26,7 +26,9 @@
 namespace qf {
 
 struct FlockEvalOptions {
-  // Per-disjunct join orders; empty means text order everywhere.
+  // Per-disjunct fold options: the join order (empty: text order) and
+  // DYNAMIC's inspect hook. A missing entry means text order, no hook;
+  // the evaluator sets the sinks itself.
   std::vector<CqEvalOptions> per_disjunct;
   // Verify SUM filters only see non-negative weights (the monotonicity
   // precondition of the Future Work section).

@@ -119,9 +119,6 @@ std::optional<Strategy> StrategyForMode(std::string_view mode,
     strategy.kind = Strategy::Kind::kPlan;
   } else if (mode == "DIRECT") {
     strategy.id = "direct:text";
-  } else if (mode == "REDUCED") {
-    strategy.id = "direct:reduced";
-    strategy.full_reducer = true;
   } else if (mode == "DYNAMIC") {
     strategy.id = "dyn:text";
     strategy.kind = Strategy::Kind::kDynamic;

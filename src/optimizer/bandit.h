@@ -63,16 +63,12 @@ struct Strategy {
   // Per-disjunct join orders for kDirect (missing or empty = text order);
   // for kDynamic only orders[0] is used. Ignored for kPlan.
   std::vector<std::vector<std::size_t>> orders;
-  // kDirect only: Yannakakis full-reducer evaluation (falls back to the
-  // join fold on cyclic queries).
-  bool full_reducer = false;
   DynamicKnobs knobs;  // kDynamic only
 };
 
 // The strategy a RUN / EXPLAIN ANALYZE mode word names, in text order:
-// PLAN = plan:search, DIRECT = direct:text, REDUCED = direct:reduced,
-// DYNAMIC = dyn:text with the session's §4.4 knobs. nullopt for any other
-// word.
+// PLAN = plan:search, DIRECT = direct:text, DYNAMIC = dyn:text with the
+// session's §4.4 knobs. nullopt for any other word.
 std::optional<Strategy> StrategyForMode(std::string_view mode,
                                         const DynamicKnobs& session_knobs);
 
@@ -96,12 +92,12 @@ PlanContext MakePlanContext(const QueryFlock& flock, const CostModel& model);
 // The candidate arms for `flock`, in deterministic order. Always includes
 // the static-plan arm and the cost-ordered and text-ordered direct arms
 // (deduplicated when the cost order *is* the text order); when
-// `dynamic_eligible` (single disjunct, support filter, no view
-// predicates — the DynamicEvaluate preconditions, which the caller
-// checks), adds §4.4 arms over `session_knobs` and two contrasting
-// presets. Arms are re-enumerated per run: "direct:cost" always means
-// "the cost model's current order", so plans track statistics while the
-// history tracks the strategy.
+// `dynamic_eligible` (single disjunct, support filter — the
+// DynamicEvaluate preconditions, which the caller checks), adds §4.4
+// arms over `session_knobs` and two contrasting presets. Arms are
+// re-enumerated per run: "direct:cost" always means "the cost model's
+// current order", so plans track statistics while the history tracks the
+// strategy.
 std::vector<Strategy> EnumerateArms(const QueryFlock& flock,
                                     const CostModel& model,
                                     bool dynamic_eligible,

@@ -3,10 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
-#include <optional>
 
-#include "common/check.h"
-#include "flocks/cq_eval.h"
 #include "flocks/eval.h"
 #include "relational/ops.h"
 
@@ -47,10 +44,11 @@ void CountGroups(GroupTable& table, const Relation& rel,
 
 }  // namespace
 
-Result<Relation> DynamicEvaluate(const QueryFlock& flock, const Database& db,
-                                 const DynamicOptions& options,
-                                 const ExecEnv& env, DynamicLog* log) {
-  if (Status s = flock.Validate(&db); !s.ok()) return s;
+Result<Relation> DynamicEvaluate(
+    const QueryFlock& flock, const Database& db, const DynamicOptions& options,
+    const ExecEnv& env, DynamicLog* log,
+    const std::map<std::string, const Relation*>* extra) {
+  if (Status s = flock.Validate(); !s.ok()) return s;
   if (flock.query.disjuncts.size() != 1) {
     return UnimplementedError(
         "dynamic evaluation handles single-disjunct flocks; union flocks "
@@ -63,76 +61,27 @@ Result<Relation> DynamicEvaluate(const QueryFlock& flock, const Database& db,
   const ConjunctiveQuery& cq = flock.query.disjuncts.front();
   const double threshold = flock.filter.threshold;
 
-  // Partition subgoals, mirroring the static evaluator.
-  std::vector<const Subgoal*> positives;
-  std::vector<const Subgoal*> comparisons;
-  std::vector<const Subgoal*> negations;
-  for (const Subgoal& s : cq.subgoals) {
-    if (s.is_positive()) {
-      positives.push_back(&s);
-    } else if (s.is_comparison()) {
-      comparisons.push_back(&s);
-    } else {
-      negations.push_back(&s);
-    }
-  }
-  QF_CHECK(!positives.empty());  // Validate guarantees safety
-
-  std::vector<std::size_t> order = options.join_order;
-  if (order.empty()) {
-    order.resize(positives.size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  } else if (order.size() != positives.size()) {
-    return InvalidArgumentError(
-        "join_order must be a permutation of the positive subgoals");
-  }
-
-  OpMetrics* m = env.metrics;
-  TraceSink* tr = env.trace;
-  if (m != nullptr && m->op.empty()) m->op = "dynamic";
-  QueryContext* ctx = env.ctx;
-  auto governed = [&env]() { return env.Check(); };
-
-  // Binding relations per positive subgoal.
-  std::vector<Relation> bindings;
-  bindings.reserve(positives.size());
-  for (const Subgoal* s : positives) {
-    OpMetrics* node = m != nullptr ? m->AddChild("scan", s->predicate())
-                                   : nullptr;
-    ScopedOp span(node, tr);
-    bindings.push_back(
-        SubgoalBindings(*s, db.Get(s->predicate()), env.threads, node,
-                        ctx));
-    if (Status s2 = governed(); !s2.ok()) return s2;
-  }
-  std::vector<Relation> negation_bindings;
-  negation_bindings.reserve(negations.size());
-  for (const Subgoal* s : negations) {
-    OpMetrics* node =
-        m != nullptr ? m->AddChild("scan", "NOT " + s->predicate()) : nullptr;
-    ScopedOp span(node, tr);
-    negation_bindings.push_back(
-        SubgoalBindings(*s, db.Get(s->predicate()), env.threads, node,
-                        ctx));
-    if (Status s2 = governed(); !s2.ok()) return s2;
-  }
-
   // Ratio history per parameter set (the §4.4 "previously encountered"
   // bookkeeping).
   std::map<std::set<std::string>, double> last_ratio;
   DynamicLog local_log;
   DynamicLog& out_log = log != nullptr ? *log : local_log;
 
-  // Decides and possibly applies a FILTER step on `rel` at point `at`.
-  // One group-count pass yields the tuples-per-assignment ratio *and* the
-  // per-group sizes; the semi-join is paid only when both the ratio gate
-  // and the removed-mass check say filtering is worthwhile.
-  auto maybe_filter = [&](Relation& rel, const std::string& at) {
+  // The fold's inspect hook: decides and possibly applies a FILTER step
+  // on `rel` at point `at`. One group-count pass yields the
+  // tuples-per-assignment ratio *and* the per-group sizes; the semi-join
+  // is paid only when both the ratio gate and the removed-mass check say
+  // filtering is worthwhile.
+  auto maybe_filter = [&](Relation& rel, const std::string& at,
+                          const ExecEnv& fold) -> Status {
     std::set<std::string> params = ParamColumnsIn(rel.schema());
-    if (params.empty() || rel.empty()) return;
+    if (params.empty() || rel.empty()) return Status::Ok();
     const std::uint64_t start_ns = MetricsNowNs();
-    OpMetrics* node = m != nullptr ? m->AddChild("dyn_filter", at) : nullptr;
-    ScopedOp span(node, tr);
+    QueryContext* ctx = fold.ctx;
+    OpMetrics* node = fold.metrics != nullptr
+                          ? fold.metrics->AddChild("dyn_filter", at)
+                          : nullptr;
+    ScopedOp span(node, fold.trace);
     // The candidate-answer view: with every head variable bound and
     // columns to spare, the distinct (params, heads) projections — a
     // tighter bound on distinct answers; otherwise `rel`'s own rows,
@@ -158,7 +107,7 @@ Result<Relation> DynamicEvaluate(const QueryFlock& flock, const Database& db,
     {
       OpMetrics* gnode =
           node != nullptr ? node->AddChild("group_by", "COUNT") : nullptr;
-      ScopedOp gspan(gnode, tr);
+      ScopedOp gspan(gnode, fold.trace);
       CountGroups(counts, rel, view, gnode);
     }
     double ratio = static_cast<double>(counts.rows()) /
@@ -205,8 +154,11 @@ Result<Relation> DynamicEvaluate(const QueryFlock& flock, const Database& db,
       OpMetrics* snode =
           node != nullptr ? node->AddChild("semi_join", "reduce by support")
                           : nullptr;
-      ScopedOp sspan(snode, tr);
+      ScopedOp sspan(snode, fold.trace);
+      std::uint64_t dropped = static_cast<std::uint64_t>(rel.size()) *
+                              ApproxTupleBytes(rel.arity());
       rel = SemiJoin(rel, ok, snode, ctx);
+      if (ctx != nullptr) ctx->Release(dropped);
       ++out_log.filters_applied;
     }
     if (consider) {
@@ -240,109 +192,22 @@ Result<Relation> DynamicEvaluate(const QueryFlock& flock, const Database& db,
       node->rows_out = decision.rows_after;
     }
     out_log.decisions.push_back(std::move(decision));
+    return fold.Check();
   };
 
-  // Apply comparisons and negations as soon as their columns are bound.
-  std::vector<bool> cmp_applied(comparisons.size(), false);
-  std::vector<bool> neg_applied(negations.size(), false);
-  auto apply_ready = [&](Relation& rel) {
-    const Schema* schema = &rel.schema();
-    for (std::size_t i = 0; i < comparisons.size(); ++i) {
-      if (cmp_applied[i]) continue;
-      std::optional<BoundComparison> bound =
-          BindComparison(*comparisons[i], rel.schema());
-      if (!bound.has_value()) continue;
-      cmp_applied[i] = true;
-      OpMetrics* node = m != nullptr
-                            ? m->AddChild("select", comparisons[i]->ToString())
-                            : nullptr;
-      ScopedOp span(node, tr);
-      rel = Select(
-          rel, [&bound](const Tuple& row) { return bound->Eval(row, row); },
-          node, ctx);
-      schema = &rel.schema();
-    }
-    for (std::size_t i = 0; i < negations.size(); ++i) {
-      if (neg_applied[i]) continue;
-      bool ready = true;
-      for (const Term& t : negations[i]->terms()) {
-        if (!t.is_constant() && !schema->Contains(TermColumn(t))) {
-          ready = false;
-          break;
-        }
-      }
-      if (!ready) continue;
-      neg_applied[i] = true;
-      OpMetrics* node =
-          m != nullptr ? m->AddChild("anti_join", negations[i]->predicate())
-                       : nullptr;
-      ScopedOp span(node, tr);
-      rel = AntiJoin(rel, negation_bindings[i], node, ctx);
-      schema = &rel.schema();
-    }
-  };
-
-  // The fold: inspect each leaf before joining it, and the running
-  // intermediate after every join.
-  maybe_filter(bindings[order[0]], "leaf " + positives[order[0]]->ToString());
-  Relation current = std::move(bindings[order[0]]);
-  apply_ready(current);
-  out_log.peak_rows = current.size();
-  for (std::size_t k = 1; k < order.size(); ++k) {
-    maybe_filter(bindings[order[k]],
-                 "leaf " + positives[order[k]]->ToString());
-    {
-      OpMetrics* node =
-          m != nullptr ? m->AddChild("join", positives[order[k]]->predicate())
-                       : nullptr;
-      ScopedOp span(node, tr);
-      std::uint64_t dropped = static_cast<std::uint64_t>(current.size()) *
-                              ApproxTupleBytes(current.arity());
-      current =
-          NaturalJoin(current, bindings[order[k]], /*threads=*/1, node, ctx);
-      if (ctx != nullptr) {
-        ctx->Release(dropped);
-        ctx->Release(static_cast<std::uint64_t>(bindings[order[k]].size()) *
-                     ApproxTupleBytes(bindings[order[k]].arity()));
-        bindings[order[k]] = Relation();
-      }
-    }
-    if (Status s2 = governed(); !s2.ok()) return s2;
-    out_log.peak_rows = std::max(out_log.peak_rows, current.size());
-    apply_ready(current);
-    maybe_filter(current, "after join " + std::to_string(k));
-    if (Status s2 = governed(); !s2.ok()) return s2;
+  // The static fold runs the join order and calls maybe_filter at every
+  // node; its group table does the mandatory filtering at the root
+  // (§4.4: "We must filter at the root").
+  FlockEvalOptions eval_options;
+  eval_options.per_disjunct.push_back(
+      {.join_order = options.join_order, .inspect = maybe_filter});
+  if (env.metrics != nullptr && env.metrics->op.empty()) {
+    env.metrics->op = "dynamic";
   }
-
-  // Mandatory filtering at the root (§4.4: "We must filter at the root"):
-  // the projected answers stream into a distinct group table, which
-  // builds rows only for the passing groups.
-  std::vector<std::string> param_columns = FlockParameterColumns(flock);
-  std::vector<std::string> answer_columns = param_columns;
-  answer_columns.insert(answer_columns.end(), cq.head_vars.begin(),
-                        cq.head_vars.end());
-  GroupTable groups(answer_columns.size(), param_columns.size(),
-                    AggKind::kCount, 0, /*distinct=*/true, nullptr, ctx);
-  const FilterCondition& filter = flock.filter;
-  Relation result;
-  {
-    OpMetrics* node = m != nullptr ? m->AddChild("group_by", "COUNT")
-                                   : nullptr;
-    ScopedOp span(node, tr);
-    CountGroups(groups, current, answer_columns, node);
-    if (Status s2 = governed(); !s2.ok()) return s2;
-    result = groups.Finish(
-        Schema(param_columns),
-        [&filter](const Value& n) { return filter.Accepts(n); },
-        /*with_aggregate=*/false);
-  }
-  if (m != nullptr) {
-    OpMetrics* node = m->AddChild("filter");
-    node->rows_in += groups.groups();
-    node->rows_out += result.size();
-    m->rows_out += result.size();
-  }
-  result.set_name("flock_result");
+  FlockEvalInfo info;
+  Result<Relation> result =
+      EvaluateFlock(flock, db, eval_options, env, extra, &info);
+  out_log.peak_rows = info.peak_rows;
   return result;
 }
 

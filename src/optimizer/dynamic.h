@@ -20,6 +20,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -82,15 +83,19 @@ struct DynamicLog {
 // threshold would be unsound — §3.4 demands unions of subqueries) and a
 // support-style filter. The result equals EvaluateFlock(flock, db).
 //
-// `env`: env.threads workers run the scan/bindings phase (results are
-// identical for every value). env.metrics receives "scan", "dyn_filter"
-// (one per decision point, with "group_by"/"semi_join" children when
-// those ran), "join", and the final aggregation nodes. env.ctx is polled
-// by every operator in the fold and checked after each decision point.
-Result<Relation> DynamicEvaluate(const QueryFlock& flock, const Database& db,
-                                 const DynamicOptions& options = {},
-                                 const ExecEnv& env = {},
-                                 DynamicLog* log = nullptr);
+// The evaluation is EvaluateFlock's with one per-disjunct option: an
+// inspect hook (flocks/cq_eval.h) that makes the FILTER decision at every
+// node of the fold. Predicates resolve as there, `extra` (program views)
+// first. `env` is EvaluateFlock's: results and decisions are identical
+// for every env.threads value. env.metrics receives the "disjunct"
+// subtree — "scan", "dyn_filter" (one per decision point, with
+// "group_by"/"semi_join" children when those ran), "join", "select",
+// "anti_join" and "project [stream]" — then "group_by" and "filter".
+Result<Relation> DynamicEvaluate(
+    const QueryFlock& flock, const Database& db,
+    const DynamicOptions& options = {}, const ExecEnv& env = {},
+    DynamicLog* log = nullptr,
+    const std::map<std::string, const Relation*>* extra = nullptr);
 
 // Renders the decisions of a dynamic run in the spirit of the paper's
 // Fig. 9 ("a possible query plan resulting from dynamic evaluation"):

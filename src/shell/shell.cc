@@ -164,9 +164,9 @@ constexpr std::string_view kHelp =
     "  DEFINE <head>(<vars>) :- <body>;       # intermediate predicate\n"
     "  FLOCK <name> QUERY <rules> FILTER <AGG>[(<HeadVar>)] <op> <num>;\n"
     "  EXPLAIN <name>;               # chosen plan + cost estimates\n"
-    "  EXPLAIN ANALYZE <name> [DIRECT|PLAN|DYNAMIC|REDUCED] [LIMIT <n>]\n"
+    "  EXPLAIN ANALYZE <name> [DIRECT|PLAN|DYNAMIC] [LIMIT <n>]\n"
     "      [THREADS <n>];            # execute + per-operator metrics tree\n"
-    "  RUN <name> [DIRECT|PLAN|DYNAMIC|REDUCED] [LIMIT <n>] [THREADS <n>];\n"
+    "  RUN <name> [DIRECT|PLAN|DYNAMIC] [LIMIT <n>] [THREADS <n>];\n"
     "  SQL <name>;\n"
     "  THREADS <n>;                  # default workers for RUN (1 = serial)\n"
     "  SET TIMEOUT <ms>;             # wall-clock deadline per statement\n"
@@ -208,7 +208,7 @@ constexpr std::int64_t kMaxTimeoutMs = kMaxInt64 / 2'000'000;
 constexpr const char* kThreads = "THREADS";
 
 // Options shared by RUN and EXPLAIN ANALYZE:
-// [DIRECT|PLAN|DYNAMIC|REDUCED] [LIMIT <n>] [THREADS <n>] in any order.
+// [DIRECT|PLAN|DYNAMIC] [LIMIT <n>] [THREADS <n>] in any order.
 struct RunOptions {
   std::string mode = "PLAN";
   Strategy strategy;
@@ -849,13 +849,8 @@ Result<Relation> Shell::Execute(const QueryFlock& flock,
   switch (strategy.kind) {
     case Strategy::Kind::kDirect: {
       FlockEvalOptions options;
-      for (std::size_t d = 0; d < flock.query.disjuncts.size(); ++d) {
-        CqEvalOptions cq_options;
-        if (d < strategy.orders.size()) {
-          cq_options.join_order = strategy.orders[d];
-        }
-        cq_options.full_reducer = strategy.full_reducer;
-        options.per_disjunct.push_back(std::move(cq_options));
+      for (const std::vector<std::size_t>& order : strategy.orders) {
+        options.per_disjunct.push_back({.join_order = order});
       }
       if (estimate) {
         Result<const CostModel*> model = Model();
@@ -866,19 +861,14 @@ Result<Relation> Shell::Execute(const QueryFlock& flock,
       return EvaluateFlock(flock, db(), options, env, &extra);
     }
     case Strategy::Kind::kDynamic: {
-      if (!extra.empty()) {
-        return UnimplementedError(
-            "RUN ... DYNAMIC does not support intermediate predicates yet; "
-            "use DIRECT or PLAN");
-      }
       DynamicOptions options;
       if (!strategy.orders.empty()) options.join_order = strategy.orders[0];
       options.aggressiveness = strategy.knobs.aggressiveness;
       options.improvement_factor = strategy.knobs.improvement_factor;
       options.min_removed_fraction = strategy.knobs.min_removed_fraction;
       DynamicLog log;
-      Result<Relation> result = DynamicEvaluate(
-          flock, db(), options, env, &log);
+      Result<Relation> result =
+          DynamicEvaluate(flock, db(), options, env, &log, &extra);
       if (result.ok() && dynamic_trace != nullptr) {
         *dynamic_trace = RenderDynamicTrace(log);
       }
@@ -917,14 +907,11 @@ Result<Shell::LearnedChoice> Shell::ChooseStrategy(const QueryFlock& flock) {
   Result<const CostModel*> model_or = Model();
   if (!model_or.ok()) return model_or.status();
   const CostModel& model = **model_or;
-  Result<const std::map<std::string, Relation>*> views = Views();
-  if (!views.ok()) return views.status();
 
   PlanContext pctx = MakePlanContext(flock, model);
-  // The DynamicEvaluate preconditions (single disjunct, support filter,
-  // no view predicates); only then do the §4.4 arms enter the pool.
-  const bool dynamic_eligible = (*views)->empty() &&
-                                flock.query.disjuncts.size() == 1 &&
+  // The DynamicEvaluate preconditions (single disjunct, support filter);
+  // only then do the §4.4 arms enter the pool.
+  const bool dynamic_eligible = flock.query.disjuncts.size() == 1 &&
                                 flock.filter.IsSupportStyle();
   std::vector<Strategy> arms =
       EnumerateArms(flock, model, dynamic_eligible, dynamic_knobs_);
@@ -1071,7 +1058,7 @@ Result<std::string> Shell::Run(std::string_view args) {
 Result<std::string> Shell::ExplainAnalyze(std::string_view args) {
   if (StripWhitespace(args).empty()) {
     return InvalidArgumentError(
-        "usage: EXPLAIN ANALYZE <name> [DIRECT|PLAN|DYNAMIC|REDUCED] "
+        "usage: EXPLAIN ANALYZE <name> [DIRECT|PLAN|DYNAMIC] "
         "[LIMIT <n>] [THREADS <n>]");
   }
   OpMetrics root;

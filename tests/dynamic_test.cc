@@ -3,6 +3,8 @@
 // behavior under different aggressiveness settings.
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "flocks/eval.h"
 #include "optimizer/dynamic.h"
 #include "optimizer/join_order.h"
@@ -315,6 +317,60 @@ TEST(DynamicTest, ThreadedScanMatchesSerial) {
             FilterCondition::MinSupport(6));
   ExpectSame(DynamicEvaluate(flock, db),
              DynamicEvaluate(flock, db, {}, {.threads = 4}));
+}
+
+// The fold joins at env.threads, and every join, scan and filter keeps
+// the one-piece row order, so the §4.4 decisions see the same relations
+// at every thread count: same answers, same decision log.
+TEST(DynamicTest, DecisionLogThreadInvariant) {
+  Database db;
+  Relation baskets = GenerateBaskets({.n_baskets = 300, .n_items = 60,
+                                      .avg_basket_size = 5, .zipf_theta = 1.0,
+                                      .seed = 30});
+  std::map<Value, int> item_baskets;
+  for (const Tuple& row : baskets.rows()) ++item_baskets[row[1]];
+  Relation rare("rare", Schema({"I"}));
+  for (const auto& [item, n] : item_baskets) {
+    if (n < 8) rare.AddRow({item});
+  }
+  ASSERT_FALSE(rare.empty());
+  db.PutRelation(std::move(baskets));
+  db.PutRelation(std::move(rare));
+  QueryFlock flock = Flock(
+      "answer(B) :- baskets(B,$1) AND baskets(B,$2) AND baskets(B,I) AND "
+      "$1 < $2 AND NOT rare(I)",
+      FilterCondition::MinSupport(6));
+  DynamicOptions options;
+  options.aggressiveness = 4.0;
+
+  DynamicLog serial_log;
+  Result<Relation> serial =
+      DynamicEvaluate(flock, db, options, {.threads = 1}, &serial_log);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  ExpectSame(EvaluateFlock(flock, db), serial);
+  EXPECT_GT(serial_log.filters_applied, 0u);
+  for (unsigned threads : {0u, 4u}) {
+    DynamicLog log;
+    Result<Relation> result =
+        DynamicEvaluate(flock, db, options, {.threads = threads}, &log);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->rows(), serial->rows()) << "threads " << threads;
+    EXPECT_EQ(log.filters_applied, serial_log.filters_applied);
+    EXPECT_EQ(log.peak_rows, serial_log.peak_rows);
+    ASSERT_EQ(log.decisions.size(), serial_log.decisions.size());
+    for (std::size_t i = 0; i < log.decisions.size(); ++i) {
+      const DynamicDecision& d = log.decisions[i];
+      const DynamicDecision& want = serial_log.decisions[i];
+      EXPECT_EQ(d.at, want.at) << "threads " << threads << " decision " << i;
+      EXPECT_EQ(d.parameters, want.parameters) << d.at;
+      EXPECT_EQ(d.ratio, want.ratio) << d.at;
+      EXPECT_EQ(d.considered, want.considered) << d.at;
+      EXPECT_EQ(d.filtered, want.filtered) << d.at;
+      EXPECT_EQ(d.removed_fraction, want.removed_fraction) << d.at;
+      EXPECT_EQ(d.rows_before, want.rows_before) << d.at;
+      EXPECT_EQ(d.rows_after, want.rows_after) << d.at;
+    }
+  }
 }
 
 // Property: dynamic evaluation agrees with the direct evaluator across

@@ -369,7 +369,7 @@ TEST(ShellMetricsTest, ExplainAnalyzeMatchesRunResult) {
         shell.dynamic_knobs());
 
     for (const char* threads : {" THREADS 1", " THREADS 4"}) {
-      for (const char* mode : {"DIRECT", "PLAN", "REDUCED", "DYNAMIC"}) {
+      for (const char* mode : {"DIRECT", "PLAN", "DYNAMIC"}) {
         std::string args = std::string(f.name) + " " + mode + limit + threads;
         Result<std::string> run = shell.Execute("RUN " + args);
         Result<std::string> analyzed = shell.Execute("EXPLAIN ANALYZE " + args);
@@ -408,6 +408,44 @@ TEST(ShellMetricsTest, ExplainAnalyzeMatchesRunResult) {
         }
       }
     }
+  }
+}
+
+// DYNAMIC resolves predicates as DIRECT does, DEFINE'd views included:
+// a flock over an intermediate predicate (Ex. 2.2) answers the same
+// through RUN and EXPLAIN ANALYZE DYNAMIC, RUN DIRECT, and the §2 oracle
+// over the same flock with the view's body inlined.
+TEST(ShellMetricsTest, DynamicOverViewMatchesDirectAndOracle) {
+  Shell shell;
+  MustRun(shell,
+          "GEN MEDICAL m n_patients=120 n_diseases=5 n_symptoms=8 "
+          "n_medicines=8 seed=6");
+  MustRun(shell,
+          "DEFINE unexplained(P,S) :- exhibits(P,S) AND diagnoses(P,D) AND "
+          "NOT causes(D,S)");
+  MustRun(shell,
+          "FLOCK side QUERY answer(P) :- unexplained(P,$s) AND "
+          "treatments(P,$m) FILTER COUNT >= 3");
+  Result<QueryFlock> inlined = MakeFlock(
+      "answer(P) :- exhibits(P,$s) AND diagnoses(P,D) AND NOT causes(D,$s) "
+      "AND treatments(P,$m)",
+      FilterCondition::MinSupport(3));
+  ASSERT_TRUE(inlined.ok()) << inlined.status().ToString();
+  Result<Relation> oracle = NaiveEvaluateFlock(*inlined, shell.database());
+  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+  ASSERT_FALSE(oracle->empty());
+  oracle->SortRows();
+  const std::string expected = oracle->ToString(1000000);
+  for (const char* threads : {" THREADS 1", " THREADS 4"}) {
+    const std::string args = std::string(" LIMIT 1000000") + threads;
+    std::string direct = MustRun(shell, "RUN side DIRECT" + args);
+    std::string dynamic = MustRun(shell, "RUN side DYNAMIC" + args);
+    std::string analyzed =
+        MustRun(shell, "EXPLAIN ANALYZE side DYNAMIC" + args);
+    EXPECT_EQ(RunPreview(direct), expected) << threads;
+    EXPECT_EQ(RunPreview(dynamic), expected) << threads;
+    EXPECT_EQ(AnalyzePreview(analyzed), expected) << threads;
+    EXPECT_NE(analyzed.find("dynamic decisions:"), std::string::npos);
   }
 }
 
