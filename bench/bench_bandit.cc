@@ -11,17 +11,20 @@
 //                      a warmed-up history (every arm pre-played twice),
 //                      records the outcome, repeats — the steady-state
 //                      cost of `SET OPTIMIZER LEARNED`.
-// The acceptance property (asserted by CI's bench job on this binary's
-// JSON output): after warm-up, Learned tracks the best static arm in
-// *both* regimes — within 1.3x of min(StaticPlan, StaticDirect, StaticDynamic) — even
-// though no single static arm is best in both. ChooseOverhead prices the
+// The acceptance property (enforced by this binary's exit status): after
+// warm-up, Learned tracks the best static arm in *both* regimes — within
+// 1.3x of min(StaticPlan, StaticDirect, StaticDynamic) — even though no
+// single static arm is best in both. ChooseOverhead prices the
 // decision itself (a map lookup + a scan of ~6 arms), which must stay
 // microseconds-scale noise against millisecond-scale runs.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstddef>
+#include <cstdio>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -224,7 +227,36 @@ BENCHMARK(BM_Bandit_StaticDynamic)
 BENCHMARK(BM_Bandit_Learned)->DenseRange(0, 1)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Bandit_ChooseOverhead);
 
+// The acceptance gate: exits non-zero when Learned is more than 1.3x
+// the best static arm in either regime. A regime whose four benchmarks
+// did not all run (a filter) is reported as not evaluated.
+bool LearnedTracksBestStatic(const bench::RunTimes& t) {
+  bool holds = true;
+  for (std::string regime : {"0", "1"}) {
+    auto time = [&](const char* arm) {
+      auto it = t.find(std::string("BM_Bandit_") + arm + "/" + regime);
+      return it == t.end() ? -1.0 : it->second;
+    };
+    double plan = time("StaticPlan");
+    double direct = time("StaticDirect");
+    double dynamic = time("StaticDynamic");
+    double learned = time("Learned");
+    if (std::min({plan, direct, dynamic, learned}) < 0) {
+      std::printf("regime %s: learned-selection gate not evaluated\n",
+                  regime.c_str());
+      continue;
+    }
+    double ratio = learned / std::min({plan, direct, dynamic});
+    std::printf("regime %s: learned/best-static = %.2fx (gate <= 1.3x)\n",
+                regime.c_str(), ratio);
+    holds = holds && ratio <= 1.3;
+  }
+  return holds;
+}
+
 }  // namespace
 }  // namespace qf
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  return qf::bench::RunWithGate(argc, argv, qf::LearnedTracksBestStatic);
+}

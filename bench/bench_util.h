@@ -4,10 +4,15 @@
 #ifndef QF_BENCH_BENCH_UTIL_H_
 #define QF_BENCH_BENCH_UTIL_H_
 
+#include <benchmark/benchmark.h>
+
 #include <cstdio>
+#include <functional>
+#include <map>
 #include <string>
 #include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "common/check.h"
 #include "common/status.h"
@@ -38,6 +43,36 @@ void ConsumeScalar(T value) {
   static_assert(std::is_trivially_copyable_v<T>);
   volatile T sink = value;
   (void)sink;
+}
+
+// Real time of each finished run, in the run's own unit, keyed by its
+// reported name (aggregates as "<name>_median" and the like).
+using RunTimes = std::map<std::string, double>;
+
+// The console reporter, recording RunTimes as runs finish.
+class RecordingReporter : public benchmark::ConsoleReporter {
+ public:
+  void ReportRuns(const std::vector<Run>& runs) override {
+    for (const Run& run : runs) {
+      times[run.benchmark_name()] = run.GetAdjustedRealTime();
+    }
+    ConsoleReporter::ReportRuns(runs);
+  }
+  RunTimes times;
+};
+
+// main() for a binary that enforces its own acceptance bound: runs the
+// benchmarks selected by the command line (--benchmark_out still writes
+// its file), then returns 0 when `gate` holds over their times and 1
+// when it does not.
+inline int RunWithGate(int argc, char** argv,
+                       const std::function<bool(const RunTimes&)>& gate) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  RecordingReporter reporter;
+  benchmark::RunSpecifiedBenchmarks(&reporter);
+  benchmark::Shutdown();
+  return gate(reporter.times) ? 0 : 1;
 }
 
 }  // namespace qf::bench

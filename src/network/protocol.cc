@@ -3,7 +3,7 @@
 #include <cerrno>
 #include <cstring>
 
-#include "common/crc32c.h"
+#include "relational/serialize.h"
 
 namespace qf {
 
@@ -12,98 +12,50 @@ bool IsKnownFrameType(std::uint8_t type) {
          type <= static_cast<std::uint8_t>(FrameType::kHeartbeat);
 }
 
-void AppendU32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out += static_cast<char>((v >> (8 * i)) & 0xff);
-  }
-}
-
-void AppendU64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out += static_cast<char>((v >> (8 * i)) & 0xff);
-  }
-}
-
-bool ReadU32(std::string_view bytes, std::size_t offset, std::uint32_t* v) {
-  if (offset + 4 > bytes.size()) return false;
-  std::uint32_t out = 0;
-  for (int i = 3; i >= 0; --i) {
-    out = (out << 8) |
-          static_cast<unsigned char>(bytes[offset + static_cast<std::size_t>(i)]);
-  }
-  *v = out;
-  return true;
-}
-
-bool ReadU64(std::string_view bytes, std::size_t offset, std::uint64_t* v) {
-  if (offset + 8 > bytes.size()) return false;
-  std::uint64_t out = 0;
-  for (int i = 7; i >= 0; --i) {
-    out = (out << 8) |
-          static_cast<unsigned char>(bytes[offset + static_cast<std::size_t>(i)]);
-  }
-  *v = out;
-  return true;
-}
-
 std::string EncodeFrame(const Frame& frame) {
   std::string payload;
   payload.reserve(kMinPayloadBytes + frame.body.size());
   payload += static_cast<char>(frame.type);
-  AppendU64(payload, frame.request_id);
+  PutU64(payload, frame.request_id);
   payload += frame.body;
 
   std::string out;
   out.reserve(kFrameHeaderBytes + payload.size());
-  AppendU32(out, static_cast<std::uint32_t>(payload.size()));
-  AppendU32(out, Crc32cMask(Crc32c(payload)));
-  out += payload;
+  AppendFrame(out, payload);
   return out;
 }
 
+// The one wire-frame validator: length bounds, checksum, frame type and
+// request id. ReadFrame runs it over the header alone and then over the
+// whole frame.
 DecodeOutcome DecodeFrame(std::string_view bytes) {
   DecodeOutcome out;
-  if (bytes.size() < kFrameHeaderBytes) {
+  ParsedFrame parsed = ParseFrame(bytes, kMaxPayloadBytes);
+  std::string error;
+  if (parsed.length > kMaxPayloadBytes) {
+    error = "oversized frame: " + std::to_string(parsed.length) + " bytes";
+  } else if (bytes.size() >= kFrameHeaderBytes &&
+             parsed.length < kMinPayloadBytes) {
+    error = "short frame payload: " + std::to_string(parsed.length) +
+            " bytes";
+  } else if (parsed.check == FrameCheck::kTruncated) {
     out.need_more = true;
     return out;
+  } else if (parsed.check == FrameCheck::kCorrupt) {
+    error = "frame checksum mismatch";
+  } else if (auto type = static_cast<std::uint8_t>(parsed.payload[0]);
+             !IsKnownFrameType(type)) {
+    error = "unknown frame type " + std::to_string(type);
   }
-  std::uint32_t length = 0;
-  std::uint32_t stored_crc = 0;
-  ReadU32(bytes, 0, &length);
-  ReadU32(bytes, 4, &stored_crc);
-  if (length > kMaxPayloadBytes) {
+  if (!error.empty()) {
     out.consumed = bytes.size();
-    out.status = InvalidArgumentError("oversized frame: " +
-                                      std::to_string(length) + " bytes");
+    out.status = InvalidArgumentError(error);
     return out;
   }
-  if (length < kMinPayloadBytes) {
-    out.consumed = bytes.size();
-    out.status = InvalidArgumentError("short frame payload: " +
-                                      std::to_string(length) + " bytes");
-    return out;
-  }
-  if (bytes.size() < kFrameHeaderBytes + length) {
-    out.need_more = true;
-    return out;
-  }
-  std::string_view payload = bytes.substr(kFrameHeaderBytes, length);
-  if (Crc32cMask(Crc32c(payload)) != stored_crc) {
-    out.consumed = bytes.size();
-    out.status = InvalidArgumentError("frame checksum mismatch");
-    return out;
-  }
-  std::uint8_t type = static_cast<unsigned char>(payload[0]);
-  if (!IsKnownFrameType(type)) {
-    out.consumed = bytes.size();
-    out.status =
-        InvalidArgumentError("unknown frame type " + std::to_string(type));
-    return out;
-  }
-  out.frame.type = static_cast<FrameType>(type);
-  ReadU64(payload, 1, &out.frame.request_id);
-  out.frame.body = std::string(payload.substr(kMinPayloadBytes));
-  out.consumed = kFrameHeaderBytes + length;
+  out.frame.type = static_cast<FrameType>(parsed.payload[0]);
+  ByteReader(parsed.payload.substr(1)).GetU64(&out.frame.request_id);
+  out.frame.body = std::string(parsed.payload.substr(kMinPayloadBytes));
+  out.consumed = parsed.size();
   return out;
 }
 
@@ -127,15 +79,16 @@ Status DecodeErrorBody(std::string_view body) {
 
 std::string EncodeHelloBody(std::uint32_t version) {
   std::string body;
-  AppendU32(body, kProtocolMagic);
-  AppendU32(body, version);
+  PutU32(body, kProtocolMagic);
+  PutU32(body, version);
   return body;
 }
 
 Result<std::uint32_t> CheckHelloBody(std::string_view body) {
+  ByteReader in(body);
   std::uint32_t magic = 0;
   std::uint32_t version = 0;
-  if (!ReadU32(body, 0, &magic) || !ReadU32(body, 4, &version)) {
+  if (!in.GetU32(&magic) || !in.GetU32(&version)) {
     return InvalidArgumentError("short HELLO body");
   }
   if (magic != kProtocolMagic) {
@@ -152,16 +105,16 @@ Result<std::uint32_t> CheckHelloBody(std::string_view body) {
 
 std::string EncodeWelcomeBody(const Welcome& welcome) {
   std::string body;
-  AppendU32(body, welcome.version);
-  AppendU64(body, welcome.session_id);
-  if (welcome.version >= 2) AppendU64(body, welcome.resume_token);
+  PutU32(body, welcome.version);
+  PutU64(body, welcome.session_id);
+  if (welcome.version >= 2) PutU64(body, welcome.resume_token);
   return body;
 }
 
 Result<Welcome> DecodeWelcomeBody(std::string_view body) {
+  ByteReader in(body);
   Welcome welcome;
-  if (!ReadU32(body, 0, &welcome.version) ||
-      !ReadU64(body, 4, &welcome.session_id)) {
+  if (!in.GetU32(&welcome.version) || !in.GetU64(&welcome.session_id)) {
     return InvalidArgumentError("short WELCOME body");
   }
   if (welcome.version < kMinProtocolVersion ||
@@ -169,7 +122,7 @@ Result<Welcome> DecodeWelcomeBody(std::string_view body) {
     return FailedPreconditionError("server speaks protocol version " +
                                    std::to_string(welcome.version));
   }
-  if (welcome.version >= 2 && !ReadU64(body, 12, &welcome.resume_token)) {
+  if (welcome.version >= 2 && !in.GetU64(&welcome.resume_token)) {
     return InvalidArgumentError("short v2 WELCOME body");
   }
   return welcome;
@@ -177,15 +130,15 @@ Result<Welcome> DecodeWelcomeBody(std::string_view body) {
 
 std::string EncodeResumeBody(const ResumeRequest& resume) {
   std::string body;
-  AppendU64(body, resume.session_id);
-  AppendU64(body, resume.resume_token);
+  PutU64(body, resume.session_id);
+  PutU64(body, resume.resume_token);
   return body;
 }
 
 Result<ResumeRequest> DecodeResumeBody(std::string_view body) {
+  ByteReader in(body);
   ResumeRequest resume;
-  if (!ReadU64(body, 0, &resume.session_id) ||
-      !ReadU64(body, 8, &resume.resume_token)) {
+  if (!in.GetU64(&resume.session_id) || !in.GetU64(&resume.resume_token)) {
     return InvalidArgumentError("short RESUME body");
   }
   return resume;
@@ -218,8 +171,8 @@ ssize_t ReadFull(int fd, SocketOps* ops, char* buf, std::size_t n) {
 ReadEvent ReadFrame(int fd, SocketOps* ops) {
   if (ops == nullptr) ops = DefaultSocketOps();
   ReadEvent event;
-  char header[kFrameHeaderBytes];
-  ssize_t got = ReadFull(fd, ops, header, sizeof(header));
+  std::string bytes(kFrameHeaderBytes, '\0');
+  ssize_t got = ReadFull(fd, ops, bytes.data(), bytes.size());
   if (got == 0) {
     event.kind = ReadEvent::Kind::kEof;
     return event;
@@ -245,22 +198,16 @@ ReadEvent ReadFrame(int fd, SocketOps* ops) {
     event.status = IoError(std::string("recv: ") + std::strerror(errno));
     return event;
   }
-  std::uint32_t length = 0;
-  std::uint32_t stored_crc = 0;
-  ReadU32(std::string_view(header, sizeof(header)), 0, &length);
-  ReadU32(std::string_view(header, sizeof(header)), 4, &stored_crc);
-  if (length > kMaxPayloadBytes) {
-    event.status = InvalidArgumentError("oversized frame: " +
-                                        std::to_string(length) + " bytes");
+  // The header alone either asks for a payload within bounds or is
+  // rejected before anything is allocated for it.
+  DecodeOutcome decoded = DecodeFrame(bytes);
+  if (!decoded.need_more) {
+    event.status = decoded.status;
     return event;
   }
-  if (length < kMinPayloadBytes) {
-    event.status = InvalidArgumentError("short frame payload: " +
-                                        std::to_string(length) + " bytes");
-    return event;
-  }
-  std::string payload(length, '\0');
-  got = ReadFull(fd, ops, payload.data(), payload.size());
+  bytes.resize(ParseFrame(bytes, kMaxPayloadBytes).size());
+  got = ReadFull(fd, ops, bytes.data() + kFrameHeaderBytes,
+                 bytes.size() - kFrameHeaderBytes);
   if (got == 0 || got == -1) {
     event.status = InvalidArgumentError("truncated frame payload");
     return event;
@@ -274,20 +221,13 @@ ReadEvent ReadFrame(int fd, SocketOps* ops) {
     event.status = IoError(std::string("recv: ") + std::strerror(errno));
     return event;
   }
-  if (Crc32cMask(Crc32c(payload)) != stored_crc) {
-    event.status = InvalidArgumentError("frame checksum mismatch");
-    return event;
-  }
-  std::uint8_t type = static_cast<unsigned char>(payload[0]);
-  if (!IsKnownFrameType(type)) {
-    event.status =
-        InvalidArgumentError("unknown frame type " + std::to_string(type));
+  decoded = DecodeFrame(bytes);
+  if (!decoded.status.ok()) {
+    event.status = decoded.status;
     return event;
   }
   event.kind = ReadEvent::Kind::kFrame;
-  event.frame.type = static_cast<FrameType>(type);
-  ReadU64(payload, 1, &event.frame.request_id);
-  event.frame.body = payload.substr(kMinPayloadBytes);
+  event.frame = std::move(decoded.frame);
   return event;
 }
 

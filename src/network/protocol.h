@@ -3,13 +3,13 @@
 // (network/server.h), the blocking client library (network/client.h),
 // and tools/load_test.py (which re-implements it in Python).
 //
-// Frame layout (all integers little-endian):
+// Each message is one checksummed frame (AppendFrame / ParseFrame,
+// relational/serialize.h), the frame the WAL, snapshot, paged relation
+// and spill files use too, so one checksum discipline guards disk and
+// wire. Integers are little-endian; the frame's payload is
 //
-//   [u32 payload length][u32 masked CRC32C of payload][payload bytes]
-//   payload = [u8 frame type][u64 request id][body...]
+//   [u8 frame type][u64 request id][body...]
 //
-// The CRC is masked LevelDB-style (common/crc32c.h), the same framing the
-// catalog WAL uses, so one checksum discipline guards both disk and wire.
 // The payload length is validated against kMaxPayloadBytes *before* any
 // allocation: a hostile length prefix costs the server nothing.
 //
@@ -68,6 +68,7 @@
 
 #include "common/status.h"
 #include "network/socket.h"
+#include "relational/serialize.h"
 
 namespace qf {
 
@@ -80,8 +81,6 @@ inline constexpr std::uint32_t kProtocolMagic = 0x4B4C4651u;
 // Hard ceiling on one frame's payload; validated before allocation.
 // Generous for statements and result previews alike.
 inline constexpr std::uint32_t kMaxPayloadBytes = 16u << 20;
-// [u32 length][u32 masked crc]
-inline constexpr std::size_t kFrameHeaderBytes = 8;
 // [u8 type][u64 request id]
 inline constexpr std::size_t kMinPayloadBytes = 9;
 
@@ -109,14 +108,6 @@ struct Frame {
   std::uint64_t request_id = 0;
   std::string body;
 };
-
-// Little-endian integer append/read helpers, shared with the frame
-// bodies (HELLO/WELCOME/RESUME/ERROR payloads).
-void AppendU32(std::string& out, std::uint32_t v);
-void AppendU64(std::string& out, std::uint64_t v);
-// Read at `offset`; false when fewer than 4/8 bytes remain.
-bool ReadU32(std::string_view bytes, std::size_t offset, std::uint32_t* v);
-bool ReadU64(std::string_view bytes, std::size_t offset, std::uint64_t* v);
 
 // Serializes `frame` as one wire frame (header + checksummed payload).
 std::string EncodeFrame(const Frame& frame);

@@ -301,7 +301,7 @@ void Server::ReaderLoop(std::shared_ptr<Session> session) {
         // one was discarded by ResumeSession.
         session = *resumed;
         std::string body;
-        AppendU64(body, session->id);
+        PutU64(body, session->id);
         session->Write(Frame{FrameType::kResumed, frame.request_id, body});
       } else {
         session->WriteError(frame.request_id, resumed.status());

@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "common/crc32c.h"
+
 #include "relational/schema.h"
 #include "relational/tuple.h"
 
@@ -137,6 +139,35 @@ bool ByteReader::GetValue(Value* v) {
       ok_ = false;
       return false;
   }
+}
+
+void AppendFrame(std::string& out, std::string_view payload) {
+  PutU32(out, static_cast<std::uint32_t>(payload.size()));
+  PutU32(out, Crc32cMask(Crc32c(payload)));
+  out.append(payload);
+}
+
+ParsedFrame ParseFrame(std::string_view in, std::uint64_t max_payload) {
+  ParsedFrame frame;
+  ByteReader r(in);
+  std::uint32_t masked = 0;
+  if (!r.GetU32(&frame.length) || !r.GetU32(&masked)) {
+    frame.length = 0;
+    return frame;
+  }
+  if (frame.length > max_payload) {
+    frame.check = FrameCheck::kCorrupt;
+    return frame;
+  }
+  std::string_view payload;
+  if (!r.GetBytes(frame.length, &payload)) return frame;
+  if (Crc32c(payload) != Crc32cUnmask(masked)) {
+    frame.check = FrameCheck::kCorrupt;
+    return frame;
+  }
+  frame.check = FrameCheck::kOk;
+  frame.payload = payload;
+  return frame;
 }
 
 Status EncodeRelation(const Relation& rel, std::string& out,

@@ -4,8 +4,10 @@
 // row sequences encode to identical bytes, which the crash-recovery
 // torture tests rely on for bit-for-bit oracle comparison.
 //
-// Encoding is *not* checksummed here; the WAL and snapshot framing
-// (storage/wal.h, storage/catalog.h) add CRC32C around whole records.
+// This file also defines the one checksummed frame that every persisted
+// or transmitted byte travels in (AppendFrame / ParseFrame below): WAL
+// records, the catalog snapshot, paged relation files, spill blocks and
+// wire messages.
 // Decoders never trust lengths: every read is bounds-checked against the
 // remaining input and a malformed buffer yields CORRUPT_WAL, never UB —
 // the recovery fuzzer feeds bit-flipped records straight in here.
@@ -60,6 +62,38 @@ class ByteReader {
   std::size_t pos_ = 0;
   bool ok_ = true;
 };
+
+// --- the checksummed frame ---
+//
+//   [u32 payload length][u32 masked CRC32C of the payload][payload]
+//
+// The CRC is masked (common/crc32c.h). Each caller maps a failed parse
+// to its own typed error: the WAL ends at the torn tail, the snapshot
+// returns CORRUPT_WAL, pages and spill blocks IO_ERROR, the wire
+// INVALID_ARGUMENT.
+inline constexpr std::size_t kFrameHeaderBytes = 8;
+
+void AppendFrame(std::string& out, std::string_view payload);
+
+enum class FrameCheck { kOk, kTruncated, kCorrupt };
+
+struct ParsedFrame {
+  // kTruncated: `in` ends inside the header or the payload. kCorrupt: the
+  // length exceeds the caller's bound, or the checksum mismatches.
+  FrameCheck check = FrameCheck::kTruncated;
+  // The header's payload length, set once the header is whole (also when
+  // it is out of bound), so a streaming reader knows what to fetch.
+  std::uint32_t length = 0;
+  std::string_view payload;  // the verified payload, on kOk only
+  // Bytes the frame occupies in `in`.
+  std::size_t size() const { return kFrameHeaderBytes + length; }
+};
+
+// Parses the frame at the front of `in`. The header's length is checked
+// against `max_payload` (the bytes that can follow, or a protocol
+// ceiling) before the payload is looked at, so a caller that sizes a
+// buffer from `length` never allocates for a corrupt header.
+ParsedFrame ParseFrame(std::string_view in, std::uint64_t max_payload);
 
 // Appends `rel` (name, schema, rows in stored order) to `out`. Polls
 // `ctx` every QueryContext::kPollStride rows so snapshotting a huge

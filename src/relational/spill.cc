@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "common/crc32c.h"
 #include "common/flat_hash.h"
 #include "relational/serialize.h"
 #include "relational/tuple.h"
@@ -199,14 +198,12 @@ Status SpillWriter::FlushBlock() {
     file_ = std::move(*f);
     env_.stats.partitions.fetch_add(1, std::memory_order_relaxed);
   }
-  std::string header;
-  PutU32(header, static_cast<std::uint32_t>(block_.size()));
-  PutU32(header, Crc32cMask(Crc32c(block_)));
-  if (Status s = file_->Append(header); !s.ok()) return status_ = s;
-  if (Status s = file_->Append(block_); !s.ok()) return status_ = s;
-  std::uint64_t wrote = header.size() + block_.size();
-  bytes_ += wrote;
-  env_.stats.bytes_written.fetch_add(wrote, std::memory_order_relaxed);
+  std::string frame;
+  frame.reserve(kFrameHeaderBytes + block_.size());
+  AppendFrame(frame, block_);
+  if (Status s = file_->Append(frame); !s.ok()) return status_ = s;
+  bytes_ += frame.size();
+  env_.stats.bytes_written.fetch_add(frame.size(), std::memory_order_relaxed);
   block_.clear();
   return Status::Ok();
 }
@@ -225,34 +222,42 @@ SpillReader::SpillReader(Vfs& vfs, std::string path, SpillEnv* env)
     : vfs_(vfs), path_(std::move(path)), env_(env) {}
 
 Status SpillReader::LoadBlock() {
-  Result<std::string> header = vfs_.ReadAt(path_, offset_, 8);
-  if (!header.ok()) return header.status();
-  if (header->empty()) {
+  if (!file_size_.has_value()) {
+    Result<std::uint64_t> size = vfs_.FileSize(path_);
+    if (!size.ok()) return size.status();
+    file_size_ = *size;
+  }
+  if (offset_ >= *file_size_) {
     eof_ = true;
     return Status::Ok();
   }
-  if (header->size() < 8) {
+  if (*file_size_ - offset_ < kFrameHeaderBytes) {
     return IoError("torn spill block header in " + path_);
   }
-  ByteReader r(*header);
-  std::uint32_t len = 0, masked = 0;
-  r.GetU32(&len);
-  r.GetU32(&masked);
-  Result<std::string> payload = vfs_.ReadAt(path_, offset_ + 8, len);
-  if (!payload.ok()) return payload.status();
-  if (payload->size() != len) {
+  // The header's length is bounded by what the file still holds before
+  // anything is read (and allocated) for the payload.
+  const std::uint64_t max_payload = *file_size_ - offset_ - kFrameHeaderBytes;
+  Result<std::string> header = vfs_.ReadAt(path_, offset_, kFrameHeaderBytes);
+  if (!header.ok()) return header.status();
+  ParsedFrame head = ParseFrame(*header, max_payload);
+  if (head.check == FrameCheck::kCorrupt) {
+    return IoError("spill block length past end of file in " + path_);
+  }
+  Result<std::string> framed = vfs_.ReadAt(path_, offset_, head.size());
+  if (!framed.ok()) return framed.status();
+  ParsedFrame frame = ParseFrame(*framed, max_payload);
+  if (frame.check == FrameCheck::kTruncated) {
     return IoError("truncated spill block in " + path_);
   }
-  if (Crc32c(*payload) != Crc32cUnmask(masked)) {
+  if (frame.check == FrameCheck::kCorrupt) {
     return IoError("spill block checksum mismatch in " + path_);
   }
-  offset_ += 8 + static_cast<std::uint64_t>(len);
+  offset_ += frame.size();
   if (env_ != nullptr) {
-    env_->stats.bytes_read.fetch_add(8 + static_cast<std::uint64_t>(len),
-                                     std::memory_order_relaxed);
+    env_->stats.bytes_read.fetch_add(frame.size(), std::memory_order_relaxed);
   }
-  block_ = std::move(*payload);
-  pos_ = 0;
+  block_ = std::move(*framed);
+  pos_ = kFrameHeaderBytes;
   return Status::Ok();
 }
 

@@ -40,6 +40,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -107,9 +108,9 @@ Result<std::size_t> RemoveSpillFiles(Vfs& vfs, const std::string& dir);
 // ---------------------------------------------------------------------
 // Checksummed spill file I/O.
 //
-// File layout: a sequence of blocks, each
-//     [u32 payload_len][u32 masked CRC32C of payload][payload]
-// where the payload is a sequence of records, each [u32 len][bytes].
+// File layout: a sequence of blocks, each one checksummed frame
+// (AppendFrame, relational/serialize.h) whose payload is a sequence of
+// records, each [u32 len][bytes].
 // Records never span blocks. No fsync anywhere: the files are transient.
 
 // Sequential writer. The file is created lazily on the first Add and
@@ -165,8 +166,9 @@ class SpillReader {
   Vfs& vfs_;
   std::string path_;
   SpillEnv* env_;
+  std::optional<std::uint64_t> file_size_;  // read at the first block
   std::uint64_t offset_ = 0;  // next unread file offset
-  std::string block_;         // current verified payload
+  std::string block_;         // current verified frame, header included
   std::size_t pos_ = 0;       // cursor within block_
   bool eof_ = false;
   Status status_;

@@ -325,25 +325,23 @@ Result<std::unique_ptr<Catalog>> Catalog::Open(Vfs& vfs, std::string dir,
   if (vfs.Exists(snap_path)) {
     Result<std::string> data = vfs.ReadFile(snap_path);
     if (!data.ok()) return data.status();
-    ByteReader header(*data);
-    std::string_view magic;
-    std::uint32_t len = 0;
-    std::uint32_t masked_crc = 0;
-    std::string_view payload;
-    if (!header.GetBytes(kSnapshotMagic.size(), &magic) ||
-        (magic != kSnapshotMagic && magic != kSnapshotMagic2)) {
+    std::string_view magic =
+        std::string_view(*data).substr(0, kSnapshotMagic.size());
+    if (magic != kSnapshotMagic && magic != kSnapshotMagic2) {
       return CorruptWalError("snapshot: bad magic in " + snap_path);
     }
     const bool paged_layout = magic == kSnapshotMagic2;
-    if (!header.GetU32(&len) || !header.GetU32(&masked_crc) ||
-        !header.GetBytes(len, &payload) || !header.AtEnd()) {
+    std::string_view framed = std::string_view(*data).substr(magic.size());
+    ParsedFrame frame = ParseFrame(framed, framed.size());
+    if (frame.check == FrameCheck::kTruncated ||
+        frame.size() != framed.size()) {
       return CorruptWalError("snapshot: truncated or oversized " +
                              snap_path);
     }
-    if (Crc32c(payload) != Crc32cUnmask(masked_crc)) {
+    if (frame.check == FrameCheck::kCorrupt) {
       return CorruptWalError("snapshot: checksum mismatch in " + snap_path);
     }
-    ByteReader body(payload);
+    ByteReader body(frame.payload);
     std::string_view state_bytes;
     if (!body.GetU64(&snap_lsn) ||
         !body.GetBytes(body.remaining(), &state_bytes)) {
@@ -683,11 +681,9 @@ Status Catalog::Checkpoint(QueryContext* ctx) {
   }
 
   std::string file_bytes;
-  file_bytes.reserve(magic.size() + 8 + payload.size());
+  file_bytes.reserve(magic.size() + kFrameHeaderBytes + payload.size());
   file_bytes += magic;
-  PutU32(file_bytes, static_cast<std::uint32_t>(payload.size()));
-  PutU32(file_bytes, Crc32cMask(Crc32c(payload)));
-  file_bytes += payload;
+  AppendFrame(file_bytes, payload);
 
   const std::string snap_path = dir_ + "/" + std::string(kSnapshotFile);
   if (Status s = AtomicWriteFile(vfs_, snap_path, file_bytes); !s.ok()) {

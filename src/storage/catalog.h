@@ -6,10 +6,11 @@
 //
 // Persistence = checksummed snapshot + write-ahead log, in one directory:
 //
-//   <dir>/catalog.snap   snapshot: "QFSNAP01" magic, u32 payload length,
-//                        u32 masked CRC32C, payload = u64 last-applied
-//                        LSN + EncodeCatalogState bytes. Rotated via
-//                        catalog.snap.tmp + fsync + rename + dir fsync.
+//   <dir>/catalog.snap   snapshot: "QFSNAP01" magic, then one checksummed
+//                        frame (relational/serialize.h) whose payload is
+//                        the u64 last-applied LSN + EncodeCatalogState
+//                        bytes. Rotated via catalog.snap.tmp + fsync +
+//                        rename + dir fsync.
 //   <dir>/catalog.wal    frames (storage/wal.h); each frame payload is
 //                        one *commit*: u64 LSN, u32 record count, then
 //                        that many length-prefixed records (u8 type +

@@ -9,30 +9,20 @@
 namespace qf {
 namespace {
 
-// Frames `payload` as [u32 len][u32 masked CRC32C][payload].
-void AppendFramed(std::string& out, std::string_view payload) {
-  PutU32(out, static_cast<std::uint32_t>(payload.size()));
-  PutU32(out, Crc32cMask(Crc32c(payload)));
-  out.append(payload.data(), payload.size());
-}
-
-// Verifies and strips a frame read from `file_bytes` at its start.
+// Verifies and strips the frame at the start of `framed`.
 Result<std::string_view> ParseFramed(std::string_view framed,
                                      const std::string& path,
                                      const char* what) {
-  ByteReader in(framed);
-  std::uint32_t len = 0;
-  std::uint32_t masked = 0;
-  std::string_view payload;
-  if (!in.GetU32(&len) || !in.GetU32(&masked) || !in.GetBytes(len, &payload)) {
+  ParsedFrame frame = ParseFrame(framed, framed.size());
+  if (frame.check == FrameCheck::kTruncated) {
     return IoError(std::string("paged relation: truncated ") + what + " in " +
                    path);
   }
-  if (Crc32c(payload) != Crc32cUnmask(masked)) {
+  if (frame.check == FrameCheck::kCorrupt) {
     return IoError(std::string("paged relation: checksum mismatch in ") +
                    what + " of " + path);
   }
-  return payload;
+  return frame.payload;
 }
 
 }  // namespace
@@ -75,7 +65,7 @@ Result<PagedWriteInfo> WritePagedRelation(Vfs& vfs, const std::string& path,
       payload += c;
       c.clear();
     }
-    AppendFramed(frame, payload);
+    AppendFrame(frame, payload);
     std::uint64_t page_offset = offset;
     if (Status s = write(frame); !s.ok()) return s;
     page_frames.emplace_back(page_offset,
@@ -120,7 +110,7 @@ Result<PagedWriteInfo> WritePagedRelation(Vfs& vfs, const std::string& path,
   }
   std::uint64_t dir_offset = offset;
   frame.clear();
-  AppendFramed(frame, dir_payload);
+  AppendFrame(frame, dir_payload);
   if (Status s = write(frame); !s.ok()) return s;
 
   // Footer: fixed-size, so readers find the directory from FileSize.

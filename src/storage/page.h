@@ -13,9 +13,8 @@
 // File layout ("QFPAGE01"):
 //
 //   [8B magic]
-//   page 0: [u32 payload_len][u32 masked CRC32C][payload]
-//   page 1: ...
-//   directory: [u32 len][u32 masked CRC32C][payload]
+//   page 0, page 1, ..., then the directory: one checksummed frame each
+//                 (AppendFrame, relational/serialize.h)
 //   footer (20B): [u64 directory_offset][u32 masked CRC32C of those 8
 //                 bytes][8B magic]
 //

@@ -2,36 +2,20 @@
 
 #include <utility>
 
-#include "common/crc32c.h"
 #include "common/metrics.h"
 #include "relational/serialize.h"
 
 namespace qf {
 
-namespace {
-constexpr std::size_t kFrameHeaderBytes = 8;  // u32 len + u32 masked crc
-}  // namespace
-
-void AppendWalFrame(std::string& out, std::string_view payload) {
-  PutU32(out, static_cast<std::uint32_t>(payload.size()));
-  PutU32(out, Crc32cMask(Crc32c(payload)));
-  out.append(payload);
-}
-
 WalReadResult ParseWal(std::string_view data) {
   WalReadResult out;
   std::size_t pos = 0;
-  while (data.size() - pos >= kFrameHeaderBytes) {
-    ByteReader header(data.substr(pos, kFrameHeaderBytes));
-    std::uint32_t len = 0;
-    std::uint32_t masked_crc = 0;
-    header.GetU32(&len);
-    header.GetU32(&masked_crc);
-    if (data.size() - pos - kFrameHeaderBytes < len) break;  // torn payload
-    std::string_view payload = data.substr(pos + kFrameHeaderBytes, len);
-    if (Crc32c(payload) != Crc32cUnmask(masked_crc)) break;  // corrupt
-    out.payloads.emplace_back(payload);
-    pos += kFrameHeaderBytes + len;
+  for (;;) {
+    std::string_view rest = data.substr(pos);
+    ParsedFrame frame = ParseFrame(rest, rest.size());
+    if (frame.check != FrameCheck::kOk) break;  // torn or corrupt tail
+    out.payloads.emplace_back(frame.payload);
+    pos += frame.size();
   }
   out.valid_bytes = pos;
   out.dropped_bytes = data.size() - pos;
@@ -80,7 +64,7 @@ Status WalWriter::Reset() { return ReplaceWith(std::string()); }
 Status WalWriter::Rewrite(const std::vector<std::string>& payloads) {
   std::string content;
   for (const std::string& payload : payloads) {
-    AppendWalFrame(content, payload);
+    AppendFrame(content, payload);
   }
   return ReplaceWith(content);
 }
@@ -91,7 +75,7 @@ Status WalWriter::Append(const std::vector<std::string>& payloads) {
   }
   std::string batch;
   for (const std::string& payload : payloads) {
-    AppendWalFrame(batch, payload);
+    AppendFrame(batch, payload);
   }
   if (Status s = file_->Append(batch); !s.ok()) return s;
   std::uint64_t t0 = MetricsNowNs();

@@ -1,15 +1,9 @@
 // Write-ahead log: the durability primitive of the catalog (catalog.h).
 //
-// On-disk format — a sequence of frames, nothing else:
-//
-//   +----------+---------------+------------------+
-//   | u32 len  | u32 crc32c    | payload (len B)  |
-//   +----------+---------------+------------------+
-//
-// `len` is the payload length (little-endian); `crc` is the *masked*
-// CRC32C (common/crc32c.h) of the payload bytes. The writer appends
-// frames and fsyncs once per commit batch, so a statement is acknowledged
-// only after its records are on stable storage.
+// On-disk format: a sequence of checksummed frames (AppendFrame,
+// relational/serialize.h), nothing else. The writer appends frames and
+// fsyncs once per commit batch, so a statement is acknowledged only
+// after its records are on stable storage.
 //
 // The reader applies the torn-write truncation rule: scanning from the
 // start, the first frame whose header is short, whose payload extends
@@ -47,9 +41,6 @@ struct StorageStats {
   std::uint64_t truncated_bytes = 0;   // torn/corrupt tail dropped at Open
   std::uint64_t replay_ns = 0;         // snapshot load + WAL replay time
 };
-
-// Appends one frame (header + payload) to `out`.
-void AppendWalFrame(std::string& out, std::string_view payload);
 
 struct WalReadResult {
   std::vector<std::string> payloads;

@@ -84,8 +84,8 @@ TEST(ProtocolTest, TruncatedFramesNeedMore) {
 
 TEST(ProtocolTest, OversizedLengthIsRejectedBeforeBuffering) {
   std::string wire;
-  AppendU32(wire, kMaxPayloadBytes + 1);
-  AppendU32(wire, 0);
+  PutU32(wire, kMaxPayloadBytes + 1);
+  PutU32(wire, 0);
   // No body bytes needed: the length prefix alone poisons the stream.
   DecodeOutcome out = DecodeFrame(wire);
   EXPECT_FALSE(out.need_more);
@@ -95,8 +95,8 @@ TEST(ProtocolTest, OversizedLengthIsRejectedBeforeBuffering) {
 
 TEST(ProtocolTest, UndersizedLengthIsRejected) {
   std::string wire;
-  AppendU32(wire, static_cast<std::uint32_t>(kMinPayloadBytes) - 1);
-  AppendU32(wire, 0);
+  PutU32(wire, static_cast<std::uint32_t>(kMinPayloadBytes) - 1);
+  PutU32(wire, 0);
   wire.append(kMinPayloadBytes - 1, 'x');
   DecodeOutcome out = DecodeFrame(wire);
   EXPECT_FALSE(out.status.ok());
@@ -144,15 +144,15 @@ TEST(ProtocolTest, HelloAndWelcomeBodies) {
   EXPECT_EQ(CheckHelloBody("").status().code(), StatusCode::kInvalidArgument);
 
   std::string wrong_magic;
-  AppendU32(wrong_magic, 0xdeadbeefu);
-  AppendU32(wrong_magic, kProtocolVersion);
+  PutU32(wrong_magic, 0xdeadbeefu);
+  PutU32(wrong_magic, kProtocolVersion);
   EXPECT_EQ(CheckHelloBody(wrong_magic).status().code(),
             StatusCode::kInvalidArgument);
 
   for (std::uint32_t bad : {kMinProtocolVersion - 1, kProtocolVersion + 1}) {
     std::string wrong_version;
-    AppendU32(wrong_version, kProtocolMagic);
-    AppendU32(wrong_version, bad);
+    PutU32(wrong_version, kProtocolMagic);
+    PutU32(wrong_version, bad);
     EXPECT_EQ(CheckHelloBody(wrong_version).status().code(),
               StatusCode::kFailedPrecondition)
         << "version " << bad;
@@ -394,8 +394,8 @@ TEST(ServerTest, VersionMismatchDrawsTypedErrorAndDisconnect) {
   ASSERT_TRUE(fd.ok());
   Frame hello;
   hello.type = FrameType::kHello;
-  AppendU32(hello.body, kProtocolMagic);
-  AppendU32(hello.body, kProtocolVersion + 7);
+  PutU32(hello.body, kProtocolMagic);
+  PutU32(hello.body, kProtocolVersion + 7);
   ASSERT_TRUE(WriteFrame(*fd, hello).ok());
   ReadEvent event = ReadFrame(*fd);
   ASSERT_EQ(event.kind, ReadEvent::Kind::kFrame);
@@ -552,7 +552,7 @@ TEST(ResumeTest, ReplayAfterConnectionLossIsExactlyOnce) {
   ASSERT_EQ(resumed.frame.type, FrameType::kResumed) << static_cast<int>(
       resumed.frame.type);
   std::uint64_t resumed_sid = 0;
-  ASSERT_TRUE(ReadU64(resumed.frame.body, 0, &resumed_sid));
+  ASSERT_TRUE(ByteReader(resumed.frame.body).GetU64(&resumed_sid));
   EXPECT_EQ(resumed_sid, welcome.session_id);
 
   // Replaying an already-executed request id answers from the replay

@@ -115,12 +115,12 @@ TEST_P(ProtocolFuzzTest, HostileLengthPrefixes) {
     std::string wire;
     switch (rng.NextBelow(3)) {
       case 0:  // oversized: must be rejected before any allocation
-        AppendU32(wire, kMaxPayloadBytes + 1 + rng.NextUint32() / 2);
-        AppendU32(wire, rng.NextUint32());
+        PutU32(wire, kMaxPayloadBytes + 1 + rng.NextUint32() / 2);
+        PutU32(wire, rng.NextUint32());
         break;
       case 1:  // undersized: shorter than [type][request id]
-        AppendU32(wire, rng.NextBelow(kMinPayloadBytes));
-        AppendU32(wire, rng.NextUint32());
+        PutU32(wire, rng.NextBelow(kMinPayloadBytes));
+        PutU32(wire, rng.NextUint32());
         wire += RandomBytes(rng, kMinPayloadBytes);
         break;
       default:  // truncated: a valid frame cut mid-payload
@@ -238,13 +238,13 @@ TEST_P(ProtocolFuzzTest, ResumeFrameFuzz) {
         body = RandomBytes(rng, 16 + rng.NextBelow(64));  // oversized
         break;
       case 3:
-        AppendU64(body, rng.NextUint32());  // guessed session id
-        AppendU64(body, (static_cast<std::uint64_t>(rng.NextUint32()) << 32) |
+        PutU64(body, rng.NextUint32());  // guessed session id
+        PutU64(body, (static_cast<std::uint64_t>(rng.NextUint32()) << 32) |
                             rng.NextUint32());  // guessed token
         break;
       default:
-        AppendU64(body, 0);
-        AppendU64(body, 0);
+        PutU64(body, 0);
+        PutU64(body, 0);
         break;
     }
     WriteRaw(fd, EncodeFrame({FrameType::kResume, 1, body}));
@@ -324,8 +324,8 @@ TEST_P(ProtocolFuzzTest, VersionMismatchHandshakes) {
     EXPECT_EQ(decoded->version, 1u);
     EXPECT_EQ(decoded->resume_token, 0u);
     std::string body;
-    AppendU64(body, decoded->session_id);
-    AppendU64(body, rng.NextUint32());
+    PutU64(body, decoded->session_id);
+    PutU64(body, rng.NextUint32());
     WriteRaw(fd, EncodeFrame({FrameType::kResume, 1, body}));
     WriteRaw(fd, EncodeFrame({FrameType::kHeartbeat, 0, ""}));
     WriteRaw(fd, EncodeFrame({FrameType::kStmt, 2, "HELP"}));
@@ -341,8 +341,8 @@ TEST_P(ProtocolFuzzTest, MutatedV2Traffic) {
   // RESUME attempt, heartbeat, BYE — with random bit flips and
   // truncations anywhere in the byte stream.
   std::string resume_body;
-  AppendU64(resume_body, 12345);
-  AppendU64(resume_body, 0x5EED5EED5EED5EEDull);
+  PutU64(resume_body, 12345);
+  PutU64(resume_body, 0x5EED5EED5EED5EEDull);
   std::string script =
       EncodeFrame({FrameType::kHello, 0, EncodeHelloBody()}) +
       EncodeFrame({FrameType::kStmt, 1,

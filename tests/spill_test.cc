@@ -113,6 +113,49 @@ TEST(SpillFileTest, CorruptBlockIsTypedIoErrorNeverWrongData) {
   EXPECT_LT(good, 100u);
 }
 
+// A MemVfs whose ReadAt fails, without reading, any request for bytes
+// past the end of the file: a disk-backed ReadAt sizes its buffer from
+// the request before it reads.
+class BoundedReadVfs : public MemVfs {
+ public:
+  Result<std::string> ReadAt(const std::string& path, std::uint64_t offset,
+                             std::size_t length) override {
+    Result<std::uint64_t> size = FileSize(path);
+    if (size.ok() && offset + length > *size) {
+      ++oversized_reads;
+      return InternalError("ReadAt past the end of " + path);
+    }
+    return MemVfs::ReadAt(path, offset, length);
+  }
+  int oversized_reads = 0;
+};
+
+TEST(SpillFileTest, OversizedBlockLengthIsIoErrorWithoutOversizedRead) {
+  BoundedReadVfs vfs;
+  SpillEnv env;
+  env.vfs = &vfs;
+  env.dir = "spill";
+  SpillWriter writer(env);
+  ASSERT_TRUE(writer.Add("record").ok());
+  ASSERT_TRUE(writer.Finish().ok());
+  Result<std::string> bytes = vfs.ReadFile(writer.path());
+  ASSERT_TRUE(bytes.ok());
+  // The first block header claims 0xFFFFFFF0 payload bytes.
+  std::string damaged = *bytes;
+  damaged.replace(0, 4, std::string("\xF0\xFF\xFF\xFF", 4));
+  Result<std::unique_ptr<WritableFile>> f = vfs.OpenTrunc(writer.path());
+  ASSERT_TRUE(f.ok());
+  ASSERT_TRUE((*f)->Append(damaged).ok());
+  ASSERT_TRUE((*f)->Close().ok());
+
+  SpillReader reader(vfs, writer.path(), &env);
+  std::string_view rec;
+  EXPECT_FALSE(reader.Next(&rec));
+  EXPECT_EQ(reader.status().code(), StatusCode::kIoError)
+      << reader.status().ToString();
+  EXPECT_EQ(vfs.oversized_reads, 0);
+}
+
 TEST(SpillFileTest, InjectedWriteFaultLatches) {
   MemVfs base;
   FaultVfs fault(base);

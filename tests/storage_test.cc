@@ -282,10 +282,10 @@ TEST(LoadTsvTest, MalformedRowReportsLineAndByteOffset) {
 
 TEST(WalTest, TornTailIsTruncatedWholeFramesSurvive) {
   std::string log;
-  AppendWalFrame(log, "first");
-  AppendWalFrame(log, "second");
+  AppendFrame(log, "first");
+  AppendFrame(log, "second");
   std::string frame3;
-  AppendWalFrame(frame3, "third-never-finished");
+  AppendFrame(frame3, "third-never-finished");
   // Append only part of the third frame: a torn write.
   log += frame3.substr(0, frame3.size() - 5);
   WalReadResult parsed = ParseWal(log);
@@ -297,10 +297,10 @@ TEST(WalTest, TornTailIsTruncatedWholeFramesSurvive) {
 
 TEST(WalTest, CorruptMiddleRecordDropsItAndEverythingAfter) {
   std::string log;
-  AppendWalFrame(log, "aaaa");
+  AppendFrame(log, "aaaa");
   std::size_t second_start = log.size();
-  AppendWalFrame(log, "bbbb");
-  AppendWalFrame(log, "cccc");
+  AppendFrame(log, "bbbb");
+  AppendFrame(log, "cccc");
   log[second_start + 9] ^= 0x40;  // flip a payload bit of record 2
   WalReadResult parsed = ParseWal(log);
   ASSERT_EQ(parsed.payloads.size(), 1u);
@@ -621,7 +621,7 @@ std::string SpliceAppendFrame(MemVfs& vfs, const std::string& onto,
   WalReadResult frames = ParseWal(*donor);
   EXPECT_FALSE(frames.payloads.empty());
   std::string spliced = *base;
-  AppendWalFrame(spliced, frames.payloads.back());
+  AppendFrame(spliced, frames.payloads.back());
   return spliced;
 }
 
