@@ -80,7 +80,7 @@ Relation RunArm(const Strategy& arm, const QueryFlock& flock,
     case Strategy::Kind::kPlan: {
       QueryPlan plan = bench::MustOk(SearchPlanParameterSets(flock, model));
       PlanExecOptions options;
-      options.order_chooser = CostBasedOrderChooser();
+      options.order_chooser = CostBasedOrderChooser(model.stats());
       return bench::MustOk(ExecutePlan(plan, flock, db, options));
     }
     case Strategy::Kind::kDirect: {
@@ -121,7 +121,7 @@ Strategy ArmById(const QueryFlock& flock, const CostModel& model,
 void RunStaticArm(benchmark::State& state, const char* id) {
   const Database& db = BasketsDb(static_cast<int>(state.range(0)));
   QueryFlock flock = PairFlock();
-  CostModel model(db);
+  CostModel model(DatabaseStats::Compute(db));
   std::size_t pairs = 0;
   for (auto _ : state) {
     Strategy arm = ArmById(flock, model, id);
@@ -147,7 +147,7 @@ void BM_Bandit_StaticDynamic(benchmark::State& state) {
 void BM_Bandit_Learned(benchmark::State& state) {
   const Database& db = BasketsDb(static_cast<int>(state.range(0)));
   QueryFlock flock = PairFlock();
-  CostModel model(db);
+  CostModel model(DatabaseStats::Compute(db));
   PlanContext ctx = MakePlanContext(flock, model);
   OutcomeHistory history;
   PlanBandit bandit(history);
@@ -197,7 +197,7 @@ void BM_Bandit_Learned(benchmark::State& state) {
 void BM_Bandit_ChooseOverhead(benchmark::State& state) {
   const Database& db = BasketsDb(0);
   QueryFlock flock = PairFlock();
-  CostModel model(db);
+  CostModel model(DatabaseStats::Compute(db));
   PlanContext ctx = MakePlanContext(flock, model);
   std::vector<Strategy> arms =
       EnumerateArms(flock, model, /*dynamic_eligible=*/true, DynamicKnobs{});

@@ -68,12 +68,12 @@ void BM_Fig10_MonotonePrefilter(benchmark::State& state) {
   auto ok2 = bench::MustOk(
       MakeFilterStep(flock, "ok2", {"2"}, std::vector<std::size_t>{1, 2}));
   QueryPlan plan = bench::MustOk(PlanWithPrefilters(flock, {ok1, ok2}));
+  const DatabaseStats stats = DatabaseStats::Compute(WeightedDb());
   std::size_t pairs = 0, peak = 0;
   for (auto _ : state) {
     PlanExecInfo info;
-    Relation result =
-        bench::MustOk(
-            ExecutePlanOptimized(plan, flock, WeightedDb(), {}, &info));
+    Relation result = bench::MustOk(
+        ExecutePlanOptimized(plan, flock, WeightedDb(), stats, {}, &info));
     pairs = result.size();
     peak = info.total_peak_rows;
     benchmark::DoNotOptimize(result);

@@ -71,11 +71,12 @@ void BM_Fig1_AprioriRewrite(benchmark::State& state) {
         MakeFilterStep(flock, "ok2", {"2"}, std::vector<std::size_t>{1}));
     return bench::MustOk(PlanWithPrefilters(flock, {ok1, ok2}));
   }();
+  const DatabaseStats stats = DatabaseStats::Compute(db);
   std::size_t pairs = 0, peak = 0;
   for (auto _ : state) {
     PlanExecInfo info;
-    Relation result =
-        bench::MustOk(ExecutePlanOptimized(plan, flock, db, {}, &info));
+    Relation result = bench::MustOk(
+        ExecutePlanOptimized(plan, flock, db, stats, {}, &info));
     pairs = result.size();
     peak = info.total_peak_rows;
     benchmark::DoNotOptimize(result);

@@ -79,11 +79,12 @@ QueryPlan MakePlan(const QueryFlock& flock,
 void RunPlan(benchmark::State& state, const QueryPlan& plan) {
   const Database& db = MedicalDb(static_cast<int>(state.range(0)));
   QueryFlock flock = MedicalFlock();
+  const DatabaseStats stats = DatabaseStats::Compute(db);
   std::size_t pairs = 0, peak = 0;
   for (auto _ : state) {
     PlanExecInfo info;
-    Relation result =
-        bench::MustOk(ExecutePlanOptimized(plan, flock, db, {}, &info));
+    Relation result = bench::MustOk(
+        ExecutePlanOptimized(plan, flock, db, stats, {}, &info));
     pairs = result.size();
     peak = info.total_peak_rows;
     benchmark::DoNotOptimize(result);
@@ -95,7 +96,7 @@ void RunPlan(benchmark::State& state, const QueryPlan& plan) {
 void BM_Fig3_Direct(benchmark::State& state) {
   const Database& db = MedicalDb(static_cast<int>(state.range(0)));
   QueryFlock flock = MedicalFlock();
-  CostModel model(db);
+  CostModel model(DatabaseStats::Compute(db));
   FlockEvalOptions options = ChooseJoinOrders(flock, model);
   std::size_t pairs = 0;
   for (auto _ : state) {
@@ -131,7 +132,7 @@ void BM_Fig3_Subquery3(benchmark::State& state) {
 void BM_Fig3_CostChosen(benchmark::State& state) {
   const Database& db = MedicalDb(static_cast<int>(state.range(0)));
   QueryFlock flock = MedicalFlock();
-  CostModel model(db);
+  CostModel model(DatabaseStats::Compute(db));
   QueryPlan plan = bench::MustOk(SearchPlanParameterSets(flock, model));
   state.counters["steps"] = static_cast<double>(plan.steps.size());
   RunPlan(state, plan);

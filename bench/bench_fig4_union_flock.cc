@@ -75,11 +75,12 @@ void BM_Fig4_UnionPrefilter(benchmark::State& state) {
   QueryFlock flock = bench::MustFlock(
       kUnionQuery, FilterCondition::MinSupport(state.range(0)));
   QueryPlan plan = UnionPrefilterPlan(flock);
+  const DatabaseStats stats = DatabaseStats::Compute(WebDb());
   std::size_t pairs = 0, peak = 0;
   for (auto _ : state) {
     PlanExecInfo info;
-    Relation result =
-        bench::MustOk(ExecutePlanOptimized(plan, flock, WebDb(), {}, &info));
+    Relation result = bench::MustOk(
+        ExecutePlanOptimized(plan, flock, WebDb(), stats, {}, &info));
     pairs = result.size();
     peak = info.total_peak_rows;
     benchmark::DoNotOptimize(result);

@@ -45,12 +45,12 @@ QueryFlock MedicalFlock() {
 
 void Run(benchmark::State& state, const QueryPlan& plan) {
   QueryFlock flock = MedicalFlock();
+  const DatabaseStats stats = DatabaseStats::Compute(MedicalDb());
   std::size_t pairs = 0, peak = 0;
   for (auto _ : state) {
     PlanExecInfo info;
-    Relation result =
-        bench::MustOk(
-            ExecutePlanOptimized(plan, flock, MedicalDb(), {}, &info));
+    Relation result = bench::MustOk(
+        ExecutePlanOptimized(plan, flock, MedicalDb(), stats, {}, &info));
     pairs = result.size();
     peak = info.total_peak_rows;
     benchmark::DoNotOptimize(result);
@@ -62,7 +62,7 @@ void Run(benchmark::State& state, const QueryPlan& plan) {
 void BM_Fig5_OneStepDirect(benchmark::State& state) {
   const Database& db = MedicalDb();
   QueryFlock flock = MedicalFlock();
-  CostModel model(db);
+  CostModel model(DatabaseStats::Compute(db));
   FlockEvalOptions options = ChooseJoinOrders(flock, model);
   std::size_t pairs = 0, peak = 0;
   for (auto _ : state) {

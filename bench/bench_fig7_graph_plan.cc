@@ -78,11 +78,12 @@ void BM_Fig7_Cascade(benchmark::State& state) {
     prefixes.push_back(prefix);
   }
   QueryPlan plan = bench::MustOk(CascadePlan(flock, prefixes));
+  const DatabaseStats stats = DatabaseStats::Compute(GraphDb());
   std::size_t answers = 0, peak = 0;
   for (auto _ : state) {
     PlanExecInfo info;
-    Relation result =
-        bench::MustOk(ExecutePlanOptimized(plan, flock, GraphDb(), {}, &info));
+    Relation result = bench::MustOk(
+        ExecutePlanOptimized(plan, flock, GraphDb(), stats, {}, &info));
     answers = result.size();
     peak = info.total_peak_rows;
     benchmark::DoNotOptimize(result);

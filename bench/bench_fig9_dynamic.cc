@@ -73,9 +73,11 @@ void BM_Fig9_StaticAlways(benchmark::State& state) {
   auto ok2 = bench::MustOk(
       MakeFilterStep(flock, "ok2", {"2"}, std::vector<std::size_t>{1}));
   QueryPlan plan = bench::MustOk(PlanWithPrefilters(flock, {ok1, ok2}));
+  const DatabaseStats stats = DatabaseStats::Compute(db);
   std::size_t pairs = 0;
   for (auto _ : state) {
-    Relation result = bench::MustOk(ExecutePlanOptimized(plan, flock, db));
+    Relation result =
+        bench::MustOk(ExecutePlanOptimized(plan, flock, db, stats));
     pairs = result.size();
     benchmark::DoNotOptimize(result);
   }
@@ -85,11 +87,12 @@ void BM_Fig9_StaticAlways(benchmark::State& state) {
 void BM_Fig9_CostChosen(benchmark::State& state) {
   const Database& db = BasketsDb(static_cast<int>(state.range(0)));
   QueryFlock flock = PairFlock();
-  CostModel model(db);
+  CostModel model(DatabaseStats::Compute(db));
   QueryPlan plan = bench::MustOk(SearchPlanParameterSets(flock, model));
   std::size_t pairs = 0;
   for (auto _ : state) {
-    Relation result = bench::MustOk(ExecutePlanOptimized(plan, flock, db));
+    Relation result =
+        bench::MustOk(ExecutePlanOptimized(plan, flock, db, model.stats()));
     pairs = result.size();
     benchmark::DoNotOptimize(result);
   }
@@ -127,16 +130,18 @@ void BM_Fig9_StaticAlwaysThreads(benchmark::State& state) {
       MakeFilterStep(flock, "ok2", {"2"}, std::vector<std::size_t>{1}));
   QueryPlan plan = bench::MustOk(PlanWithPrefilters(flock, {ok1, ok2}));
   unsigned threads = static_cast<unsigned>(state.range(1));
+  const DatabaseStats stats = DatabaseStats::Compute(db);
   {
-    Relation serial = bench::MustOk(ExecutePlanOptimized(plan, flock, db));
+    Relation serial =
+        bench::MustOk(ExecutePlanOptimized(plan, flock, db, stats));
     Relation parallel = bench::MustOk(
-        ExecutePlanOptimized(plan, flock, db, {.threads = threads}));
+        ExecutePlanOptimized(plan, flock, db, stats, {.threads = threads}));
     QF_CHECK(serial.rows() == parallel.rows());
   }
   std::size_t pairs = 0;
   for (auto _ : state) {
     Relation result = bench::MustOk(
-        ExecutePlanOptimized(plan, flock, db, {.threads = threads}));
+        ExecutePlanOptimized(plan, flock, db, stats, {.threads = threads}));
     pairs = result.size();
     benchmark::DoNotOptimize(result);
   }

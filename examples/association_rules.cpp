@@ -61,8 +61,9 @@ int main() {
   auto t0 = std::chrono::steady_clock::now();
   auto direct = qf::EvaluateFlock(*flock3, db);
   double direct_ms = MillisSince(t0);
+  const qf::DatabaseStats db_stats = qf::DatabaseStats::Compute(db);
   t0 = std::chrono::steady_clock::now();
-  auto planned = qf::ExecutePlanOptimized(*plan, *flock3, db);
+  auto planned = qf::ExecutePlanOptimized(*plan, *flock3, db, db_stats);
   double plan_ms = MillisSince(t0);
   if (!direct.ok() || !planned.ok()) {
     std::fprintf(stderr, "evaluation failed\n");

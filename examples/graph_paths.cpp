@@ -82,8 +82,9 @@ int main() {
       std::fprintf(stderr, "%s\n", cascade.status().ToString().c_str());
       return 1;
     }
+    const qf::DatabaseStats stats = qf::DatabaseStats::Compute(db);
     t0 = std::chrono::steady_clock::now();
-    auto planned = qf::ExecutePlanOptimized(*cascade, *flock, db);
+    auto planned = qf::ExecutePlanOptimized(*cascade, *flock, db, stats);
     double cascade_ms = MillisSince(t0);
     if (!planned.ok()) {
       std::fprintf(stderr, "%s\n", planned.status().ToString().c_str());

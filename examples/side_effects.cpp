@@ -53,7 +53,7 @@ int main() {
   }
   std::printf("%s\n", flock->ToString().c_str());
 
-  qf::CostModel model(db);
+  qf::CostModel model(qf::DatabaseStats::Compute(db));
 
   // Direct evaluation with a cost-chosen join order.
   auto t0 = std::chrono::steady_clock::now();
@@ -77,7 +77,8 @@ int main() {
 
   t0 = std::chrono::steady_clock::now();
   qf::PlanExecInfo info;
-  auto fig5_result = qf::ExecutePlanOptimized(*fig5, *flock, db, {}, &info);
+  auto fig5_result =
+      qf::ExecutePlanOptimized(*fig5, *flock, db, model.stats(), {}, &info);
   double fig5_ms = MillisSince(t0);
   std::printf("Fig. 5 plan: %zu pairs in %.1f ms (%.1fx vs direct)\n",
               fig5_result->size(), fig5_ms, direct_ms / fig5_ms);
@@ -92,7 +93,8 @@ int main() {
               chosen->steps.size(),
               chosen->ToString(flock->filter).c_str());
   t0 = std::chrono::steady_clock::now();
-  auto chosen_result = qf::ExecutePlanOptimized(*chosen, *flock, db);
+  auto chosen_result =
+      qf::ExecutePlanOptimized(*chosen, *flock, db, model.stats());
   double chosen_ms = MillisSince(t0);
   std::printf("chosen plan: %zu pairs in %.1f ms (%.1fx vs direct)\n",
               chosen_result->size(), chosen_ms, direct_ms / chosen_ms);

@@ -87,9 +87,11 @@ int main() {
   std::printf("\nunion-prefilter plan:\n%s\n",
               plan->ToString(flock->filter).c_str());
 
+  const qf::DatabaseStats stats = qf::DatabaseStats::Compute(db);
   t0 = std::chrono::steady_clock::now();
   qf::PlanExecInfo info;
-  auto planned = qf::ExecutePlanOptimized(*plan, *flock, db, {}, &info);
+  auto planned =
+      qf::ExecutePlanOptimized(*plan, *flock, db, stats, {}, &info);
   double plan_ms = MillisSince(t0);
   if (!planned.ok()) {
     std::fprintf(stderr, "%s\n", planned.status().ToString().c_str());

@@ -12,8 +12,9 @@
 namespace qf {
 
 Result<MaximalItemsetsResult> MaximalFrequentItemsets(
-    const Database& db, const std::string& relation,
-    const MaximalItemsetsOptions& options, const ExecEnv& env) {
+    const Database& db, const DatabaseStats& stats,
+    const std::string& relation, const MaximalItemsetsOptions& options,
+    const ExecEnv& env) {
   if (!db.Has(relation)) {
     return NotFoundError("unknown relation: " + relation);
   }
@@ -38,6 +39,10 @@ Result<MaximalItemsetsResult> MaximalFrequentItemsets(
   candidates.emplace_back(freq->rows().begin(), freq->rows().end());
 
   Relation previous = std::move(*freq);  // columns $1..$k-1, ascending
+  // One chooser for every level: it orders by `stats` plus the statistics
+  // of the level's step results.
+  PlanExecOptions exec_options;
+  exec_options.order_chooser = CostBasedOrderChooser(stats);
   std::size_t k = 2;
   while (!previous.empty() &&
          (options.max_size == 0 || k <= options.max_size)) {
@@ -54,8 +59,6 @@ Result<MaximalItemsetsResult> MaximalFrequentItemsets(
     for (std::size_t i = 0; i + 1 < plan->steps.size(); ++i) {
       precomputed[plan->steps[i].result_name] = &previous;
     }
-    PlanExecOptions exec_options;
-    exec_options.order_chooser = CostBasedOrderChooser();
     exec_options.precomputed_steps = &precomputed;
     Result<Relation> level = ExecutePlan(*plan, *flock, db, exec_options, env);
     if (!level.ok()) return level.status();

@@ -18,6 +18,7 @@
 
 #include "common/exec_env.h"
 #include "common/status.h"
+#include "optimizer/stats.h"
 #include "relational/database.h"
 #include "relational/relation.h"
 
@@ -41,10 +42,11 @@ struct MaximalItemsetsResult {
 // Runs the flock sequence over `relation`(`bid_column`, `item_column`) in
 // `db`. The relation's columns must be named "BID" and "Item"-style; only
 // the two named columns are read. Every level's flock evaluation runs
-// under `env`.
+// under `env`, with joins ordered by `stats`, the statistics of `db`.
 Result<MaximalItemsetsResult> MaximalFrequentItemsets(
-    const Database& db, const std::string& relation,
-    const MaximalItemsetsOptions& options, const ExecEnv& env = {});
+    const Database& db, const DatabaseStats& stats,
+    const std::string& relation, const MaximalItemsetsOptions& options,
+    const ExecEnv& env = {});
 
 }  // namespace qf
 

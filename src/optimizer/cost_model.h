@@ -38,8 +38,6 @@ class CostModel {
  public:
   explicit CostModel(DatabaseStats stats, CostModelConfig config = {})
       : stats_(std::move(stats)), config_(config) {}
-  explicit CostModel(const Database& db, CostModelConfig config = {})
-      : CostModel(DatabaseStats::Compute(db), config) {}
 
   const CostModelConfig& config() const { return config_; }
   const DatabaseStats& stats() const { return stats_; }

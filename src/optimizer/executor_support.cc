@@ -1,24 +1,17 @@
 #include "optimizer/executor_support.h"
 
-#include <memory>
-
 #include "optimizer/join_order.h"
 #include "optimizer/stats.h"
 
 namespace qf {
 
-StepOrderChooser CostBasedOrderChooser(CostModelConfig config) {
-  // Base statistics cached across steps; shared_ptr keeps the chooser
-  // copyable as std::function requires.
-  auto cache = std::make_shared<std::optional<DatabaseStats>>();
-  return [cache, config](const UnionQuery& step_query, const Database& db,
-                         const std::map<std::string, const Relation*>& extra)
+StepOrderChooser CostBasedOrderChooser(const DatabaseStats& base,
+                                       CostModelConfig config) {
+  return [&base, config](const UnionQuery& step_query,
+                         const std::map<std::string, const Relation*>& steps)
              -> FlockEvalOptions {
-    if (!cache->has_value()) *cache = DatabaseStats::Compute(db);
-    DatabaseStats stats = **cache;
-    for (const auto& [name, rel] : extra) {
-      stats.Put(name, ComputeStats(*rel));
-    }
+    DatabaseStats stats = base;
+    for (const auto& [name, rel] : steps) stats.Put(name, ComputeStats(*rel));
     CostModel model(std::move(stats), config);
     FlockEvalOptions options;
     for (const ConjunctiveQuery& cq : step_query.disjuncts) {
@@ -33,9 +26,10 @@ StepOrderChooser CostBasedOrderChooser(CostModelConfig config) {
 Result<Relation> ExecutePlanOptimized(const QueryPlan& plan,
                                       const QueryFlock& flock,
                                       const Database& db,
+                                      const DatabaseStats& stats,
                                       const ExecEnv& env, PlanExecInfo* info) {
   PlanExecOptions options;
-  options.order_chooser = CostBasedOrderChooser();
+  options.order_chooser = CostBasedOrderChooser(stats);
   return ExecutePlan(plan, flock, db, options, env, info);
 }
 

@@ -53,16 +53,33 @@ RelationStats ComputeStats(const Relation& rel, bool detailed) {
 
 DatabaseStats DatabaseStats::Compute(const Database& db, bool detailed) {
   DatabaseStats stats;
-  stats.set_generation(db.generation());
-  for (const std::string& name : db.Names()) {
-    stats.Put(name, ComputeStats(db.Get(name), detailed));
-  }
+  stats.Refresh(db, detailed);
   return stats;
+}
+
+std::size_t DatabaseStats::Refresh(const Database& db, bool detailed) {
+  std::size_t changed = std::erase_if(
+      by_name_, [&db](const auto& entry) { return !db.Has(entry.first); });
+  for (const std::string& name : db.Names()) {
+    std::shared_ptr<const Relation> handle = db.GetShared(name);
+    Entry& entry = by_name_[name];
+    if (!entry.source.owner_before(handle) &&
+        !handle.owner_before(entry.source)) {
+      continue;  // the same version: its statistics still hold
+    }
+    entry = {ComputeStats(*handle, detailed), handle};
+    ++changed;
+  }
+  return changed;
 }
 
 const RelationStats* DatabaseStats::Find(const std::string& name) const {
   auto it = by_name_.find(name);
-  return it == by_name_.end() ? nullptr : &it->second;
+  return it == by_name_.end() ? nullptr : &it->second.stats;
+}
+
+void DatabaseStats::Put(const std::string& name, RelationStats stats) {
+  by_name_[name] = {std::move(stats), {}};
 }
 
 }  // namespace qf

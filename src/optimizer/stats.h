@@ -5,8 +5,8 @@
 #define QF_OPTIMIZER_STATS_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -44,42 +44,39 @@ struct RelationStats {
 // `detailed`, also the per-column frequency profiles.
 RelationStats ComputeStats(const Relation& rel, bool detailed = false);
 
-// Statistics for every relation of a database, by name.
+// Statistics for the relations of a database, by name, kept per relation
+// version.
 //
-// Staleness contract: Compute stamps the database's mutation generation
-// (Database::generation), so a holder can tell whether its statistics
-// still describe the database it plans against — `LOAD ... APPEND`
-// bumps the generation, and a cost model built before the append would
-// otherwise silently keep ordering joins by the old cardinalities.
-// Anything that caches a DatabaseStats/CostModel must recompute when
-// `generation() != db.generation()` (the shell's cached model does).
+// Staleness rule: each entry remembers the Database::GetShared handle it
+// was computed from, as a weak_ptr compared by owner (so a freed address
+// that is reused never matches). Refresh restats exactly the relations
+// whose handle changed and drops the names the database no longer has:
+// `LOAD ... APPEND` swings one handle, so it restats one relation, and
+// every other entry stays the same object. A holder keeps one instance and
+// refreshes it before it plans (the shell's Model() does).
 class DatabaseStats {
  public:
-  DatabaseStats() = default;
-
+  // A new instance refreshed once against `db`.
   static DatabaseStats Compute(const Database& db, bool detailed = false);
+
+  // Brings the statistics up to date with `db` as described above and
+  // returns how many names it restatted or dropped. An entry added by Put
+  // has no handle, so a refresh drops it, or restats it if `db` has the
+  // name. Refresh an instance with one `detailed` value throughout.
+  std::size_t Refresh(const Database& db, bool detailed = false);
 
   // Returns stats for `name`, or nullptr if unknown.
   const RelationStats* Find(const std::string& name) const;
 
-  void Put(const std::string& name, RelationStats stats) {
-    by_name_[name] = std::move(stats);
-  }
-
-  // The Database::generation() these statistics were computed at; 0 for a
-  // hand-assembled instance.
-  std::uint64_t generation() const { return generation_; }
-  void set_generation(std::uint64_t g) { generation_ = g; }
-
-  // All relations with statistics, by name (deterministic order; the
-  // bandit's context features aggregate over this).
-  const std::map<std::string, RelationStats>& relations() const {
-    return by_name_;
-  }
+  // Statistics of a relation outside the database (a view, a step result).
+  void Put(const std::string& name, RelationStats stats);
 
  private:
-  std::map<std::string, RelationStats> by_name_;
-  std::uint64_t generation_ = 0;
+  struct Entry {
+    RelationStats stats;
+    std::weak_ptr<const Relation> source;  // empty for Put
+  };
+  std::map<std::string, Entry, std::less<>> by_name_;
 };
 
 }  // namespace qf

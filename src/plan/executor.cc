@@ -39,8 +39,11 @@ Result<Relation> ExecutePlan(const QueryPlan& plan, const QueryFlock& flock,
   // Materialized step results, indexed by step, referenced by later steps.
   std::vector<Relation> materialized(n_steps);
   std::vector<StepExecInfo> step_infos(n_steps);
+  // What steps read (extra predicates and earlier step results), and the
+  // step results alone, which are what the order chooser is handed.
   std::map<std::string, const Relation*> extra;
   if (options.extra_predicates != nullptr) extra = *options.extra_predicates;
+  std::map<std::string, const Relation*> steps;
 
   // Observability: pre-allocate one "step" node per plan step, in plan
   // order, before any wave fans out — concurrent steps then write
@@ -73,8 +76,8 @@ Result<Relation> ExecutePlan(const QueryPlan& plan, const QueryFlock& flock,
       ++wave_end;
     }
 
-    // Resolve evaluation options serially (the cost-based chooser keeps
-    // lazily computed statistics; only Evaluate runs concurrently).
+    // Resolve evaluation options serially (only Evaluate runs
+    // concurrently).
     std::vector<FlockEvalOptions> wave_options(wave_end - done);
     std::vector<bool> precomputed(wave_end - done, false);
     for (std::size_t k = done; k < wave_end; ++k) {
@@ -83,7 +86,7 @@ Result<Relation> ExecutePlan(const QueryPlan& plan, const QueryFlock& flock,
         auto it = options.precomputed_steps->find(step.result_name);
         if (it != options.precomputed_steps->end()) {
           precomputed[k - done] = true;
-          extra[step.result_name] = it->second;
+          extra[step.result_name] = steps[step.result_name] = it->second;
           step_infos[k] = {step.result_name, it->second->size(), 0, 0};
           if (step_nodes[k] != nullptr) {
             step_nodes[k]->detail += " (precomputed)";
@@ -94,7 +97,7 @@ Result<Relation> ExecutePlan(const QueryPlan& plan, const QueryFlock& flock,
       }
       FlockEvalOptions eval_options;
       if (options.order_chooser) {
-        eval_options = options.order_chooser(step.query, db, extra);
+        eval_options = options.order_chooser(step.query, steps);
       } else if (k < options.per_step.size()) {
         eval_options = options.per_step[k];
       }
@@ -135,7 +138,8 @@ Result<Relation> ExecutePlan(const QueryPlan& plan, const QueryFlock& flock,
     // Publish the wave's results for later waves (single-threaded again).
     for (std::size_t k = done; k < wave_end; ++k) {
       if (!precomputed[k - done]) {
-        extra[plan.steps[k].result_name] = &materialized[k];
+        const std::string& name = plan.steps[k].result_name;
+        extra[name] = steps[name] = &materialized[k];
       }
     }
     done = wave_end;

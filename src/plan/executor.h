@@ -34,15 +34,16 @@ struct PlanExecInfo {
   std::size_t total_peak_rows = 0;
 };
 
-// Chooses evaluation options (join orders) for one step, given the base
-// database and the relations materialized by earlier steps. The optimizer
+// Chooses evaluation options (join orders) for one step, given the results
+// of earlier steps (materialized or precomputed; not
+// PlanExecOptions::extra_predicates). The optimizer
 // provides a cost-based implementation (CostBasedOrderChooser in
 // optimizer/executor_support.h); without one, steps run in text order —
 // which for a prefilter plan joins the small ok-relations first and can
 // degrade into cross products, so passing a chooser is strongly advised.
 using StepOrderChooser = std::function<FlockEvalOptions(
-    const UnionQuery& step_query, const Database& db,
-    const std::map<std::string, const Relation*>& extra)>;
+    const UnionQuery& step_query,
+    const std::map<std::string, const Relation*>& steps)>;
 
 struct PlanExecOptions {
   // Join orders for each step (index-aligned with plan.steps); missing

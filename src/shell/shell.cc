@@ -479,11 +479,9 @@ void Shell::SeedDatabase(const Database& base) {
   db_ = base;  // cheap: the name table copies, relation payloads share
   views_dirty_ = true;
   // A new database means every cached incremental state and append chain
-  // is about a world that no longer exists. The cached cost model goes
-  // too: the new database's generation counter is unrelated to the old
-  // one's, so the generation check alone cannot be trusted here.
+  // is about a world that no longer exists. (Statistics need no reset:
+  // they are kept per relation handle.)
   incremental_.Reset();
-  cached_model_.reset();
 }
 
 Result<std::string> Shell::Load(std::string_view args) {
@@ -784,28 +782,30 @@ Result<const std::map<std::string, Relation>*> Shell::Views() {
     if (!views.ok()) return views.status();
     views_ = std::move(*views);
     views_dirty_ = false;
-    ++views_version_;  // cached cost model must restat the new views
+    ++views_version_;  // the cost model must restat the new views
   }
   return &views_;
 }
 
-Result<const CostModel*> Shell::Model() {
+Result<const CostModel*> Shell::Model(OpMetrics* parent) {
   Result<const std::map<std::string, Relation>*> views = Views();
   if (!views.ok()) return views.status();
-  // Rebuild when the database mutated (LOAD/GEN/DEFINE/APPEND all bump
-  // Database::generation) or the view set was rematerialized; otherwise
-  // every statement of a session would restat every relation.
-  if (!cached_model_.has_value() ||
-      cached_model_generation_ != db().generation() ||
-      cached_model_views_version_ != views_version_) {
-    DatabaseStats stats = DatabaseStats::Compute(db());
+  OpMetrics* node = parent != nullptr ? parent->AddChild("stats") : nullptr;
+  ScopedOp span(node, trace_sink_.get());
+  // Restat only the relations whose version changed, and the views when
+  // they were rematerialized; the model is rebuilt only then.
+  std::size_t restatted = base_stats_.Refresh(db());
+  if (restatted > 0 || !cached_model_.has_value() ||
+      model_views_version_ != views_version_) {
+    DatabaseStats stats = base_stats_;
     for (const auto& [view_name, rel] : **views) {
       stats.Put(view_name, ComputeStats(rel));
     }
+    restatted += (*views)->size();
     cached_model_.emplace(std::move(stats));
-    cached_model_generation_ = db().generation();
-    cached_model_views_version_ = views_version_;
+    model_views_version_ = views_version_;
   }
+  if (node != nullptr) node->rows_out = restatted;
   return &*cached_model_;
 }
 
@@ -853,7 +853,7 @@ Result<Relation> Shell::Execute(const QueryFlock& flock,
         options.per_disjunct.push_back({.join_order = order});
       }
       if (estimate) {
-        Result<const CostModel*> model = Model();
+        Result<const CostModel*> model = Model(env.metrics);
         if (!model.ok()) return model.status();
         env.metrics->est_rows =
             EstimateSurvivors(flock.query, threshold, **model);
@@ -878,13 +878,18 @@ Result<Relation> Shell::Execute(const QueryFlock& flock,
       break;
   }
 
-  Result<const CostModel*> model_or = Model();
+  Result<const CostModel*> model_or = Model(env.metrics);
   if (!model_or.ok()) return model_or.status();
   const CostModel& model = **model_or;
-  Result<QueryPlan> plan = SearchPlanParameterSets(flock, model);
+  OpMetrics* search =
+      env.metrics != nullptr ? env.metrics->AddChild("search") : nullptr;
+  Result<QueryPlan> plan = [&] {
+    ScopedOp span(search, env.trace);
+    return SearchPlanParameterSets(flock, model);
+  }();
   if (!plan.ok()) return plan.status();
   PlanExecOptions options;
-  options.order_chooser = CostBasedOrderChooser();
+  options.order_chooser = CostBasedOrderChooser(model.stats());
   options.extra_predicates = &extra;
   // The executor appends one child per step, in plan order, after any
   // node already under the root (a declined incremental attempt's).
@@ -902,9 +907,10 @@ Result<Relation> Shell::Execute(const QueryFlock& flock,
   return result;
 }
 
-Result<Shell::LearnedChoice> Shell::ChooseStrategy(const QueryFlock& flock) {
+Result<Shell::LearnedChoice> Shell::ChooseStrategy(const QueryFlock& flock,
+                                                   OpMetrics* metrics) {
   if (Status s = flock.Validate(); !s.ok()) return s;
-  Result<const CostModel*> model_or = Model();
+  Result<const CostModel*> model_or = Model(metrics);
   if (!model_or.ok()) return model_or.status();
   const CostModel& model = **model_or;
 
@@ -1005,7 +1011,7 @@ Result<Shell::FlockRun> Shell::RunFlock(std::string_view args,
     if (learned_optimizer_ && !opts->mode_explicit) {
       // Without an explicit mode word the learned optimizer picks the
       // strategy, reported as the mode.
-      Result<LearnedChoice> learned = ChooseStrategy(flock);
+      Result<LearnedChoice> learned = ChooseStrategy(flock, metrics);
       if (!learned.ok()) return learned.status();
       run.learned = std::move(*learned);
       strategy = run.learned->strategy;
@@ -1230,8 +1236,10 @@ Result<std::string> Shell::Maximal(std::string_view args) {
   }
   QueryContext ctx;
   ConfigureContext(ctx);
-  Result<MaximalItemsetsResult> result =
-      MaximalFrequentItemsets(db(), rel_name, options, ExecEnv{.ctx = &ctx});
+  if (base_stats_.Refresh(db()) > 0) cached_model_.reset();
+  Result<MaximalItemsetsResult> result = MaximalFrequentItemsets(
+      db(), base_stats_, rel_name, options,
+      ExecEnv{.threads = default_threads_, .ctx = &ctx});
   if (!result.ok()) return result.status();
   std::string out = "maximal frequent itemsets of " + rel_name +
                     " (support >= " + Value(options.min_support).ToString() +
@@ -1416,9 +1424,6 @@ Result<std::string> Shell::Open(std::string_view args) {
       knob.apply(*this, it->second);
     }
   }
-  // The catalog's database replaced the in-memory one; its generation
-  // counter is unrelated to whatever the cached model was keyed on.
-  cached_model_.reset();
   // Spill grants point at the catalog's directory: OPEN just swept any
   // orphaned spill files there, and the next OPEN will sweep whatever a
   // crash mid-statement leaves behind.

@@ -229,17 +229,21 @@ class Shell {
                            const ExecEnv& env, std::string* dynamic_trace);
 
   // SET OPTIMIZER LEARNED: enumerates the flock's arms and lets the
-  // contextual bandit choose one from the outcome history.
-  Result<LearnedChoice> ChooseStrategy(const QueryFlock& flock);
+  // contextual bandit choose one from the outcome history. `metrics`, when
+  // set, receives the statistics refresh's node.
+  Result<LearnedChoice> ChooseStrategy(const QueryFlock& flock,
+                                       OpMetrics* metrics);
   // Folds one learned-run outcome into the history: the catalog's durable
   // store when open (skipped while latched read-only), the session-local
   // store otherwise.
   Status RecordOutcome(const BanditOutcome& outcome);
 
-  // The session cost model, cached across statements and rebuilt when the
-  // database generation or the materialized view set changes — statistics
-  // are never stale after LOAD ... APPEND (optimizer/stats.h contract).
-  Result<const CostModel*> Model();
+  // The session cost model over base_stats_ plus the views' statistics,
+  // cached across statements and rebuilt only when a relation's version
+  // or the materialized view set changed (optimizer/stats.h), so LOAD ...
+  // APPEND restats the appended relation alone. With `parent` set, the
+  // refresh runs in a "stats" child reporting how many it restatted.
+  Result<const CostModel*> Model(OpMetrics* parent = nullptr);
 
   // Builds the governor for one statement from the session limits and the
   // installed cancellation flag.
@@ -274,12 +278,12 @@ class Shell {
   // Bumped whenever Views() rebuilds, so the cached cost model can tell a
   // stale view snapshot from a fresh one.
   std::uint64_t views_version_ = 0;
-  // Cached cost model (see Model()); invalid until first use and after
-  // OPEN / SeedDatabase swap the database out from under the generation
-  // counter.
+  // Statistics of db(), one entry per relation version; MAXIMAL orders by
+  // them and Model() builds on them. A refresh that restats anything
+  // drops the cached model.
+  DatabaseStats base_stats_;
   std::optional<CostModel> cached_model_;
-  std::uint64_t cached_model_generation_ = 0;
-  std::uint64_t cached_model_views_version_ = 0;
+  std::uint64_t model_views_version_ = 0;  // views_version_ it was built at
   bool learned_optimizer_ = false;
   DynamicKnobs dynamic_knobs_;
   // Outcome history before a catalog is open (superseded by the catalog's

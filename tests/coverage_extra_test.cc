@@ -42,7 +42,8 @@ TEST(PrecomputedStepsTest, ExecutorUsesGivenRelation) {
   std::map<std::string, const Relation*> precomputed = {
       {"ok1", &*survivors}};
   PlanExecOptions options;
-  options.order_chooser = CostBasedOrderChooser();
+  DatabaseStats stats = DatabaseStats::Compute(db);
+  options.order_chooser = CostBasedOrderChooser(stats);
   options.precomputed_steps = &precomputed;
   PlanExecInfo info;
   auto with = ExecutePlan(*plan, flock, db, options, {}, &info);
@@ -54,7 +55,7 @@ TEST(PrecomputedStepsTest, ExecutorUsesGivenRelation) {
   EXPECT_EQ(info.steps[0].result_rows, survivors->size());
   EXPECT_EQ(info.steps[0].peak_rows, 0u);
 
-  auto without = ExecutePlanOptimized(*plan, flock, db);
+  auto without = ExecutePlanOptimized(*plan, flock, db, stats);
   ASSERT_TRUE(without.ok());
   with->SortRows();
   without->SortRows();
@@ -75,7 +76,7 @@ TEST(JoinOrderTest, GreedyFallbackForWideQueries) {
         "arc", {Term::Variable("X" + std::to_string(i)),
                 Term::Variable("X" + std::to_string(i + 1))}));
   }
-  CostModel model(db);
+  CostModel model(DatabaseStats::Compute(db));
   std::vector<std::size_t> order = ChooseJoinOrder(cq, model);
   ASSERT_EQ(order.size(), 18u);
   std::vector<std::size_t> sorted = order;

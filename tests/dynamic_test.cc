@@ -62,7 +62,7 @@ TEST(DynamicTest, MatchesDirectWithChosenJoinOrder) {
   config.n_patients = 250;
   config.seed = 23;
   Database db = GenerateMedical(config);
-  CostModel model(db);
+  CostModel model(DatabaseStats::Compute(db));
   QueryFlock flock = Flock(
       "answer(P) :- exhibits(P,$s) AND treatments(P,$m) AND "
       "diagnoses(P,D) AND NOT causes(D,$s)",

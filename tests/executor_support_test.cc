@@ -90,7 +90,8 @@ TEST(ExecutorSupportTest, OptimizedPlanAvoidsCrossProducts) {
   auto text_result = ExecutePlan(*plan, flock, db, {}, {}, &text_info);
   ASSERT_TRUE(text_result.ok());
   PlanExecInfo opt_info;
-  auto opt_result = ExecutePlanOptimized(*plan, flock, db, {}, &opt_info);
+  auto opt_result = ExecutePlanOptimized(
+      *plan, flock, db, DatabaseStats::Compute(db), {}, &opt_info);
   ASSERT_TRUE(opt_result.ok());
 
   text_result->SortRows();
@@ -111,7 +112,8 @@ TEST(ExecutorSupportTest, ChooserSeesMaterializedStepSizes) {
   auto plan = PlanWithPrefilters(flock, {*ok1});
   ASSERT_TRUE(plan.ok());
   auto direct = EvaluateFlock(flock, db);
-  auto optimized = ExecutePlanOptimized(*plan, flock, db);
+  auto optimized =
+      ExecutePlanOptimized(*plan, flock, db, DatabaseStats::Compute(db));
   ASSERT_TRUE(direct.ok());
   ASSERT_TRUE(optimized.ok());
   direct->SortRows();

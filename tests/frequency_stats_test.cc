@@ -114,7 +114,7 @@ TEST_P(EstimateAccuracyProperty, JoinEstimateWithinFactorOnUniformData) {
   db.PutRelation(r);
   db.PutRelation(s);
 
-  CostModel model(db);
+  CostModel model(DatabaseStats::Compute(db));
   ConjunctiveQuery cq = *ParseRule("answer(A) :- r(A,B) AND s(B,C)");
   double estimated = model.EstimateCq(cq).result_rows;
 

@@ -101,7 +101,8 @@ TEST(ItemsetPlanTest, TriplesMatchDirectAndApriori) {
   ASSERT_TRUE(plan.ok());
 
   auto direct = EvaluateFlock(*flock, db);
-  auto planned = ExecutePlanOptimized(*plan, *flock, db);
+  auto planned =
+      ExecutePlanOptimized(*plan, *flock, db, DatabaseStats::Compute(db));
   ASSERT_TRUE(direct.ok()) << direct.status().ToString();
   ASSERT_TRUE(planned.ok()) << planned.status().ToString();
   direct->SortRows();
@@ -131,7 +132,8 @@ TEST(ItemsetPlanTest, SingletonPrefiltersAlsoWork) {
   ASSERT_TRUE(plan.ok());
   EXPECT_EQ(plan->steps.size(), 4u);  // ok_1, ok_2, ok_3, final
   auto direct = EvaluateFlock(*flock, db);
-  auto planned = ExecutePlanOptimized(*plan, *flock, db);
+  auto planned =
+      ExecutePlanOptimized(*plan, *flock, db, DatabaseStats::Compute(db));
   ASSERT_TRUE(direct.ok());
   ASSERT_TRUE(planned.ok()) << planned.status().ToString();
   direct->SortRows();

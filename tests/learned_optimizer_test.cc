@@ -6,6 +6,7 @@
 // CHECKPOINT / OPEN (history replay).
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -166,7 +167,7 @@ TEST(PlanContextTest, ShapeHashIgnoresVariableNamesNotParameters) {
 
 TEST(PlanContextTest, ContextBucketsThresholdAndDataMagnitude) {
   Database db = SmallBaskets();
-  CostModel model(db);
+  CostModel model(DatabaseStats::Compute(db));
   QueryFlock f4 = Flock("answer(B) :- baskets(B,$1)",
                         FilterCondition::MinSupport(4));
   QueryFlock f5 = Flock("answer(B) :- baskets(B,$1)",
@@ -182,7 +183,7 @@ TEST(PlanContextTest, ContextBucketsThresholdAndDataMagnitude) {
   big.PutRelation(GenerateBaskets({.n_baskets = 2000, .n_items = 20,
                                    .avg_basket_size = 4, .zipf_theta = 1.0,
                                    .seed = 31}));
-  CostModel big_model(big);
+  CostModel big_model(DatabaseStats::Compute(big));
   EXPECT_NE(MakePlanContext(f4, model).key,
             MakePlanContext(f4, big_model).key);
 
@@ -193,7 +194,7 @@ TEST(PlanContextTest, ContextBucketsThresholdAndDataMagnitude) {
 
 TEST(EnumerateArmsTest, StaticArmsAlwaysPresentDynamicGated) {
   Database db = SmallBaskets();
-  CostModel model(db);
+  CostModel model(DatabaseStats::Compute(db));
   QueryFlock flock =
       Flock("answer(B) :- baskets(B,$1) AND baskets(B,$2) AND $1 < $2",
             FilterCondition::MinSupport(4));
@@ -230,7 +231,7 @@ TEST(EnumerateArmsTest, TextOrderArmOnlyWhenItDiffersFromCost) {
   // One relation, one subgoal: the cost order IS the text order, so a
   // separate "direct:text" arm would be a duplicate strategy.
   Database db = SmallBaskets();
-  CostModel model(db);
+  CostModel model(DatabaseStats::Compute(db));
   QueryFlock single = Flock("answer(B) :- baskets(B,$1)",
                             FilterCondition::MinSupport(4));
   for (const Strategy& arm :
@@ -315,17 +316,73 @@ TEST(PlanBanditTest, ContextsAreIndependent) {
   EXPECT_EQ(choice.index, 0u);
 }
 
-// ---------------------------------------- stale statistics (satellite 2)
+// ------------------------------- statistics per relation version
 
-TEST(StatsGenerationTest, ComputeStampsDatabaseGeneration) {
+Relation Numbers(const std::string& name, int n, int distinct,
+                 int first = 0) {
+  Relation rel(name, Schema({"X", "P"}));
+  for (int i = first; i < first + n; ++i) {
+    rel.AddRow({Value(i), Value(i % distinct)});
+  }
+  return rel;
+}
+
+TEST(StatsRefreshTest, AppendRestatsOnlyTheAppendedRelation) {
   Database db = SmallBaskets();
-  DatabaseStats stats = DatabaseStats::Compute(db);
-  EXPECT_EQ(stats.generation(), db.generation());
-  Relation extra("extra", Schema({"X"}));
-  extra.AddRow({Value(1)});
-  db.PutRelation(std::move(extra));
-  EXPECT_NE(stats.generation(), db.generation());
-  EXPECT_EQ(DatabaseStats::Compute(db).generation(), db.generation());
+  db.PutRelation(Numbers("archive", 50, 5));
+  db.PutRelation(Numbers("other", 30, 3));
+  DatabaseStats stats;
+  EXPECT_EQ(stats.Refresh(db), 3u);
+  EXPECT_EQ(stats.Refresh(db), 0u);  // nothing changed: nothing restatted
+  const RelationStats* baskets = stats.Find("baskets");
+  const RelationStats* other = stats.Find("other");
+  const std::size_t baskets_rows = baskets->rows;
+
+  Result<Relation> grown =
+      AppendRelation(db.Get("archive"), Numbers("archive", 20, 5, 50));
+  ASSERT_TRUE(grown.ok()) << grown.status().ToString();
+  db.PutRelation(std::move(*grown));
+  // One ComputeStats call (the count), and it went to archive (its rows
+  // moved); every other entry is the same object with the same numbers.
+  EXPECT_EQ(stats.Refresh(db), 1u);
+  EXPECT_EQ(stats.Find("archive")->rows, 70u);
+  EXPECT_EQ(stats.Find("baskets"), baskets);
+  EXPECT_EQ(stats.Find("other"), other);
+  EXPECT_EQ(baskets->rows, baskets_rows);
+  EXPECT_EQ(other->rows, 30u);
+  EXPECT_EQ(other->column_distinct, (std::vector<std::size_t>{30, 3}));
+}
+
+TEST(StatsRefreshTest, ReplacedHandleIsRestattedEvenAtAReusedAddress) {
+  // Handles whose payload is a separate allocation, so freeing the old
+  // relation hands its address back to the allocator while the statistics
+  // still remember its (weak) handle.
+  auto handle = [](Relation rel) {
+    return std::shared_ptr<const Relation>(new Relation(std::move(rel)));
+  };
+  Database db;
+  db.PutRelation(handle(Numbers("r", 10, 2)));
+  DatabaseStats stats;
+  ASSERT_EQ(stats.Refresh(db), 1u);
+  const Relation* old_address = &db.Get("r");
+  db.PutRelation(handle(Numbers("placeholder", 1, 1)));  // another name
+  db.PutRelation(handle(Numbers("r", 1, 1)));  // frees the old payload
+  db.PutRelation(handle(Numbers("r", 40, 8)));
+  SCOPED_TRACE(&db.Get("r") == old_address ? "address reused"
+                                           : "address not reused");
+  EXPECT_EQ(stats.Refresh(db), 2u);  // r and placeholder
+  EXPECT_EQ(stats.Find("r")->rows, 40u);
+  EXPECT_EQ(stats.Find("r")->column_distinct,
+            (std::vector<std::size_t>{40, 8}));
+
+  // A database without `r` drops it; an entry added by Put goes too.
+  stats.Put("view", RelationStats{.rows = 3});
+  Database without;
+  without.PutRelation(db.GetShared("placeholder"));
+  EXPECT_EQ(stats.Refresh(without), 2u);
+  EXPECT_EQ(stats.Find("r"), nullptr);
+  EXPECT_EQ(stats.Find("view"), nullptr);
+  EXPECT_NE(stats.Find("placeholder"), nullptr);
 }
 
 TEST(StatsGenerationTest, SkewedAppendChangesChosenJoinOrder) {
@@ -543,7 +600,7 @@ Result<Relation> ExecuteArm(const Strategy& arm, const QueryFlock& flock,
       Result<QueryPlan> plan = SearchPlanParameterSets(flock, model);
       if (!plan.ok()) return plan.status();
       PlanExecOptions options;
-      options.order_chooser = CostBasedOrderChooser();
+      options.order_chooser = CostBasedOrderChooser(model.stats());
       return ExecutePlan(*plan, flock, db, options, {.threads = threads});
     }
     case Strategy::Kind::kDirect: {
@@ -577,7 +634,7 @@ TEST(LearnedDifferentialTest, EveryArmMatchesBaselineAtThreads014) {
             FilterCondition::MinSupport(5));
   Result<Relation> baseline = EvaluateFlock(flock, db);
   ASSERT_TRUE(baseline.ok());
-  CostModel model(db);
+  CostModel model(DatabaseStats::Compute(db));
   std::vector<Strategy> arms =
       EnumerateArms(flock, model, /*dynamic_eligible=*/true, DynamicKnobs{});
   ASSERT_GE(arms.size(), 4u);

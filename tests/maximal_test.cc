@@ -35,8 +35,8 @@ Database HandDb() {
 
 TEST(MaximalTest, HandWorkedExample) {
   Database db = HandDb();
-  auto result =
-      MaximalFrequentItemsets(db, "baskets", {.min_support = 2});
+  auto result = MaximalFrequentItemsets(db, DatabaseStats::Compute(db),
+                                        "baskets", {.min_support = 2});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   // Frequent: a(4) b(4) c(3) d(2); ab(4) ac(3) bc(3); abc(3).
   EXPECT_EQ(result->frequent_per_level[0], 4u);
@@ -51,7 +51,8 @@ TEST(MaximalTest, HandWorkedExample) {
 
 TEST(MaximalTest, MaxSizeCapStopsSequence) {
   Database db = HandDb();
-  auto result = MaximalFrequentItemsets(db, "baskets",
+  auto result = MaximalFrequentItemsets(db, DatabaseStats::Compute(db),
+                                        "baskets",
                                         {.min_support = 2, .max_size = 2});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->levels, 2u);
@@ -63,11 +64,15 @@ TEST(MaximalTest, MaxSizeCapStopsSequence) {
 
 TEST(MaximalTest, ErrorsOnMissingOrBadRelation) {
   Database db;
-  EXPECT_EQ(
-      MaximalFrequentItemsets(db, "nope", {.min_support = 1}).status().code(),
-      StatusCode::kNotFound);
+  EXPECT_EQ(MaximalFrequentItemsets(db, DatabaseStats::Compute(db), "nope",
+                                    {.min_support = 1})
+                .status()
+                .code(),
+            StatusCode::kNotFound);
   db.PutRelation(Relation("tri", Schema({"A", "B", "C"})));
-  EXPECT_FALSE(MaximalFrequentItemsets(db, "tri", {.min_support = 1}).ok());
+  EXPECT_FALSE(MaximalFrequentItemsets(db, DatabaseStats::Compute(db), "tri",
+                                       {.min_support = 1})
+                   .ok());
 }
 
 // Property: the flock-sequence result equals the brute-force maximal sets
@@ -87,7 +92,8 @@ TEST_P(MaximalProperty, MatchesBruteForce) {
   db.PutRelation(GenerateBaskets(config));
 
   const std::size_t support = 5;
-  auto result = MaximalFrequentItemsets(db, "baskets",
+  auto result = MaximalFrequentItemsets(db, DatabaseStats::Compute(db),
+                                        "baskets",
                                         {.min_support = double(support)});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 

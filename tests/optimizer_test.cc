@@ -63,7 +63,7 @@ class CostModelTest : public ::testing::Test {
 };
 
 TEST_F(CostModelTest, SubgoalEstimateMatchesBaseSize) {
-  CostModel model(db_);
+  CostModel model(DatabaseStats::Compute(db_));
   Subgoal sg = Subgoal::Positive(
       "baskets", {Term::Variable("B"), Term::Parameter("1")});
   EXPECT_DOUBLE_EQ(model.EstimateSubgoalRows(sg),
@@ -71,7 +71,7 @@ TEST_F(CostModelTest, SubgoalEstimateMatchesBaseSize) {
 }
 
 TEST_F(CostModelTest, ConstantReducesEstimate) {
-  CostModel model(db_);
+  CostModel model(DatabaseStats::Compute(db_));
   Subgoal with_const = Subgoal::Positive(
       "baskets", {Term::Variable("B"), Term::Constant(Value("item00000"))});
   Subgoal without = Subgoal::Positive(
@@ -81,21 +81,21 @@ TEST_F(CostModelTest, ConstantReducesEstimate) {
 }
 
 TEST_F(CostModelTest, UnknownRelationUsesDefaults) {
-  CostModel model(db_);
+  CostModel model(DatabaseStats::Compute(db_));
   Subgoal sg = Subgoal::Positive("mystery", {Term::Variable("X")});
   EXPECT_DOUBLE_EQ(model.EstimateSubgoalRows(sg),
                    model.config().default_rows);
 }
 
 TEST_F(CostModelTest, JoinEstimateGrowsWithSubgoals) {
-  CostModel model(db_);
+  CostModel model(DatabaseStats::Compute(db_));
   ConjunctiveQuery one = Parse("answer(B) :- baskets(B,$1)");
   ConjunctiveQuery two = Parse("answer(B) :- baskets(B,$1) AND baskets(B,$2)");
   EXPECT_LT(model.EstimateCq(one).cost, model.EstimateCq(two).cost);
 }
 
 TEST_F(CostModelTest, InequalityHalvesEstimate) {
-  CostModel model(db_);
+  CostModel model(DatabaseStats::Compute(db_));
   ConjunctiveQuery plain =
       Parse("answer(B) :- baskets(B,$1) AND baskets(B,$2)");
   ConjunctiveQuery ordered =
@@ -107,7 +107,7 @@ TEST_F(CostModelTest, InequalityHalvesEstimate) {
 }
 
 TEST_F(CostModelTest, FilterEstimateMonotoneInThreshold) {
-  CostModel model(db_);
+  CostModel model(DatabaseStats::Compute(db_));
   ConjunctiveQuery cq = Parse("answer(B) :- baskets(B,$1)");
   auto f5 = model.EstimateFilter(cq, 5);
   auto f50 = model.EstimateFilter(cq, 50);
@@ -117,7 +117,7 @@ TEST_F(CostModelTest, FilterEstimateMonotoneInThreshold) {
 }
 
 TEST_F(CostModelTest, ThresholdOneKeepsEverything) {
-  CostModel model(db_);
+  CostModel model(DatabaseStats::Compute(db_));
   ConjunctiveQuery cq = Parse("answer(B) :- baskets(B,$1)");
   EXPECT_DOUBLE_EQ(model.EstimateFilter(cq, 1).survival_fraction, 1.0);
 }
@@ -127,7 +127,7 @@ TEST(JoinOrderTest, ReturnsValidPermutation) {
   config.n_patients = 200;
   config.seed = 3;
   Database db = GenerateMedical(config);
-  CostModel model(db);
+  CostModel model(DatabaseStats::Compute(db));
   ConjunctiveQuery cq = Parse(
       "answer(P) :- exhibits(P,$s) AND treatments(P,$m) AND "
       "diagnoses(P,D) AND NOT causes(D,$s)");
@@ -143,7 +143,7 @@ TEST(JoinOrderTest, ChosenOrderNoWorseThanTextOrder) {
   config.n_patients = 200;
   config.seed = 4;
   Database db = GenerateMedical(config);
-  CostModel model(db);
+  CostModel model(DatabaseStats::Compute(db));
   ConjunctiveQuery cq = Parse(
       "answer(P) :- diagnoses(P,D) AND exhibits(P,$s) AND "
       "treatments(P,$m)");
@@ -156,7 +156,7 @@ TEST(JoinOrderTest, OrderedEvaluationStillCorrect) {
   db.PutRelation(GenerateBaskets({.n_baskets = 100, .n_items = 20,
                                   .avg_basket_size = 4, .zipf_theta = 0.9,
                                   .seed = 5}));
-  CostModel model(db);
+  CostModel model(DatabaseStats::Compute(db));
   QueryFlock flock =
       Flock("answer(B) :- baskets(B,$1) AND baskets(B,$2) AND $1 < $2",
             FilterCondition::MinSupport(3));
@@ -177,7 +177,7 @@ TEST(PlanSearchTest, Heuristic1ProducesLegalCorrectPlan) {
   config.symptom_theta = 1.2;
   config.seed = 6;
   Database db = GenerateMedical(config);
-  CostModel model(db);
+  CostModel model(DatabaseStats::Compute(db));
   QueryFlock flock = Flock(
       "answer(P) :- exhibits(P,$s) AND treatments(P,$m) AND "
       "diagnoses(P,D) AND NOT causes(D,$s)",
@@ -205,7 +205,7 @@ TEST(PlanSearchTest, SelectivePrefiltersChosenOnSkewedData) {
   config.symptom_theta = 1.3;
   config.seed = 7;
   Database db = GenerateMedical(config);
-  CostModel model(db);
+  CostModel model(DatabaseStats::Compute(db));
   QueryFlock flock = Flock(
       "answer(P) :- exhibits(P,$s) AND treatments(P,$m) AND "
       "diagnoses(P,D) AND NOT causes(D,$s)",
@@ -221,7 +221,7 @@ TEST(PlanSearchTest, NonCountFilterFallsBackToTrivial) {
                                   .avg_basket_size = 3, .zipf_theta = 0.5,
                                   .seed = 8}));
   db.PutRelation(GenerateImportance({.n_baskets = 50, .seed = 8}, 5.0));
-  CostModel model(db);
+  CostModel model(DatabaseStats::Compute(db));
   QueryFlock flock =
       Flock("answer(B,W) :- baskets(B,$1) AND importance(B,W)",
             {FilterAgg::kSum, CompareOp::kGe, 10, 1});
@@ -267,7 +267,7 @@ TEST(PlanSearchTest, ExhaustiveSearchFindsLegalPlan) {
   config.n_patients = 250;
   config.seed = 10;
   Database db = GenerateMedical(config);
-  CostModel model(db);
+  CostModel model(DatabaseStats::Compute(db));
   QueryFlock flock = Flock(
       "answer(P) :- exhibits(P,$s) AND treatments(P,$m) AND "
       "diagnoses(P,D) AND NOT causes(D,$s)",
@@ -289,7 +289,7 @@ TEST(PlanSearchTest, EstimatePlanCostAccountsForPrefilterShrinkage) {
   config.symptom_theta = 1.3;
   config.seed = 11;
   Database db = GenerateMedical(config);
-  CostModel model(db);
+  CostModel model(DatabaseStats::Compute(db));
   QueryFlock flock = Flock(
       "answer(P) :- exhibits(P,$s) AND treatments(P,$m) AND "
       "diagnoses(P,D) AND NOT causes(D,$s)",

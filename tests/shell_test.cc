@@ -12,7 +12,12 @@
 #include <sstream>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/vfs.h"
+#include "flocks/flock.h"
+#include "optimizer/executor_support.h"
+#include "optimizer/plan_search.h"
+#include "relational/tsv.h"
 #include "shell/shell.h"
 
 namespace qf {
@@ -735,6 +740,143 @@ TEST(ShellCatalogTest, ExplainAnalyzeShowsStorageSubtree) {
   EXPECT_NE(out.find("storage:"), std::string::npos) << out;
   EXPECT_NE(out.find("wal"), std::string::npos);
   EXPECT_NE(out.find("fsyncs="), std::string::npos);
+}
+
+// ------------------------------------- statistics per relation version
+
+// How many relations the statement's statistics refresh restatted: the
+// "stats" node under the metrics root.
+std::size_t Restatted(const std::string& explain) {
+  std::size_t at = explain.find("\n  stats ");
+  if (at == std::string::npos) {
+    ADD_FAILURE() << "no stats node in:\n" << explain;
+    return 0;
+  }
+  return std::stoul(explain.substr(explain.find(" out=", at) + 5));
+}
+
+// The scan and join lines of a metrics tree (operator and detail, no
+// counters): the join order the plan ran.
+std::vector<std::string> JoinLines(const std::string& tree) {
+  std::vector<std::string> lines;
+  std::istringstream in(tree);
+  for (std::string line; std::getline(in, line);) {
+    line.erase(0, line.find_first_not_of(' '));
+    if (line.rfind("scan ", 0) != 0 && line.rfind("join ", 0) != 0) continue;
+    line.erase(line.find(" in="));
+    line.erase(line.find_last_not_of(' ') + 1);
+    lines.push_back(line);
+  }
+  return lines;
+}
+
+Relation Numbered(const std::string& name, const std::string& column,
+                  int first, int last, int distinct) {
+  Relation rel(name, Schema({"X", column}));
+  for (int i = first; i < last; ++i) {
+    rel.AddRow({Value(i), Value(column + std::to_string(i % distinct))});
+  }
+  return rel;
+}
+
+TEST(ShellStatsTest, AppendRestatsOnlyTheAppendedRelation) {
+  MemVfs vfs;
+  Shell shell;
+  shell.set_vfs(&vfs);
+  MustRun(shell, "GEN BASKETS baskets n_baskets=60 n_items=10 seed=3");
+  MustRun(shell, "GEN BASKETS archive n_baskets=60 n_items=10 seed=4");
+  MustRun(shell,
+          "FLOCK f QUERY answer(B) :- baskets(B,$1) AND baskets(B,$2) "
+          "AND $1 < $2 FILTER COUNT >= 3");
+  std::string first = MustRun(shell, "EXPLAIN ANALYZE f PLAN");
+  EXPECT_EQ(Restatted(first), 2u);
+  EXPECT_NE(first.find("\n  search "), std::string::npos) << first;
+  EXPECT_EQ(Restatted(MustRun(shell, "EXPLAIN ANALYZE f PLAN")), 0u);
+  EXPECT_EQ(Restatted(MustRun(shell, "EXPLAIN ANALYZE f DIRECT")), 0u);
+
+  Relation delta("archive", Schema({"BID", "Item"}));
+  delta.AddRow({Value(1000), Value("item_new")});
+  ASSERT_TRUE(StoreTsv(delta, "delta.tsv", &vfs).ok());
+  MustRun(shell, "LOAD archive APPEND FROM delta.tsv");
+  EXPECT_EQ(Restatted(MustRun(shell, "EXPLAIN ANALYZE f PLAN")), 1u);
+}
+
+TEST(ShellStatsTest, DefineAndOpenRestat) {
+  MemVfs vfs;
+  Shell shell;
+  shell.set_vfs(&vfs);
+  MustRun(shell, "OPEN cat");
+  MustRun(shell, "GEN BASKETS b n_baskets=40 n_items=8 seed=5");
+  MustRun(shell, "FLOCK f QUERY answer(B) :- b(B,$1) FILTER COUNT >= 2");
+  EXPECT_EQ(Restatted(MustRun(shell, "EXPLAIN ANALYZE f PLAN")), 1u);
+  EXPECT_EQ(Restatted(MustRun(shell, "EXPLAIN ANALYZE f PLAN")), 0u);
+  // A new view is statted when it is materialized.
+  MustRun(shell, "DEFINE seen(B) :- b(B, I)");
+  EXPECT_EQ(Restatted(MustRun(shell, "EXPLAIN ANALYZE f PLAN")), 1u);
+  EXPECT_EQ(Restatted(MustRun(shell, "EXPLAIN ANALYZE f PLAN")), 0u);
+  // OPEN replaces every relation handle: the relation and the view.
+  MustRun(shell, "OPEN cat");
+  EXPECT_EQ(Restatted(MustRun(shell, "EXPLAIN ANALYZE f PLAN")), 2u);
+}
+
+TEST(ShellStatsTest, SkewedAppendReordersPlanJoinsAsAFreshComputeWould) {
+  MemVfs vfs;
+  Shell shell;
+  shell.set_vfs(&vfs);
+  Database db;
+  db.PutRelation(Numbered("small", "P", 0, 10, 3));
+  db.PutRelation(Numbered("big", "Q", 0, 2000, 7));
+  shell.SeedDatabase(db);
+  const char* kQuery = "answer(X) :- small(X,$1) AND big(X,$2)";
+  MustRun(shell, std::string("FLOCK f QUERY ") + kQuery +
+                     " FILTER COUNT >= 2");
+  Result<QueryFlock> flock =
+      MakeFlock(kQuery, FilterCondition::MinSupport(2));
+  ASSERT_TRUE(flock.ok());
+  // The scans and joins of the plan that statistics computed afresh over
+  // the shell's database choose and order.
+  auto fresh = [&] {
+    DatabaseStats stats = DatabaseStats::Compute(shell.database());
+    Result<QueryPlan> plan =
+        SearchPlanParameterSets(*flock, CostModel(stats));
+    EXPECT_TRUE(plan.ok());
+    OpMetrics root;
+    EXPECT_TRUE(ExecutePlanOptimized(*plan, *flock, shell.database(), stats,
+                                     {.metrics = &root})
+                    .ok());
+    return JoinLines(root.ToString());
+  };
+  std::vector<std::string> before =
+      JoinLines(MustRun(shell, "EXPLAIN ANALYZE f PLAN"));
+  EXPECT_EQ(before, fresh());
+
+  // Grow `small` 10,000x with skewed P values; stale statistics would
+  // keep joining it first.
+  ASSERT_TRUE(
+      StoreTsv(Numbered("small", "P", 10, 100000, 5000), "d.tsv", &vfs).ok());
+  MustRun(shell, "LOAD small APPEND FROM d.tsv");
+  std::string out = MustRun(shell, "EXPLAIN ANALYZE f PLAN");
+  EXPECT_EQ(Restatted(out), 1u);
+  std::vector<std::string> after = JoinLines(out);
+  EXPECT_EQ(after, fresh());
+  EXPECT_NE(after, before);
+}
+
+TEST(ShellStatsTest, MaximalRunsAtSessionThreadsWithoutViews) {
+  Shell shell;
+  MustRun(shell,
+          "GEN BASKETS baskets n_baskets=400 n_items=30 avg_size=6 "
+          "theta=0.7 locality=0.6 topics=4 seed=17");
+  const std::string serial = MustRun(shell, "MAXIMAL baskets SUPPORT 8");
+  MustRun(shell, "THREADS 4");
+  EXPECT_EQ(MustRun(shell, "MAXIMAL baskets SUPPORT 8"), serial);
+  // A view that cannot be materialized fails RUN, not MAXIMAL.
+  MustRun(shell, "DEFINE broken(B) :- nowhere(B, I)");
+  MustRun(shell, "FLOCK f QUERY answer(B) :- baskets(B,$1) FILTER COUNT >= 2");
+  EXPECT_FALSE(shell.Execute("RUN f PLAN").ok());
+  EXPECT_EQ(MustRun(shell, "MAXIMAL baskets SUPPORT 8"), serial);
+  EXPECT_EQ(shell.Execute("MAXIMAL nowhere SUPPORT 5").status().code(),
+            StatusCode::kNotFound);
 }
 
 }  // namespace
