@@ -17,6 +17,16 @@ std::vector<std::string> Program::DefinedPredicates() const {
   return out;
 }
 
+bool Program::Mentions(std::string_view predicate) const {
+  for (const ConjunctiveQuery& rule : rules_) {
+    if (rule.head_name == predicate) return true;
+    for (const Subgoal& g : rule.subgoals) {
+      if (g.is_relational() && g.predicate() == predicate) return true;
+    }
+  }
+  return false;
+}
+
 Status Program::Validate() const {
   std::map<std::string, std::size_t> arity;
   for (const ConjunctiveQuery& rule : rules_) {

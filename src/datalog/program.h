@@ -15,6 +15,7 @@
 #define QF_DATALOG_PROGRAM_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -39,6 +40,13 @@ class Program {
 
   // Distinct head names, in definition order.
   std::vector<std::string> DefinedPredicates() const;
+
+  // True when `predicate` heads a rule or occurs in a rule body: only then
+  // can storing a base relation of that name change what the program
+  // materializes. (Views that read it through another view change too,
+  // but they are rematerialized with that view; a base relation named
+  // like a view is an error materialization must report.)
+  bool Mentions(std::string_view predicate) const;
 
   // Checks every rule is safe, parameter-free, has distinct head
   // variables, and that the dependency graph between defined predicates is

@@ -64,7 +64,8 @@ class Relation {
   // [base_rows, size) is the relation's delta batch. In-memory only: the
   // catalog serializes rows, never these fields. Its append records keep
   // them (the apply runs AppendRelation), but a relation decoded whole —
-  // from a snapshot or a whole-relation record — starts again at 0.
+  // from a snapshot or a whole-relation record — starts again at 0 (one
+  // that a re-OPEN adopts from the session keeps its own).
   // Lineage is tracked by shared_ptr identity (shell append chains), not
   // by epochs.
   std::uint64_t epoch() const { return epoch_; }

@@ -523,7 +523,7 @@ Result<std::string> Shell::Load(std::string_view args) {
       if (!appended.ok()) return appended.status();
       db_.PutRelation(std::move(*appended));
     }
-    views_dirty_ = true;
+    if (program_.Mentions(rel_name)) views_dirty_ = true;
     // Link old -> new for the incremental evaluator's delta detection.
     std::shared_ptr<const Relation> now = db().GetShared(rel_name);
     incremental_.RecordAppend(rel_name, old, now);
@@ -795,15 +795,20 @@ Result<const CostModel*> Shell::Model(OpMetrics* parent) {
   // Restat only the relations whose version changed, and the views when
   // they were rematerialized; the model is rebuilt only then.
   std::size_t restatted = base_stats_.Refresh(db());
-  if (restatted > 0 || !cached_model_.has_value() ||
-      model_views_version_ != views_version_) {
-    DatabaseStats stats = base_stats_;
+  bool rebuild = restatted > 0 || !cached_model_.has_value();
+  if (model_views_version_ != views_version_) {
+    view_stats_.clear();
     for (const auto& [view_name, rel] : **views) {
-      stats.Put(view_name, ComputeStats(rel));
+      view_stats_.emplace(view_name, ComputeStats(rel));
     }
-    restatted += (*views)->size();
-    cached_model_.emplace(std::move(stats));
+    restatted += view_stats_.size();
     model_views_version_ = views_version_;
+    rebuild = true;
+  }
+  if (rebuild) {
+    DatabaseStats stats = base_stats_;
+    for (const auto& [view_name, st] : view_stats_) stats.Put(view_name, st);
+    cached_model_.emplace(std::move(stats));
   }
   if (node != nullptr) node->rows_out = restatted;
   return &*cached_model_;
@@ -1110,12 +1115,20 @@ Result<std::string> Shell::ExplainAnalyze(std::string_view args) {
     wal->mem_bytes = st.wal_bytes;
     wal->wall_ns = st.wal_sync_ns;
     OpMetrics* snap = storage.AddChild(
-        "snapshot", "checkpoints=" + std::to_string(st.snapshots));
+        "snapshot",
+        "checkpoints=" + std::to_string(st.snapshots) +
+            " sidecars_written=" + std::to_string(st.sidecars_written) +
+            " sidecars_kept=" + std::to_string(st.sidecars_kept));
     snap->rows_out = st.snapshots;
     snap->mem_bytes = st.snapshot_bytes;
     snap->wall_ns = st.snapshot_ns;
+    const Catalog::OpenInfo& info = catalog_->open_info();
     OpMetrics* replay = storage.AddChild(
-        "replay", "truncated_bytes=" + std::to_string(st.truncated_bytes));
+        "replay",
+        "truncated_bytes=" + std::to_string(st.truncated_bytes) +
+            " paged_adopted=" + std::to_string(info.adopted_relations) +
+            " paged_read=" +
+            std::to_string(info.paged_relations - info.adopted_relations));
     replay->rows_out = st.replayed_records;
     replay->wall_ns = st.replay_ns;
     if (buffer_pool_ != nullptr) {
@@ -1346,9 +1359,12 @@ Status Shell::PersistRelations(std::vector<Relation> rels) {
     for (Relation& rel : rels) db_.PutRelation(std::move(rel));
   }
   // Overwrites sever the relations' append lineage: cached incremental
-  // states over them must rebuild, not walk a broken chain.
-  for (const std::string& name : names) incremental_.RecordReplace(name);
-  views_dirty_ = true;
+  // states over them must rebuild, not walk a broken chain. Views are
+  // rematerialized only when a rule reads one of them.
+  for (const std::string& name : names) {
+    incremental_.RecordReplace(name);
+    if (program_.Mentions(name)) views_dirty_ = true;
+  }
   return Status::Ok();
 }
 
@@ -1365,15 +1381,16 @@ Result<std::string> Shell::Open(std::string_view args) {
   QueryContext ctx;
   ConfigureContext(ctx);
   // The pool outlives any single catalog (reopening a directory keeps the
-  // cache warm for unchanged page files; rewritten files are invalidated
-  // by the catalog's orphan sweep).
+  // cache warm for kept page files; swept files are invalidated by the
+  // catalog's orphan sweep). Reopening the open catalog's directory
+  // adopts the paged relations this session still holds.
   if (buffer_pool_ == nullptr) {
     buffer_pool_ = std::make_unique<BufferPool>(buffer_bytes_);
   }
   CatalogOptions copts;
   copts.pool = buffer_pool_.get();
   Result<std::unique_ptr<Catalog>> opened =
-      Catalog::Open(vfs(), dir, &ctx, copts);
+      Catalog::Open(vfs(), dir, &ctx, copts, catalog_.get());
   if (!opened.ok()) return opened.status();
   const CatalogState& state = (*opened)->state();
 
@@ -1409,10 +1426,10 @@ Result<std::string> Shell::Open(std::string_view args) {
   flocks_ = std::move(flocks);
   db_ = Database();  // superseded by the catalog's database while open
   views_dirty_ = true;
-  // Replay rebuilt the database from scratch: cached incremental state and
-  // append lineage refer to pre-recovery relation handles, so they are
-  // dropped wholesale and rebuilt lazily by the next RUN. (The knobs below
-  // restore whether the incremental path is on, not its state.)
+  // Recovery replaced the database: cached incremental state and append
+  // lineage are dropped wholesale, even where OPEN adopted a relation
+  // this session held, and rebuilt lazily by the next RUN. (The knobs
+  // below restore whether the incremental path is on, not its state.)
   incremental_.Reset();
   // Each persisted knob within its row's bounds is applied as SET applied
   // it; others are ignored, not narrowed (a catalog is input from outside
@@ -1453,9 +1470,10 @@ Result<std::string> Shell::Open(std::string_view args) {
   // for all-inline catalogs.
   if (info.paged_relations > 0 || info.orphans_removed > 0) {
     std::snprintf(buf, sizeof(buf),
-                  "paged: %llu relations from page files, %llu orphans "
-                  "swept\n",
+                  "paged: %llu relations from page files (%llu adopted), "
+                  "%llu orphans swept\n",
                   static_cast<unsigned long long>(info.paged_relations),
+                  static_cast<unsigned long long>(info.adopted_relations),
                   static_cast<unsigned long long>(info.orphans_removed));
     out += buf;
   }

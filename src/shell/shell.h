@@ -258,9 +258,10 @@ class Shell {
   Vfs& vfs() const { return vfs_ != nullptr ? *vfs_ : DefaultVfs(); }
   // Stores relations under the session's limits, through the catalog's
   // WAL (one commit, one fsync, all-or-nothing) when one is open, and
-  // marks the views stale. On failure nothing is applied. Each stored
-  // relation replaces its predecessor, so its incremental append chain is
-  // severed (LOAD ... APPEND goes through Catalog::AppendRows instead).
+  // marks the views stale when a rule reads one of them. On failure
+  // nothing is applied. Each stored relation replaces its predecessor, so
+  // its incremental append chain is severed (LOAD ... APPEND goes through
+  // Catalog::AppendRows instead).
   Status PersistRelations(std::vector<Relation> rels);
   // Persists a session knob's stored value when a catalog is open.
   Status PersistKnob(const std::string& key, std::int64_t value);
@@ -282,6 +283,8 @@ class Shell {
   // them and Model() builds on them. A refresh that restats anything
   // drops the cached model.
   DatabaseStats base_stats_;
+  // Statistics of views_, computed when views_version_ moves.
+  std::map<std::string, RelationStats> view_stats_;
   std::optional<CostModel> cached_model_;
   std::uint64_t model_views_version_ = 0;  // views_version_ it was built at
   bool learned_optimizer_ = false;

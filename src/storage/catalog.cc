@@ -308,10 +308,15 @@ Catalog::Catalog(Vfs& vfs, std::string dir, CatalogOptions options)
 
 Result<std::unique_ptr<Catalog>> Catalog::Open(Vfs& vfs, std::string dir,
                                                QueryContext* ctx,
-                                               CatalogOptions options) {
+                                               CatalogOptions options,
+                                               const Catalog* previous) {
   std::uint64_t t0 = MetricsNowNs();
   if (Status s = vfs.CreateDirs(dir); !s.ok()) return s;
   std::unique_ptr<Catalog> cat(new Catalog(vfs, std::move(dir), options));
+  if (previous != nullptr &&
+      (&previous->vfs_ != &vfs || previous->dir_ != cat->dir_)) {
+    previous = nullptr;
+  }
   const std::string snap_path = cat->dir_ + "/" + std::string(kSnapshotFile);
   const std::string wal_path = cat->dir_ + "/" + std::string(kWalFile);
 
@@ -393,9 +398,25 @@ Result<std::unique_ptr<Catalog>> Catalog::Open(Vfs& vfs, std::string dir,
             return CorruptWalError("snapshot: paged stub mismatch for " +
                                    std::string(name));
           }
-          Result<Relation> rel = (*disk)->ReadAll(ctx);
-          if (!rel.ok()) return rel.status();
-          state.db.PutRelation(std::move(*rel));
+          // Adopt the handle the replaced catalog recorded for this very
+          // file, if it is still alive; otherwise decode the pages.
+          std::shared_ptr<const Relation> held;
+          if (previous != nullptr) {
+            auto it = previous->sidecars_.find(name);
+            if (it != previous->sidecars_.end() && it->second.file == file) {
+              held = it->second.rows.lock();
+            }
+          }
+          if (held != nullptr && held->size() == rows) {
+            state.db.PutRelation(std::move(held));
+            ++cat->open_info_.adopted_relations;
+          } else {
+            Result<Relation> rel = (*disk)->ReadAll(ctx);
+            if (!rel.ok()) return rel.status();
+            state.db.PutRelation(std::move(*rel));
+          }
+          cat->sidecars_[std::string(name)] = {std::string(file),
+                                               state.db.GetShared(name)};
           ++cat->open_info_.paged_relations;
         } else {
           return CorruptWalError("snapshot: unknown relation marker in " +
@@ -629,15 +650,13 @@ Status Catalog::Checkpoint(QueryContext* ctx) {
       paged.insert(name);
     }
   }
-  auto page_file = [&](const std::string& name) {
-    return name + "." + std::to_string(snap_lsn) +
-           std::string(kPageFileSuffix);
-  };
 
   std::string payload;
   PutU64(payload, snap_lsn);
   std::string_view magic = kSnapshotMagic;
   std::vector<std::string> referenced;
+  std::map<std::string, Sidecar, std::less<>> next;  // the new sidecars_
+  std::uint64_t written = 0;
   if (paged.empty()) {
     // All inline: the QFSNAP01 layout, byte-identical to earlier builds.
     Result<std::string> state_bytes = EncodeCatalogState(state_, ctx);
@@ -645,23 +664,37 @@ Status Catalog::Checkpoint(QueryContext* ctx) {
     payload += *state_bytes;
   } else {
     magic = kSnapshotMagic2;
-    // Sidecars first: every page file is written and fsynced, then the
-    // pages directory entry is fsynced, all BEFORE the snapshot that
-    // references them rotates in. A crash anywhere in between leaves the
-    // old snapshot pointing at old (still present) sidecars; the new
-    // files are unreferenced orphans swept at the next Open. Like the
-    // snapshot rotation itself, a failure here latches nothing — the old
-    // snapshot and the whole WAL are intact, so a retry is safe.
+    // A relation still at the version its recorded sidecar holds keeps
+    // that file. Changed ones get new sidecars first: every new page file
+    // is written and fsynced, then the pages directory entry is fsynced,
+    // all BEFORE the snapshot that references them rotates in. A crash
+    // anywhere in between leaves the old snapshot pointing at old (still
+    // present) sidecars; the new files are unreferenced orphans swept at
+    // the next Open. Like the snapshot rotation itself, a failure here
+    // latches nothing — the old snapshot and the whole WAL are intact, so
+    // a retry is safe.
     if (Status s = vfs_.CreateDirs(PagesDir()); !s.ok()) return s;
     for (const std::string& name : paged) {
-      const std::string file = page_file(name);
-      Result<PagedWriteInfo> w = WritePagedRelation(
-          vfs_, PagesDir() + "/" + file, state_.db.Get(name), ctx);
+      std::shared_ptr<const Relation> rel = state_.db.GetShared(name);
+      auto it = sidecars_.find(name);
+      if (it != sidecars_.end() && !it->second.rows.owner_before(rel) &&
+          !rel.owner_before(it->second.rows)) {
+        next.emplace(name, it->second);
+        continue;
+      }
+      const std::string file = name + "." + std::to_string(snap_lsn) +
+                               std::string(kPageFileSuffix);
+      Result<PagedWriteInfo> w =
+          WritePagedRelation(vfs_, PagesDir() + "/" + file, *rel, ctx);
       if (!w.ok()) return w.status();
-      referenced.push_back(file);
+      next.emplace(name, Sidecar{file, rel});
+      ++written;
     }
-    if (Status s = vfs_.SyncDir(PagesDir()); !s.ok()) return s;
-    stats_.fsyncs += paged.size() + 1;
+    if (written > 0) {
+      if (Status s = vfs_.SyncDir(PagesDir()); !s.ok()) return s;
+      stats_.fsyncs += written + 1;
+    }
+    for (const auto& [name, sidecar] : next) referenced.push_back(sidecar.file);
 
     EncodeStateHeader(state_, payload);
     PutU32(payload, static_cast<std::uint32_t>(names.size()));
@@ -671,7 +704,7 @@ Status Catalog::Checkpoint(QueryContext* ctx) {
       if (paged.count(name) != 0) {
         payload.push_back(static_cast<char>(kRelPaged));
         PutString(payload, name);
-        PutString(payload, page_file(name));
+        PutString(payload, next.at(name).file);
         PutU64(payload, static_cast<std::uint64_t>(rel.size()));
       } else {
         payload.push_back(static_cast<char>(kRelInline));
@@ -694,6 +727,8 @@ Status Catalog::Checkpoint(QueryContext* ctx) {
     return s;
   }
   stats_.fsyncs += 2;  // AtomicWriteFile: file sync + dir sync
+  // The snapshot naming these sidecars is the durable one now.
+  sidecars_ = std::move(next);
   // Only now, with the snapshot durable, may the log shrink. A crash
   // in between replays stale records, which LSN skipping neutralizes.
   // The reset is an atomic rewrite, so a failure cannot tear the log —
@@ -707,6 +742,8 @@ Status Catalog::Checkpoint(QueryContext* ctx) {
   // the next Open's sweep, never damage.
   SweepOrphans(referenced, /*sweep_spill=*/false);
   ++stats_.snapshots;
+  stats_.sidecars_written += written;
+  stats_.sidecars_kept += sidecars_.size() - written;
   stats_.snapshot_bytes += file_bytes.size();
   stats_.snapshot_ns += MetricsNowNs() - t0;
   return Status::Ok();

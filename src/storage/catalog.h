@@ -112,6 +112,7 @@ class Catalog {
     std::uint64_t skipped_records = 0;   // stale (LSN <= snapshot)
     std::uint64_t truncated_bytes = 0;   // torn/corrupt tail dropped
     std::uint64_t paged_relations = 0;   // stubs resolved from page files
+    std::uint64_t adopted_relations = 0; // ...of which `previous` held
     std::uint64_t orphans_removed = 0;   // stale page + spill files swept
     double replay_ms = 0.0;
   };
@@ -122,9 +123,19 @@ class Catalog {
   // failures, and the governor's typed status if `ctx` trips
   // mid-recovery. Unreferenced page files and orphaned spill files
   // under the directory are swept (crash leftovers; best-effort).
-  static Result<std::unique_ptr<Catalog>> Open(Vfs& vfs, std::string dir,
-                                               QueryContext* ctx = nullptr,
-                                               CatalogOptions options = {});
+  //
+  // `previous` (nullable) is the catalog of the same directory and Vfs
+  // that this one replaces. Every paged stub's sidecar is opened and its
+  // footer, directory, name and row count are checked as always; but when
+  // `previous` recorded that very file for a relation handle that is
+  // still alive, the new state adopts that handle instead of decoding the
+  // pages (ReadAll). The rows are the ones the file was written from or
+  // read into, so this is the trust the buffer pool already extends to a
+  // cached page. Adopted rows allocate nothing, so nothing is charged to
+  // `ctx` for them. A catalog of another directory or Vfs is ignored.
+  static Result<std::unique_ptr<Catalog>> Open(
+      Vfs& vfs, std::string dir, QueryContext* ctx = nullptr,
+      CatalogOptions options = {}, const Catalog* previous = nullptr);
 
   Catalog(const Catalog&) = delete;
   Catalog& operator=(const Catalog&) = delete;
@@ -159,6 +170,14 @@ class Catalog {
   // failed snapshot rotation leaves both the old snapshot and the WAL
   // intact, so it returns the error without latching — a transient
   // ENOSPC here is retryable.
+  //
+  // A page sidecar is write-once and belongs to one relation version: a
+  // paged relation whose handle is the one its recorded sidecar holds
+  // (read by Open, or written by an earlier Checkpoint of this catalog)
+  // keeps that file — the new snapshot names it again, nothing is
+  // written or synced for it, and the sweep spares it. Only changed
+  // relations get new sidecars. A kept file is durable and named by both
+  // the old and the new snapshot, so no crash point loses it.
   Status Checkpoint(QueryContext* ctx = nullptr);
 
   // --- inspection ---
@@ -193,6 +212,17 @@ class Catalog {
   std::string dir_;
   CatalogOptions options_;
   CatalogState state_;
+  // Per paged relation, the sidecar under PagesDir() that the current
+  // snapshot names and the state_.db handle whose rows it holds (a
+  // weak_ptr compared by owner, so a reused address never matches).
+  // Recorded only when Open builds a relation from its sidecar and when
+  // Checkpoint's snapshot naming a sidecar has rotated in — never for a
+  // relation from the WAL, an inline snapshot or a commit.
+  struct Sidecar {
+    std::string file;
+    std::weak_ptr<const Relation> rows;
+  };
+  std::map<std::string, Sidecar, std::less<>> sidecars_;
   std::unique_ptr<WalWriter> wal_;
   std::uint64_t next_lsn_ = 1;
   StorageStats stats_;

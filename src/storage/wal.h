@@ -37,6 +37,8 @@ struct StorageStats {
   std::uint64_t snapshots = 0;     // checkpoints completed
   std::uint64_t snapshot_bytes = 0;
   std::uint64_t snapshot_ns = 0;
+  std::uint64_t sidecars_written = 0;  // page files checkpoints wrote
+  std::uint64_t sidecars_kept = 0;     // ...and named again unchanged
   std::uint64_t replayed_records = 0;  // WAL records applied at Open
   std::uint64_t truncated_bytes = 0;   // torn/corrupt tail dropped at Open
   std::uint64_t replay_ns = 0;         // snapshot load + WAL replay time

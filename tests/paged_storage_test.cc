@@ -5,6 +5,7 @@
 // opens, and the shell's SET BUFFER knob.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -14,6 +15,7 @@
 #include "common/status.h"
 #include "common/vfs.h"
 #include "relational/relation.h"
+#include "relational/tsv.h"
 #include "shell/shell.h"
 #include "storage/buffer_pool.h"
 #include "storage/catalog.h"
@@ -249,50 +251,192 @@ TEST(PagedCatalogTest, OpenSweepsOrphanPageAndSpillFiles) {
   EXPECT_TRUE(vfs.Exists("db/pages/" + live_name));
 }
 
+// Page files under db/pages, sorted.
+std::vector<std::string> PageFiles(Vfs& vfs) {
+  Result<std::vector<std::string>> names = vfs.ListDir("db/pages");
+  EXPECT_TRUE(names.ok()) << names.status().ToString();
+  std::vector<std::string> out = names.ok() ? *names : std::vector<std::string>();
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 TEST(PagedCatalogTest, CrashAtEveryCheckpointOpRecoversExactState) {
   // Fault-free dry run to learn how many mutating ops a paged checkpoint
   // performs, then crash at each one in turn. After every crash the
-  // durable view must recover to exactly the acknowledged state.
-  std::uint64_t checkpoint_ops = 0;
-  {
-    MemVfs base;
-    FaultVfs fault(base);
-    Result<std::unique_ptr<Catalog>> cat =
-        Catalog::Open(fault, "db", nullptr, PageEverything());
-    ASSERT_TRUE(cat.ok());
-    ASSERT_TRUE((*cat)->PutRelation(BuildRelation("big", 300)).ok());
-    std::uint64_t before = fault.op_count();
-    ASSERT_TRUE((*cat)->Checkpoint().ok());
-    checkpoint_ops = fault.op_count() - before;
-  }
-  ASSERT_GT(checkpoint_ops, 0u);
-
-  for (std::uint64_t k = 1; k <= checkpoint_ops; ++k) {
-    MemVfs base;
-    FaultVfs fault(base);
-    std::string oracle;
+  // durable view must recover to exactly the acknowledged state. The
+  // second sweep crashes a *reusing* checkpoint: `keep` is unchanged
+  // since the first checkpoint, so its sidecar is named again, and no
+  // crash point may lose or sweep it.
+  for (bool reusing : {false, true}) {
+    // Everything up to the checkpoint under test; returns the sidecar a
+    // reusing checkpoint keeps ("" for the first).
+    auto prepare = [&](Catalog& cat, Vfs& vfs) -> std::string {
+      EXPECT_TRUE(cat.PutRelation(BuildRelation("big", 300)).ok());
+      if (!reusing) return "";
+      EXPECT_TRUE(cat.PutRelation(BuildRelation("keep", 200)).ok());
+      EXPECT_TRUE(cat.Checkpoint().ok());
+      EXPECT_TRUE(cat.AppendRows("big", BuildRelation("big", 310)).ok());
+      for (const std::string& f : PageFiles(vfs)) {
+        if (f.rfind("keep.", 0) == 0) return f;
+      }
+      return "";
+    };
+    std::uint64_t checkpoint_ops = 0;
     {
+      MemVfs base;
+      FaultVfs fault(base);
       Result<std::unique_ptr<Catalog>> cat =
           Catalog::Open(fault, "db", nullptr, PageEverything());
       ASSERT_TRUE(cat.ok());
-      ASSERT_TRUE((*cat)->PutRelation(BuildRelation("big", 300)).ok());
-      Result<std::string> enc = EncodeCatalogState((*cat)->state());
-      ASSERT_TRUE(enc.ok());
-      oracle = *enc;
-      FaultPlan plan;
-      plan.crash_at_op = fault.op_count() + k;
-      fault.set_plan(plan);
-      (void)(*cat)->Checkpoint();  // dies somewhere inside
+      prepare(**cat, fault);
+      std::uint64_t before = fault.op_count();
+      ASSERT_TRUE((*cat)->Checkpoint().ok());
+      checkpoint_ops = fault.op_count() - before;
+      EXPECT_EQ((*cat)->stats().sidecars_kept, reusing ? 1u : 0u);
     }
-    base.Crash();
-    Result<std::unique_ptr<Catalog>> back =
-        Catalog::Open(base, "db", nullptr, PageEverything());
-    ASSERT_TRUE(back.ok()) << "crash op " << k << ": "
-                           << back.status().ToString();
-    Result<std::string> enc = EncodeCatalogState((*back)->state());
-    ASSERT_TRUE(enc.ok());
-    EXPECT_EQ(*enc, oracle) << "crash op " << k;
+    ASSERT_GT(checkpoint_ops, 0u);
+
+    for (std::uint64_t k = 1; k <= checkpoint_ops; ++k) {
+      MemVfs base;
+      FaultVfs fault(base);
+      std::string oracle;
+      std::string kept;
+      {
+        Result<std::unique_ptr<Catalog>> cat =
+            Catalog::Open(fault, "db", nullptr, PageEverything());
+        ASSERT_TRUE(cat.ok());
+        kept = prepare(**cat, fault);
+        ASSERT_EQ(kept.empty(), !reusing);
+        Result<std::string> enc = EncodeCatalogState((*cat)->state());
+        ASSERT_TRUE(enc.ok());
+        oracle = *enc;
+        FaultPlan plan;
+        plan.crash_at_op = fault.op_count() + k;
+        fault.set_plan(plan);
+        (void)(*cat)->Checkpoint();  // dies somewhere inside
+      }
+      base.Crash();
+      Result<std::unique_ptr<Catalog>> back =
+          Catalog::Open(base, "db", nullptr, PageEverything());
+      ASSERT_TRUE(back.ok()) << "crash op " << k << ": "
+                             << back.status().ToString();
+      Result<std::string> enc = EncodeCatalogState((*back)->state());
+      ASSERT_TRUE(enc.ok());
+      EXPECT_EQ(*enc, oracle) << "crash op " << k;
+      if (reusing) {
+        EXPECT_TRUE(base.Exists("db/pages/" + kept)) << "crash op " << k;
+      }
+    }
   }
+}
+
+TEST(PagedCatalogTest, CheckpointKeepsSidecarsOfUnchangedRelations) {
+  MemVfs vfs;
+  std::string oracle;
+  std::vector<std::string> first;
+  {
+    Result<std::unique_ptr<Catalog>> cat =
+        Catalog::Open(vfs, "db", nullptr, PageEverything());
+    ASSERT_TRUE(cat.ok()) << cat.status().ToString();
+    ASSERT_TRUE((*cat)->PutRelation(BuildRelation("big", 600)).ok());
+    ASSERT_TRUE((*cat)->PutRelation(BuildRelation("other", 50)).ok());
+    ASSERT_TRUE((*cat)->Checkpoint().ok());
+    EXPECT_EQ((*cat)->stats().sidecars_written, 2u);
+    first = PageFiles(vfs);
+    ASSERT_EQ(first.size(), 2u);
+    ASSERT_TRUE((*cat)->AppendRows("big", BuildRelation("big", 610)).ok());
+    Result<std::string> enc = EncodeCatalogState((*cat)->state());
+    ASSERT_TRUE(enc.ok());
+    oracle = *enc;
+    const std::uint64_t fsyncs = (*cat)->stats().fsyncs;
+    ASSERT_TRUE((*cat)->Checkpoint().ok());
+    EXPECT_EQ((*cat)->stats().sidecars_written, 3u);
+    EXPECT_EQ((*cat)->stats().sidecars_kept, 1u);
+    // One sidecar and the pages directory, then two each for the atomic
+    // snapshot rotation and WAL reset.
+    EXPECT_EQ((*cat)->stats().fsyncs - fsyncs, 6u);
+    // A checkpoint with nothing changed writes no sidecar at all.
+    ASSERT_TRUE((*cat)->Checkpoint().ok());
+    EXPECT_EQ((*cat)->stats().sidecars_written, 3u);
+    EXPECT_EQ((*cat)->stats().sidecars_kept, 3u);
+  }
+  std::vector<std::string> second = PageFiles(vfs);
+  ASSERT_EQ(second.size(), 2u);
+  EXPECT_NE(second[0], first[0]);  // big.<lsn>.qfp was rewritten
+  EXPECT_EQ(second[1], first[1]);  // other's file is named verbatim
+
+  Result<std::unique_ptr<Catalog>> back =
+      Catalog::Open(vfs, "db", nullptr, PageEverything());
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ((*back)->open_info().paged_relations, 2u);
+  EXPECT_EQ((*back)->open_info().orphans_removed, 0u);
+  Result<std::string> enc = EncodeCatalogState((*back)->state());
+  ASSERT_TRUE(enc.ok());
+  EXPECT_EQ(*enc, oracle);
+}
+
+TEST(PagedCatalogTest, IdentityNotContentDecidesWhatIsKept) {
+  MemVfs vfs;
+  Result<std::unique_ptr<Catalog>> cat =
+      Catalog::Open(vfs, "db", nullptr, PageEverything());
+  ASSERT_TRUE(cat.ok()) << cat.status().ToString();
+  ASSERT_TRUE((*cat)->PutRelation(BuildRelation("big", 300)).ok());
+  ASSERT_TRUE((*cat)->Checkpoint().ok());
+  std::vector<std::string> first = PageFiles(vfs);
+  // The same rows under a new handle: a new version, so a new sidecar.
+  ASSERT_TRUE((*cat)->PutRelation(BuildRelation("big", 300)).ok());
+  ASSERT_TRUE((*cat)->Checkpoint().ok());
+  EXPECT_EQ((*cat)->stats().sidecars_written, 2u);
+  EXPECT_EQ((*cat)->stats().sidecars_kept, 0u);
+  std::vector<std::string> second = PageFiles(vfs);
+  ASSERT_EQ(second.size(), 1u);
+  EXPECT_NE(second, first);
+}
+
+TEST(PagedCatalogTest, OpenAdoptsOnlyWhatThePreviousCatalogRecorded) {
+  MemVfs vfs;
+  Result<std::unique_ptr<Catalog>> cat =
+      Catalog::Open(vfs, "db", nullptr, PageEverything());
+  ASSERT_TRUE(cat.ok()) << cat.status().ToString();
+  ASSERT_TRUE((*cat)->PutRelation(BuildRelation("big", 300)).ok());
+  ASSERT_TRUE((*cat)->PutRelation(BuildRelation("other", 40)).ok());
+  ASSERT_TRUE((*cat)->Checkpoint().ok());
+  ASSERT_TRUE((*cat)->AppendRows("big", BuildRelation("big", 305)).ok());
+
+  // `other` is held at the version its sidecar holds; `big`'s sidecar
+  // version is gone (the append replaced it), so it is read and the WAL
+  // append replays onto it.
+  Result<std::unique_ptr<Catalog>> again =
+      Catalog::Open(vfs, "db", nullptr, PageEverything(), cat->get());
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ((*again)->open_info().paged_relations, 2u);
+  EXPECT_EQ((*again)->open_info().adopted_relations, 1u);
+  EXPECT_EQ((*again)->state().db.GetShared("other"),
+            (*cat)->state().db.GetShared("other"));
+  EXPECT_NE((*again)->state().db.GetShared("big"),
+            (*cat)->state().db.GetShared("big"));
+  Result<std::string> want = EncodeCatalogState((*cat)->state());
+  Result<std::string> got = EncodeCatalogState((*again)->state());
+  ASSERT_TRUE(want.ok() && got.ok());
+  EXPECT_EQ(*got, *want);
+
+  // Another directory's catalog is never adopted from.
+  ASSERT_TRUE(vfs.CreateDirs("copy/pages").ok());
+  for (const std::string& f : {std::string("catalog.snap"),
+                               std::string("catalog.wal")}) {
+    Result<std::string> bytes = vfs.ReadFile("db/" + f);
+    ASSERT_TRUE(bytes.ok());
+    RewriteFile(vfs, "copy/" + f, *bytes);
+  }
+  for (const std::string& f : PageFiles(vfs)) {
+    Result<std::string> bytes = vfs.ReadFile("db/pages/" + f);
+    ASSERT_TRUE(bytes.ok());
+    RewriteFile(vfs, "copy/pages/" + f, *bytes);
+  }
+  Result<std::unique_ptr<Catalog>> copy =
+      Catalog::Open(vfs, "copy", nullptr, PageEverything(), again->get());
+  ASSERT_TRUE(copy.ok()) << copy.status().ToString();
+  EXPECT_EQ((*copy)->open_info().adopted_relations, 0u);
 }
 
 TEST(PagedCatalogTest, ReopenThroughBufferPoolPopulatesCache) {
@@ -361,6 +505,143 @@ TEST(PagedShellTest, LargeRelationSurvivesShellCheckpointReopen) {
   ASSERT_NE(again.buffer_pool(), nullptr);
   EXPECT_GT(again.buffer_pool()->stats().misses, 0u);
   EXPECT_EQ(ResultBody(MustRun(again, "RUN pairs LIMIT 10000")), before);
+}
+
+// GEN statement for a basket relation that clears the default paged
+// threshold (256 KiB estimated), so CHECKPOINT gives it a sidecar.
+std::string GenBig(const std::string& name, int seed, int baskets = 3000) {
+  return "GEN BASKETS " + name + " n_baskets=" + std::to_string(baskets) +
+         " n_items=40 avg_size=5 theta=0.8 locality=0.5 topics=4 seed=" +
+         std::to_string(seed);
+}
+
+// Appends one new basket row to relation `name` through a TSV file.
+void AppendOneRow(Shell& shell, MemVfs& vfs, const std::string& name) {
+  Relation delta(name, Schema({"BID", "Item"}));
+  delta.AddRow({Value(1000000), Value("item_new")});
+  ASSERT_TRUE(StoreTsv(delta, "delta.tsv", &vfs).ok());
+  MustRun(shell, "LOAD " + name + " APPEND FROM delta.tsv");
+}
+
+// The "stats" node's out= count: relations the refresh restatted.
+std::size_t Restatted(const std::string& explain) {
+  std::size_t at = explain.find("\n  stats ");
+  if (at == std::string::npos) {
+    ADD_FAILURE() << "no stats node in:\n" << explain;
+    return 0;
+  }
+  return std::stoul(explain.substr(explain.find(" out=", at) + 5));
+}
+
+std::string EncodedState(const Shell& shell) {
+  Result<std::string> enc = EncodeCatalogState(shell.catalog()->state());
+  EXPECT_TRUE(enc.ok()) << enc.status().ToString();
+  return enc.ok() ? *enc : std::string();
+}
+
+TEST(PagedShellTest, ReopenAdoptsHeldRelationsAndMatchesAFreshOpen) {
+  MemVfs vfs;
+  Shell shell;
+  shell.set_vfs(&vfs);
+  MustRun(shell, "OPEN db");
+  MustRun(shell, GenBig("a", 7));
+  MustRun(shell, GenBig("b", 8));
+  MustRun(shell,
+          "FLOCK pairs QUERY answer(B) :- a(B,$1) AND b(B,$2) "
+          "AND $1 < $2 FILTER COUNT >= 40");
+  MustRun(shell, "CHECKPOINT");
+  std::shared_ptr<const Relation> a0 = shell.database().GetShared("a");
+  std::shared_ptr<const Relation> b0 = shell.database().GetShared("b");
+  MustRun(shell, "EXPLAIN ANALYZE pairs PLAN");
+
+  // Nothing changed: both paged relations are adopted, not decoded, and
+  // the statistics of the held handles stay valid.
+  std::string opened = MustRun(shell, "OPEN db");
+  EXPECT_NE(opened.find("paged: 2 relations from page files (2 adopted)"),
+            std::string::npos)
+      << opened;
+  EXPECT_EQ(shell.database().GetShared("a"), a0);
+  EXPECT_EQ(shell.database().GetShared("b"), b0);
+  std::string explain = MustRun(shell, "EXPLAIN ANALYZE pairs PLAN");
+  EXPECT_EQ(Restatted(explain), 0u);
+  EXPECT_NE(explain.find("paged_adopted=2 paged_read=0"), std::string::npos)
+      << explain;
+
+  // The append replaces `a`, but a0 keeps the version its sidecar holds
+  // alive: OPEN adopts it and replays the append onto it, which builds a
+  // new relation. `b` is adopted as it is.
+  AppendOneRow(shell, vfs, "a");
+  opened = MustRun(shell, "OPEN db");
+  EXPECT_NE(opened.find("paged: 2 relations from page files (2 adopted)"),
+            std::string::npos)
+      << opened;
+  EXPECT_NE(shell.database().GetShared("a"), a0);
+  EXPECT_EQ(shell.database().GetShared("b"), b0);
+  EXPECT_EQ(Restatted(MustRun(shell, "EXPLAIN ANALYZE pairs PLAN")), 1u);
+  const std::string answers = ResultBody(MustRun(shell, "RUN pairs LIMIT 10000"));
+
+  // Same answers and same recovered state as a fresh session's OPEN.
+  Shell fresh;
+  fresh.set_vfs(&vfs);
+  opened = MustRun(fresh, "OPEN db");
+  EXPECT_NE(opened.find("(0 adopted)"), std::string::npos) << opened;
+  EXPECT_EQ(ResultBody(MustRun(fresh, "RUN pairs LIMIT 10000")), answers);
+  EXPECT_EQ(EncodedState(fresh), EncodedState(shell));
+}
+
+TEST(PagedShellTest, DamagedKeptSidecarFailsReopenLikeAFreshOpen) {
+  for (bool truncate : {false, true}) {
+    MemVfs vfs;
+    Shell shell;
+    shell.set_vfs(&vfs);
+    MustRun(shell, "OPEN db");
+    MustRun(shell, GenBig("a", 7));
+    MustRun(shell, GenBig("b", 8));
+    MustRun(shell, "CHECKPOINT");
+    AppendOneRow(shell, vfs, "a");
+    std::string out = MustRun(shell, "CHECKPOINT");
+    std::vector<std::string> files = PageFiles(vfs);
+    ASSERT_EQ(files.size(), 2u);
+    const std::string kept = "db/pages/" + files[1];
+    ASSERT_EQ(files[1].rfind("b.", 0), 0u) << files[1];
+    if (truncate) {
+      Result<std::string> bytes = vfs.ReadFile(kept);
+      ASSERT_TRUE(bytes.ok());
+      RewriteFile(vfs, kept, bytes->substr(0, bytes->size() - 1));
+    } else {
+      ASSERT_TRUE(vfs.Remove(kept).ok());
+    }
+    Result<std::string> same = shell.Execute("OPEN db");
+    Shell fresh;
+    fresh.set_vfs(&vfs);
+    Result<std::string> cold = fresh.Execute("OPEN db");
+    ASSERT_FALSE(same.ok()) << "truncate=" << truncate;
+    ASSERT_FALSE(cold.ok()) << "truncate=" << truncate;
+    EXPECT_EQ(same.status().code(),
+              truncate ? StatusCode::kIoError : StatusCode::kNotFound)
+        << same.status().ToString();
+    EXPECT_EQ(same.status().ToString(), cold.status().ToString());
+  }
+}
+
+TEST(PagedShellTest, AdoptedRelationsAreNotChargedToTheBudget) {
+  MemVfs vfs;
+  Shell shell;
+  shell.set_vfs(&vfs);
+  MustRun(shell, "OPEN db");
+  // About 40,000 rows: over 2 MB of governed tuple bytes when decoded.
+  MustRun(shell, GenBig("big", 7, 8000));
+  MustRun(shell, "CHECKPOINT");
+  MustRun(shell, "SET MEMORY 1");
+  std::string opened = MustRun(shell, "OPEN db");
+  EXPECT_NE(opened.find("(1 adopted)"), std::string::npos) << opened;
+
+  // Decoding the same sidecar under that budget trips it.
+  Shell fresh;
+  fresh.set_vfs(&vfs);
+  MustRun(fresh, "SET MEMORY 1");
+  EXPECT_EQ(fresh.Execute("OPEN db").status().code(),
+            StatusCode::kResourceExhausted);
 }
 
 }  // namespace

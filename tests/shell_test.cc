@@ -801,6 +801,35 @@ TEST(ShellStatsTest, AppendRestatsOnlyTheAppendedRelation) {
   EXPECT_EQ(Restatted(MustRun(shell, "EXPLAIN ANALYZE f PLAN")), 1u);
 }
 
+TEST(ShellStatsTest, ViewsRematerializeOnlyForRelationsRulesRead) {
+  MemVfs vfs;
+  Shell shell;
+  shell.set_vfs(&vfs);
+  MustRun(shell, "OPEN cat");
+  MustRun(shell, "GEN BASKETS baskets n_baskets=60 n_items=10 seed=3");
+  MustRun(shell, "GEN BASKETS archive n_baskets=60 n_items=10 seed=4");
+  MustRun(shell, "DEFINE seen(B) :- baskets(B, I)");
+  MustRun(shell, "FLOCK f QUERY answer(B) :- seen(B) AND baskets(B,$1) "
+                 "FILTER COUNT >= 3");
+  EXPECT_EQ(Restatted(MustRun(shell, "EXPLAIN ANALYZE f PLAN")), 3u);
+  Relation delta("archive", Schema({"BID", "Item"}));
+  delta.AddRow({Value(1000), Value("item_new")});
+  ASSERT_TRUE(StoreTsv(delta, "delta.tsv", &vfs).ok());
+  // No rule reads archive: the view is neither rematerialized nor
+  // restatted.
+  MustRun(shell, "LOAD archive APPEND FROM delta.tsv");
+  EXPECT_EQ(Restatted(MustRun(shell, "EXPLAIN ANALYZE f PLAN")), 1u);
+  MustRun(shell, "GEN BASKETS other n_baskets=10 n_items=5 seed=5");
+  EXPECT_EQ(Restatted(MustRun(shell, "EXPLAIN ANALYZE f PLAN")), 1u);
+  // seen reads baskets: an append there restats both.
+  MustRun(shell, "LOAD baskets APPEND FROM delta.tsv");
+  EXPECT_EQ(Restatted(MustRun(shell, "EXPLAIN ANALYZE f PLAN")), 2u);
+  // A base relation named like a view still surfaces the clash.
+  MustRun(shell, "GEN BASKETS seen n_baskets=10 n_items=5 seed=6");
+  EXPECT_EQ(shell.Execute("RUN f PLAN").status().code(),
+            StatusCode::kAlreadyExists);
+}
+
 TEST(ShellStatsTest, DefineAndOpenRestat) {
   MemVfs vfs;
   Shell shell;
