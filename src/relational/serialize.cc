@@ -141,6 +141,19 @@ bool ByteReader::GetValue(Value* v) {
   }
 }
 
+bool ByteReader::SkipValue() {
+  const char* p;
+  if (!Take(1, &p)) return false;
+  std::string_view skipped;
+  if (*p == static_cast<char>(Value::Kind::kString)) return GetString(&skipped);
+  if (*p == static_cast<char>(Value::Kind::kInt) ||
+      *p == static_cast<char>(Value::Kind::kDouble)) {
+    return GetBytes(8, &skipped);
+  }
+  ok_ = false;
+  return false;
+}
+
 void AppendFrame(std::string& out, std::string_view payload) {
   PutU32(out, static_cast<std::uint32_t>(payload.size()));
   PutU32(out, Crc32cMask(Crc32c(payload)));

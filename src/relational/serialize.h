@@ -52,6 +52,8 @@ class ByteReader {
   bool GetF64(double* v);
   bool GetString(std::string_view* s);
   bool GetValue(Value* v);
+  // Advances past one value as PutValue wrote it, without building it.
+  bool SkipValue();
   // Raw view of the next `n` bytes.
   bool GetBytes(std::size_t n, std::string_view* s);
 

@@ -1128,7 +1128,8 @@ Result<std::string> Shell::ExplainAnalyze(std::string_view args) {
         "truncated_bytes=" + std::to_string(st.truncated_bytes) +
             " paged_adopted=" + std::to_string(info.adopted_relations) +
             " paged_read=" +
-            std::to_string(info.paged_relations - info.adopted_relations));
+            std::to_string(info.paged_relations - info.adopted_relations) +
+            " appends_adopted=" + std::to_string(info.appends_adopted));
     replay->rows_out = st.replayed_records;
     replay->wall_ns = st.replay_ns;
     if (buffer_pool_ != nullptr) {
@@ -1421,11 +1422,22 @@ Result<std::string> Shell::Open(std::string_view args) {
     flocks[name] = std::move(*flock);
   }
 
+  // The views are a function of the rules and the relations they
+  // mention: a re-OPEN that adopts those handles and re-parses the same
+  // rules keeps them (and their statistics).
+  bool views_changed = program.rules() != program_.rules();
+  for (const Database* d : {&db(), &state.db}) {
+    for (const std::string& name : d->Names()) {
+      if (!program.Mentions(name)) continue;
+      views_changed |= !db().Has(name) || !state.db.Has(name) ||
+                       db().GetShared(name) != state.db.GetShared(name);
+    }
+  }
   catalog_ = std::move(*opened);
   program_ = std::move(program);
   flocks_ = std::move(flocks);
   db_ = Database();  // superseded by the catalog's database while open
-  views_dirty_ = true;
+  views_dirty_ = views_dirty_ || views_changed;
   // Recovery replaced the database: cached incremental state and append
   // lineage are dropped wholesale, even where OPEN adopted a relation
   // this session held, and rebuilt lazily by the next RUN. (The knobs
@@ -1449,33 +1461,24 @@ Result<std::string> Shell::Open(std::string_view args) {
   spill_env_->dir = catalog_->SpillDir();
 
   const Catalog::OpenInfo& info = catalog_->open_info();
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "opened %s: %zu relations, %zu rules, %zu flocks\n",
-                dir.c_str(), catalog_->state().db.size(),
-                catalog_->state().rules.size(),
-                catalog_->state().flocks.size());
-  std::string out = buf;
-  std::snprintf(buf, sizeof(buf),
-                "recovery: snapshot lsn %llu, %llu replayed, %llu stale, "
-                "%llu bytes truncated (%.1f ms)\n",
-                static_cast<unsigned long long>(info.snapshot_lsn),
-                static_cast<unsigned long long>(info.replayed_records),
-                static_cast<unsigned long long>(info.skipped_records),
-                static_cast<unsigned long long>(info.truncated_bytes),
-                info.replay_ms);
-  out += buf;
+  std::string out = "opened " + dir + ": " + std::to_string(db().size()) +
+                    " relations, " + std::to_string(program_.rules().size()) +
+                    " rules, " + std::to_string(flocks_.size()) + " flocks\n";
+  char ms[32];
+  std::snprintf(ms, sizeof(ms), "%.1f", info.replay_ms);
+  out += "recovery: snapshot lsn " + std::to_string(info.snapshot_lsn) +
+         ", " + std::to_string(info.replayed_records) + " replayed, " +
+         std::to_string(info.skipped_records) + " stale, " +
+         std::to_string(info.truncated_bytes) + " bytes truncated (" + ms +
+         " ms)\n";
   // Out-of-core details only when they happened, so the two-line recovery
   // report (which tests and the CI drill match exactly) stays unchanged
   // for all-inline catalogs.
   if (info.paged_relations > 0 || info.orphans_removed > 0) {
-    std::snprintf(buf, sizeof(buf),
-                  "paged: %llu relations from page files (%llu adopted), "
-                  "%llu orphans swept\n",
-                  static_cast<unsigned long long>(info.paged_relations),
-                  static_cast<unsigned long long>(info.adopted_relations),
-                  static_cast<unsigned long long>(info.orphans_removed));
-    out += buf;
+    out += "paged: " + std::to_string(info.paged_relations) +
+           " relations from page files (" +
+           std::to_string(info.adopted_relations) + " adopted), " +
+           std::to_string(info.orphans_removed) + " orphans swept\n";
   }
   return out;
 }

@@ -52,19 +52,19 @@ enum class WalRecordType : unsigned char {
   kPutFlock = 3,
   kSetKnob = 4,
   kBanditOutcome = 5,
-  // {relation name, u64 base row count, u32 BaseCheck, delta relation}:
+  // {relation name, u64 base row count, u32 RowCheck, delta relation}:
   // LOAD ... APPEND logs its delta, not the merged relation.
   kAppendRows = 6,
 };
 
 // What an append record pins its base by, in O(arity): CRC32C of the
-// base's encoded last row (0 for an empty base). Together with the row
-// count it tells the base the record was logged against from any other
-// base replay could meet.
-std::uint32_t BaseCheck(const Relation& base) {
-  if (base.empty()) return 0;
+// encoded row rows[n - 1] (0 for an empty base of n = 0 rows). Together
+// with the row count n it tells the base the record was logged against
+// from any other base replay could meet.
+std::uint32_t RowCheck(const std::vector<Tuple>& rows, std::size_t n) {
+  if (n == 0) return 0;
   std::string row;
-  for (const Value& v : base.rows().back()) PutValue(row, v);
+  for (const Value& v : rows[n - 1]) PutValue(row, v);
   return Crc32c(row);
 }
 
@@ -74,133 +74,193 @@ bool IsGovernorAbort(const Status& s) {
          s.code() == StatusCode::kResourceExhausted;
 }
 
-// Decodes the record body after the LSN and applies it to `state`. Sets
-// *base_mismatch (and returns CORRUPT_WAL) when an append record meets a
-// base other than the one it was logged against.
-Status ApplyRecordBody(CatalogState& state, ByteReader& in, QueryContext* ctx,
-                       bool* base_mismatch) {
-  std::string_view type_byte;
-  if (!in.GetBytes(1, &type_byte)) {
-    return CorruptWalError("record body missing type byte");
-  }
-  switch (static_cast<WalRecordType>(type_byte[0])) {
-    case WalRecordType::kPutRelation: {
-      Result<Relation> rel = DecodeRelation(in, ctx);
-      if (!rel.ok()) return rel.status();
-      state.db.PutRelation(std::move(*rel));
-      break;
-    }
-    case WalRecordType::kDefineRule: {
-      std::string_view rule;
-      if (!in.GetString(&rule)) {
-        return CorruptWalError("malformed DEFINE record");
-      }
-      state.rules.emplace_back(rule);
-      break;
-    }
-    case WalRecordType::kPutFlock: {
-      std::string_view name;
-      std::string_view source;
-      if (!in.GetString(&name) || !in.GetString(&source)) {
-        return CorruptWalError("malformed FLOCK record");
-      }
-      state.flocks[std::string(name)] = std::string(source);
-      break;
-    }
-    case WalRecordType::kSetKnob: {
-      std::string_view key;
-      std::int64_t value;
-      if (!in.GetString(&key) || !in.GetI64(&value)) {
-        return CorruptWalError("malformed knob record");
-      }
-      state.knobs[std::string(key)] = value;
-      break;
-    }
-    case WalRecordType::kBanditOutcome: {
-      BanditOutcome outcome;
-      if (Status s = DecodeBanditOutcome(in, &outcome); !s.ok()) return s;
-      state.bandit.Record(outcome);
-      break;
-    }
-    case WalRecordType::kAppendRows: {
-      std::string_view name;
-      std::uint64_t base_rows = 0;
-      std::uint32_t base_check = 0;
-      if (!in.GetString(&name) || !in.GetU64(&base_rows) ||
-          !in.GetU32(&base_check)) {
-        return CorruptWalError("malformed append record");
-      }
-      Result<Relation> delta = DecodeRelation(in, ctx);
-      if (!delta.ok()) return delta.status();
-      // Appending this delta to any other base would build rows nobody
-      // acknowledged: unlike a torn tail, that is not truncated away.
-      const Relation* base =
-          state.db.Has(name) ? &state.db.Get(name) : nullptr;
-      if (base == nullptr || base->size() != base_rows ||
-          BaseCheck(*base) != base_check ||
-          !CheckAppendable(*base, *delta).ok()) {
-        *base_mismatch = true;
-        return CorruptWalError(
-            "append record for relation " + std::string(name) +
-            " does not match its base (logged against " +
-            std::to_string(base_rows) + " rows, found " +
-            (base == nullptr ? std::string("no relation")
-                             : std::to_string(base->size()) + " rows") +
-            ")");
-      }
-      Result<Relation> appended = AppendRelation(*base, *delta);
-      if (!appended.ok()) return appended.status();
-      state.db.PutRelation(std::move(*appended));
-      break;
-    }
-    default:
-      return CorruptWalError("unknown WAL record type " +
-                             std::to_string(type_byte[0]));
-  }
-  if (!in.AtEnd()) {
-    return CorruptWalError("trailing bytes after WAL record body");
-  }
-  return Status::Ok();
-}
+using AppendId = std::pair<std::uint64_t, std::uint32_t>;  // LSN, body CRC
 
-// Decodes and applies everything after the LSN of a commit payload: a
-// u32 record count followed by that many length-prefixed record bodies.
-// The whole batch shares one frame (and one CRC), which is what makes a
-// multi-record commit all-or-nothing across a torn write.
-Status ApplyCommitBody(CatalogState& state, ByteReader& in, QueryContext* ctx,
-                       bool* base_mismatch) {
-  std::uint32_t n = 0;
-  // Each record needs >= 5 bytes (u32 length + type byte).
-  if (!in.GetU32(&n) || n > in.remaining() / 5 + 1) {
-    return CorruptWalError("bad commit batch count");
-  }
-  for (std::uint32_t i = 0; i < n; ++i) {
-    if (ctx != nullptr && !ctx->Poll()) return ctx->Check();
-    std::string_view body;
-    if (!in.GetString(&body)) {
-      return CorruptWalError("truncated commit batch record");
-    }
-    ByteReader sub(body);
-    if (Status s = ApplyRecordBody(state, sub, ctx, base_mismatch); !s.ok()) {
-      return s;
-    }
-  }
-  if (!in.AtEnd()) {
-    return CorruptWalError("trailing bytes after commit batch");
-  }
-  return Status::Ok();
-}
+// A paged stub whose pages Open has not decoded: the replaced catalog
+// holds a live handle recorded at a version of this sidecar. Replay
+// checks the append records of that version's chain instead of applying
+// them.
+struct LazyStub {
+  std::unique_ptr<DiskRelation> disk;
+  std::shared_ptr<const Relation> held;
+  const Catalog::Version* prev = nullptr;
+};
 
-std::string RelationBody(const Relation& rel, QueryContext* ctx,
-                         Status* status) {
-  std::string body;
-  body.push_back(static_cast<char>(WalRecordType::kPutRelation));
-  *status = EncodeRelation(rel, body, ctx);
-  return body;
-}
+// Applies logged commits to `state` and keeps `versions` in step: an
+// append extends the version record of the relation it lands on, a put
+// drops it. `fatal` marks a failure that is no crash artifact of the log
+// (an append whose base does not match, an unreadable sidecar): Open
+// fails on it instead of truncating the log there. `diverged` marks a
+// record on a lazy stub that its held handle was not built from: Open
+// then starts over without adopting, the path a fresh session takes.
+struct Replay {
+  CatalogState& state;
+  std::map<std::string, Catalog::Version, std::less<>>& versions;
+  QueryContext* ctx;
+  std::map<std::string, LazyStub, std::less<>> lazy;  // Open only
+  bool fatal = false;
+  bool diverged = false;
 
-double MsSince(std::uint64_t t0_ns) {
-  return static_cast<double>(MetricsNowNs() - t0_ns) / 1e6;
+  Status Fatal(Status s) {
+    fatal = true;
+    return s;
+  }
+
+  // Everything after the LSN of a commit payload: a u32 record count and
+  // that many length-prefixed record bodies. The whole batch shares one
+  // frame (and one CRC), which is what makes a multi-record commit
+  // all-or-nothing across a torn write.
+  Status Commit(std::uint64_t lsn, ByteReader& in) {
+    std::uint32_t n = 0;
+    // Each record needs >= 5 bytes (u32 length + type byte).
+    if (!in.GetU32(&n) || n > in.remaining() / 5 + 1) {
+      return CorruptWalError("bad commit batch count");
+    }
+    for (std::uint32_t i = 0; i < n; ++i) {
+      if (ctx != nullptr && !ctx->Poll()) return ctx->Check();
+      std::string_view body;
+      if (!in.GetString(&body)) {
+        return CorruptWalError("truncated commit batch record");
+      }
+      if (Status s = Record(lsn, body); !s.ok()) return s;
+    }
+    if (!in.AtEnd()) {
+      return CorruptWalError("trailing bytes after commit batch");
+    }
+    return Status::Ok();
+  }
+
+  Status Record(std::uint64_t lsn, std::string_view body) {
+    ByteReader in(body);
+    std::string_view type_byte;
+    if (!in.GetBytes(1, &type_byte)) {
+      return CorruptWalError("record body missing type byte");
+    }
+    switch (static_cast<WalRecordType>(type_byte[0])) {
+      case WalRecordType::kPutRelation: {
+        Result<Relation> rel = DecodeRelation(in, ctx);
+        if (!rel.ok()) return rel.status();
+        versions.erase(rel->name());
+        lazy.erase(rel->name());
+        state.db.PutRelation(std::move(*rel));
+        break;
+      }
+      case WalRecordType::kDefineRule: {
+        std::string_view rule;
+        if (!in.GetString(&rule)) {
+          return CorruptWalError("malformed DEFINE record");
+        }
+        state.rules.emplace_back(rule);
+        break;
+      }
+      case WalRecordType::kPutFlock: {
+        std::string_view name;
+        std::string_view source;
+        if (!in.GetString(&name) || !in.GetString(&source)) {
+          return CorruptWalError("malformed FLOCK record");
+        }
+        state.flocks[std::string(name)] = std::string(source);
+        break;
+      }
+      case WalRecordType::kSetKnob: {
+        std::string_view key;
+        std::int64_t value;
+        if (!in.GetString(&key) || !in.GetI64(&value)) {
+          return CorruptWalError("malformed knob record");
+        }
+        state.knobs[std::string(key)] = value;
+        break;
+      }
+      case WalRecordType::kBanditOutcome: {
+        BanditOutcome outcome;
+        if (Status s = DecodeBanditOutcome(in, &outcome); !s.ok()) return s;
+        state.bandit.Record(outcome);
+        break;
+      }
+      case WalRecordType::kAppendRows:
+        if (Status s = Append(lsn, body, in); !s.ok()) return s;
+        break;
+      default:
+        return CorruptWalError("unknown WAL record type " +
+                               std::to_string(type_byte[0]));
+    }
+    if (!in.AtEnd()) {
+      return CorruptWalError("trailing bytes after WAL record body");
+    }
+    return Status::Ok();
+  }
+
+  Status Append(std::uint64_t lsn, std::string_view body, ByteReader& in) {
+    std::string_view name_view;
+    std::uint64_t base_rows = 0;
+    std::uint32_t base_check = 0;
+    if (!in.GetString(&name_view) || !in.GetU64(&base_rows) ||
+        !in.GetU32(&base_check)) {
+      return CorruptWalError("malformed append record");
+    }
+    Result<Relation> delta = DecodeRelation(in, ctx);
+    if (!delta.ok()) return delta.status();
+    const std::string name(name_view);
+    const AppendId id{lsn, Crc32c(body)};
+    // Appending this delta to any other base would build rows nobody
+    // acknowledged: unlike a torn tail, that is not truncated away.
+    auto mismatch = [&](const std::string& found) {
+      return Fatal(CorruptWalError(
+          "WAL record at LSN " + std::to_string(lsn) +
+          ": append record for relation " + name +
+          " does not match its base (logged against " +
+          std::to_string(base_rows) + " rows, found " + found + ")"));
+    };
+    if (auto lz = lazy.find(name); lz != lazy.end()) {
+      LazyStub& stub = lz->second;
+      std::vector<AppendId>& chain = versions.find(name)->second.appends;
+      if (chain.size() == stub.prev->appends.size() ||
+          stub.prev->appends[chain.size()] != id) {
+        diverged = true;
+        return Fatal(FailedPreconditionError("replay left the version of " +
+                                             name + " held before Open"));
+      }
+      // The first append's base is the sidecar. Appends keep a base's rows
+      // as the leading rows, so a later one's base is the held handle's
+      // first base_rows rows.
+      std::uint64_t found =
+          std::min<std::uint64_t>(base_rows, stub.held->size());
+      std::uint32_t check = RowCheck(stub.held->rows(), found);
+      if (chain.empty()) {
+        Result<std::vector<Tuple>> last = stub.disk->ReadLastRow();
+        if (!last.ok()) return Fatal(last.status());
+        found = stub.disk->row_count();
+        check = RowCheck(*last, last->size());
+      }
+      if (found != base_rows || check != base_check ||
+          !CheckAppendable(*stub.held, *delta).ok()) {
+        return mismatch(std::to_string(found) + " rows");
+      }
+      chain.push_back(id);
+      return Status::Ok();
+    }
+    const Relation* base = state.db.Has(name) ? &state.db.Get(name) : nullptr;
+    if (base == nullptr || base->size() != base_rows ||
+        RowCheck(base->rows(), base->size()) != base_check ||
+        !CheckAppendable(*base, *delta).ok()) {
+      return mismatch(base == nullptr ? std::string("no relation")
+                                      : std::to_string(base->size()) +
+                                            " rows");
+    }
+    Result<Relation> appended = AppendRelation(*base, *delta);
+    if (!appended.ok()) return appended.status();
+    state.db.PutRelation(std::move(*appended));
+    if (auto v = versions.find(name); v != versions.end()) {
+      v->second.appends.push_back(id);
+      v->second.rows = state.db.GetShared(name);
+    }
+    return Status::Ok();
+  }
+};
+
+// A record body: its type byte, followed by what the caller appends.
+std::string RecordBody(WalRecordType type) {
+  return std::string(1, static_cast<char>(type));
 }
 
 // Rules + flocks + knobs — everything ahead of the relation section,
@@ -327,6 +387,7 @@ Result<std::unique_ptr<Catalog>> Catalog::Open(Vfs& vfs, std::string dir,
 
   std::uint64_t snap_lsn = 0;
   std::vector<std::string> referenced_pages;
+  Replay replay{cat->state_, cat->versions_, ctx, {}};
   if (vfs.Exists(snap_path)) {
     Result<std::string> data = vfs.ReadFile(snap_path);
     if (!data.ok()) return data.status();
@@ -352,82 +413,77 @@ Result<std::unique_ptr<Catalog>> Catalog::Open(Vfs& vfs, std::string dir,
         !body.GetBytes(body.remaining(), &state_bytes)) {
       return CorruptWalError("snapshot: missing LSN in " + snap_path);
     }
-    if (!paged_layout) {
-      Result<CatalogState> state = DecodeCatalogState(state_bytes, ctx);
-      if (!state.ok()) return state.status();
-      cat->state_ = std::move(*state);
-    } else {
-      // QFSNAP02: same header, then per-relation markers; stubs resolve
-      // against their checksummed page sidecars (a missing or corrupt
-      // sidecar is a typed error — a referenced sidecar was made durable
-      // before this snapshot rotated in, so its absence is real damage).
-      ByteReader sin(state_bytes);
-      CatalogState state;
-      if (Status s = DecodeStateHeader(sin, state); !s.ok()) return s;
-      std::uint32_t n_relations = 0;
-      if (!sin.GetU32(&n_relations) || n_relations > sin.remaining()) {
-        return CorruptWalError("snapshot: bad relation count in " +
+    // QFSNAP02 is QFSNAP01 with a marker byte ahead of each relation:
+    // inline bytes, or a stub resolving against its checksummed page
+    // sidecar (a missing or corrupt sidecar is a typed error — a
+    // referenced sidecar was made durable before this snapshot rotated
+    // in, so its absence is real damage).
+    ByteReader sin(state_bytes);
+    if (Status s = DecodeStateHeader(sin, cat->state_); !s.ok()) return s;
+    std::uint32_t n_relations = 0;
+    if (!sin.GetU32(&n_relations) || n_relations > sin.remaining()) {
+      return CorruptWalError("snapshot: bad relation count in " +
+                             snap_path);
+    }
+    for (std::uint32_t i = 0; i < n_relations; ++i) {
+      if (ctx != nullptr && !ctx->Poll()) return ctx->Check();
+      std::string_view marker("\0", 1);  // QFSNAP01: inline
+      if (paged_layout && !sin.GetBytes(1, &marker)) {
+        return CorruptWalError("snapshot: missing relation marker in " +
                                snap_path);
       }
-      for (std::uint32_t i = 0; i < n_relations; ++i) {
-        if (ctx != nullptr && !ctx->Poll()) return ctx->Check();
-        std::string_view marker;
-        if (!sin.GetBytes(1, &marker)) {
-          return CorruptWalError("snapshot: missing relation marker in " +
+      if (static_cast<unsigned char>(marker[0]) == kRelInline) {
+        Result<Relation> rel = DecodeRelation(sin, ctx);
+        if (!rel.ok()) return rel.status();
+        cat->state_.db.PutRelation(std::move(*rel));
+      } else if (static_cast<unsigned char>(marker[0]) == kRelPaged) {
+        std::string_view name;
+        std::string_view file;
+        std::uint64_t rows = 0;
+        if (!sin.GetString(&name) || !sin.GetString(&file) ||
+            !sin.GetU64(&rows)) {
+          return CorruptWalError("snapshot: malformed paged stub in " +
                                  snap_path);
         }
-        if (static_cast<unsigned char>(marker[0]) == kRelInline) {
-          Result<Relation> rel = DecodeRelation(sin, ctx);
-          if (!rel.ok()) return rel.status();
-          state.db.PutRelation(std::move(*rel));
-        } else if (static_cast<unsigned char>(marker[0]) == kRelPaged) {
-          std::string_view name;
-          std::string_view file;
-          std::uint64_t rows = 0;
-          if (!sin.GetString(&name) || !sin.GetString(&file) ||
-              !sin.GetU64(&rows)) {
-            return CorruptWalError("snapshot: malformed paged stub in " +
-                                   snap_path);
+        referenced_pages.emplace_back(file);
+        Result<std::unique_ptr<DiskRelation>> disk = DiskRelation::Open(
+            vfs, cat->PagesDir() + "/" + std::string(file),
+            cat->options_.pool);
+        if (!disk.ok()) return disk.status();
+        if ((*disk)->name() != name || (*disk)->row_count() != rows) {
+          return CorruptWalError("snapshot: paged stub mismatch for " +
+                                 std::string(name));
+        }
+        // Left undecoded while the replaced catalog holds a live handle
+        // recorded at a version of this very file; adopted once replay
+        // has met that version's whole chain.
+        Version& version = cat->versions_[std::string(name)];
+        version = Version{std::string(file), {}, {}};
+        const Version* prev = nullptr;
+        if (previous != nullptr) {
+          auto it = previous->versions_.find(name);
+          if (it != previous->versions_.end() && it->second.file == file) {
+            prev = &it->second;
           }
-          referenced_pages.emplace_back(file);
-          Result<std::unique_ptr<DiskRelation>> disk = DiskRelation::Open(
-              vfs, cat->PagesDir() + "/" + std::string(file),
-              cat->options_.pool);
-          if (!disk.ok()) return disk.status();
-          if ((*disk)->name() != name || (*disk)->row_count() != rows) {
-            return CorruptWalError("snapshot: paged stub mismatch for " +
-                                   std::string(name));
-          }
-          // Adopt the handle the replaced catalog recorded for this very
-          // file, if it is still alive; otherwise decode the pages.
-          std::shared_ptr<const Relation> held;
-          if (previous != nullptr) {
-            auto it = previous->sidecars_.find(name);
-            if (it != previous->sidecars_.end() && it->second.file == file) {
-              held = it->second.rows.lock();
-            }
-          }
-          if (held != nullptr && held->size() == rows) {
-            state.db.PutRelation(std::move(held));
-            ++cat->open_info_.adopted_relations;
-          } else {
-            Result<Relation> rel = (*disk)->ReadAll(ctx);
-            if (!rel.ok()) return rel.status();
-            state.db.PutRelation(std::move(*rel));
-          }
-          cat->sidecars_[std::string(name)] = {std::string(file),
-                                               state.db.GetShared(name)};
-          ++cat->open_info_.paged_relations;
+        }
+        if (prev != nullptr && !prev->rows.expired()) {
+          replay.lazy[std::string(name)] = {std::move(*disk),
+                                            prev->rows.lock(), prev};
         } else {
-          return CorruptWalError("snapshot: unknown relation marker in " +
-                                 snap_path);
+          Result<Relation> rel = (*disk)->ReadAll(ctx);
+          if (!rel.ok()) return rel.status();
+          cat->state_.db.PutRelation(std::move(*rel));
+          version.rows = cat->state_.db.GetShared(name);
         }
+        ++cat->open_info_.paged_relations;
+      } else {
+        return CorruptWalError("snapshot: unknown relation marker in " +
+                               snap_path);
       }
-      if (!sin.AtEnd()) {
-        return CorruptWalError("snapshot: trailing bytes at byte " +
-                               std::to_string(sin.position()));
-      }
-      cat->state_ = std::move(state);
+    }
+    if (!sin.AtEnd()) {
+      return CorruptWalError("snapshot: trailing bytes at byte " +
+                             std::to_string(sin.position()));
     }
     cat->open_info_.snapshot_loaded = true;
     cat->open_info_.snapshot_lsn = snap_lsn;
@@ -457,12 +513,9 @@ Result<std::unique_ptr<Catalog>> Catalog::Open(Vfs& vfs, std::string dir,
     } else if (lsn != last_lsn + 1) {
       applied = CorruptWalError("LSN gap");
     } else {
-      bool base_mismatch = false;
-      applied = ApplyCommitBody(cat->state_, in, ctx, &base_mismatch);
-      if (base_mismatch) {
-        return CorruptWalError("WAL record at LSN " + std::to_string(lsn) +
-                               ": " + applied.message());
-      }
+      applied = replay.Commit(lsn, in);
+      if (replay.diverged) return Open(vfs, cat->dir_, ctx, options);
+      if (replay.fatal) return applied;
     }
     if (!applied.ok()) {
       if (IsGovernorAbort(applied)) return applied;
@@ -478,6 +531,18 @@ Result<std::unique_ptr<Catalog>> Catalog::Open(Vfs& vfs, std::string dir,
     bad_body_bytes += 8 + wal_read->payloads[i].size();
   }
   cat->open_info_.truncated_bytes = wal_read->dropped_bytes + bad_body_bytes;
+  for (auto& [name, stub] : replay.lazy) {
+    Version& version = cat->versions_.find(name)->second;
+    if (version.appends.size() != stub.prev->appends.size() ||
+        (version.appends.empty() &&
+         stub.held->size() != stub.disk->row_count())) {
+      return Open(vfs, cat->dir_, ctx, options);  // replay stopped short
+    }
+    cat->state_.db.PutRelation(stub.held);
+    version.rows = stub.held;
+    ++cat->open_info_.adopted_relations;
+    cat->open_info_.appends_adopted += version.appends.size();
+  }
   cat->next_lsn_ = last_lsn + 1;
 
   cat->wal_ = std::make_unique<WalWriter>(vfs, wal_path, &cat->stats_);
@@ -497,10 +562,10 @@ Result<std::unique_ptr<Catalog>> Catalog::Open(Vfs& vfs, std::string dir,
   // and temp spill files of statements a dead process never finished.
   cat->SweepOrphans(referenced_pages, /*sweep_spill=*/true);
 
-  cat->open_info_.replay_ms = MsSince(t0);
+  cat->stats_.replay_ns = MetricsNowNs() - t0;
+  cat->open_info_.replay_ms = static_cast<double>(cat->stats_.replay_ns) / 1e6;
   cat->stats_.replayed_records = cat->open_info_.replayed_records;
   cat->stats_.truncated_bytes = cat->open_info_.truncated_bytes;
-  cat->stats_.replay_ns = MetricsNowNs() - t0;
   return cat;
 }
 
@@ -556,10 +621,10 @@ Status Catalog::Commit(const std::vector<std::string>& bodies,
   // must follow unconditionally.
   ByteReader in(payload);
   std::uint64_t lsn = 0;
-  bool base_mismatch = false;
-  Status applied =
-      in.GetU64(&lsn) ? ApplyCommitBody(state_, in, nullptr, &base_mismatch)
-                      : CorruptWalError("self-encoded commit too short");
+  Replay replay{state_, versions_, nullptr, {}};
+  Status applied = in.GetU64(&lsn)
+                       ? replay.Commit(lsn, in)
+                       : CorruptWalError("self-encoded commit too short");
   if (!applied.ok()) {
     return Latch(InternalError("logged commit failed to apply: " +
                                applied.ToString()));
@@ -579,9 +644,9 @@ Status Catalog::PutRelations(const std::vector<const Relation*>& rels,
     if (rel->name().empty()) {
       return InvalidArgumentError("cannot persist an unnamed relation");
     }
-    Status encode_status;
-    bodies.push_back(RelationBody(*rel, ctx, &encode_status));
-    if (!encode_status.ok()) return encode_status;  // governor abort
+    bodies.push_back(RecordBody(WalRecordType::kPutRelation));
+    Status s = EncodeRelation(*rel, bodies.back(), ctx);
+    if (!s.ok()) return s;  // governor abort
   }
   return Commit(bodies, ctx);
 }
@@ -595,41 +660,36 @@ Status Catalog::AppendRows(const std::string& name, const Relation& delta,
   const Relation& base = state_.db.Get(name);
   // Refused before logging: a logged record that cannot apply latches.
   if (Status s = CheckAppendable(base, delta); !s.ok()) return s;
-  std::string body;
-  body.push_back(static_cast<char>(WalRecordType::kAppendRows));
+  std::string body = RecordBody(WalRecordType::kAppendRows);
   PutString(body, name);
   PutU64(body, static_cast<std::uint64_t>(base.size()));
-  PutU32(body, BaseCheck(base));
+  PutU32(body, RowCheck(base.rows(), base.size()));
   if (Status s = EncodeRelation(delta, body, ctx); !s.ok()) return s;
   return Commit({std::move(body)}, ctx);
 }
 
 Status Catalog::DefineRule(const std::string& rule_text) {
-  std::string body;
-  body.push_back(static_cast<char>(WalRecordType::kDefineRule));
+  std::string body = RecordBody(WalRecordType::kDefineRule);
   PutString(body, rule_text);
   return Commit({std::move(body)}, nullptr);
 }
 
 Status Catalog::PutFlock(const std::string& name, const std::string& source) {
-  std::string body;
-  body.push_back(static_cast<char>(WalRecordType::kPutFlock));
+  std::string body = RecordBody(WalRecordType::kPutFlock);
   PutString(body, name);
   PutString(body, source);
   return Commit({std::move(body)}, nullptr);
 }
 
 Status Catalog::SetKnob(const std::string& key, std::int64_t value) {
-  std::string body;
-  body.push_back(static_cast<char>(WalRecordType::kSetKnob));
+  std::string body = RecordBody(WalRecordType::kSetKnob);
   PutString(body, key);
   PutI64(body, value);
   return Commit({std::move(body)}, nullptr);
 }
 
 Status Catalog::RecordBanditOutcome(const BanditOutcome& outcome) {
-  std::string body;
-  body.push_back(static_cast<char>(WalRecordType::kBanditOutcome));
+  std::string body = RecordBody(WalRecordType::kBanditOutcome);
   EncodeBanditOutcome(outcome, body);
   return Commit({std::move(body)}, nullptr);
 }
@@ -651,33 +711,25 @@ Status Catalog::Checkpoint(QueryContext* ctx) {
     }
   }
 
-  std::string payload;
-  PutU64(payload, snap_lsn);
-  std::string_view magic = kSnapshotMagic;
   std::vector<std::string> referenced;
-  std::map<std::string, Sidecar, std::less<>> next;  // the new sidecars_
+  std::map<std::string, Version, std::less<>> next;  // the new versions_
   std::uint64_t written = 0;
-  if (paged.empty()) {
-    // All inline: the QFSNAP01 layout, byte-identical to earlier builds.
-    Result<std::string> state_bytes = EncodeCatalogState(state_, ctx);
-    if (!state_bytes.ok()) return state_bytes.status();  // governor abort
-    payload += *state_bytes;
-  } else {
-    magic = kSnapshotMagic2;
-    // A relation still at the version its recorded sidecar holds keeps
-    // that file. Changed ones get new sidecars first: every new page file
-    // is written and fsynced, then the pages directory entry is fsynced,
-    // all BEFORE the snapshot that references them rotates in. A crash
-    // anywhere in between leaves the old snapshot pointing at old (still
-    // present) sidecars; the new files are unreferenced orphans swept at
-    // the next Open. Like the snapshot rotation itself, a failure here
-    // latches nothing — the old snapshot and the whole WAL are intact, so
-    // a retry is safe.
+  if (!paged.empty()) {
+    // A relation whose version record is its sidecar alone (no appends)
+    // at an unchanged handle keeps that file. Changed ones get new
+    // sidecars first: every new page file is written and fsynced, then
+    // the pages directory entry is fsynced, all BEFORE the snapshot that
+    // references them rotates in. A crash anywhere in between leaves the
+    // old snapshot pointing at old (still present) sidecars; the new
+    // files are unreferenced orphans swept at the next Open. Like the
+    // snapshot rotation itself, a failure here latches nothing — the old
+    // snapshot and the whole WAL are intact, so a retry is safe.
     if (Status s = vfs_.CreateDirs(PagesDir()); !s.ok()) return s;
     for (const std::string& name : paged) {
       std::shared_ptr<const Relation> rel = state_.db.GetShared(name);
-      auto it = sidecars_.find(name);
-      if (it != sidecars_.end() && !it->second.rows.owner_before(rel) &&
+      auto it = versions_.find(name);
+      if (it != versions_.end() && it->second.appends.empty() &&
+          !it->second.rows.owner_before(rel) &&
           !rel.owner_before(it->second.rows)) {
         next.emplace(name, it->second);
         continue;
@@ -687,31 +739,38 @@ Status Catalog::Checkpoint(QueryContext* ctx) {
       Result<PagedWriteInfo> w =
           WritePagedRelation(vfs_, PagesDir() + "/" + file, *rel, ctx);
       if (!w.ok()) return w.status();
-      next.emplace(name, Sidecar{file, rel});
+      next.emplace(name, Version{file, {}, rel});
       ++written;
     }
     if (written > 0) {
       if (Status s = vfs_.SyncDir(PagesDir()); !s.ok()) return s;
       stats_.fsyncs += written + 1;
     }
-    for (const auto& [name, sidecar] : next) referenced.push_back(sidecar.file);
+    for (const auto& [name, version] : next) referenced.push_back(version.file);
+  }
 
-    EncodeStateHeader(state_, payload);
-    PutU32(payload, static_cast<std::uint32_t>(names.size()));
-    for (const std::string& name : names) {
-      if (ctx != nullptr && !ctx->Poll()) return ctx->Check();
-      const Relation& rel = state_.db.Get(name);
-      if (paged.count(name) != 0) {
-        payload.push_back(static_cast<char>(kRelPaged));
-        PutString(payload, name);
-        PutString(payload, next.at(name).file);
-        PutU64(payload, static_cast<std::uint64_t>(rel.size()));
-      } else {
-        payload.push_back(static_cast<char>(kRelInline));
-        if (Status s = EncodeRelation(rel, payload, ctx); !s.ok()) return s;
-      }
+  // All inline, this is the QFSNAP01 layout, byte-identical to
+  // EncodeCatalogState and earlier builds; QFSNAP02 puts a marker byte
+  // ahead of each relation.
+  std::string payload;
+  PutU64(payload, snap_lsn);
+  EncodeStateHeader(state_, payload);
+  PutU32(payload, static_cast<std::uint32_t>(names.size()));
+  for (const std::string& name : names) {
+    if (ctx != nullptr && !ctx->Poll()) return ctx->Check();
+    const Relation& rel = state_.db.Get(name);
+    if (paged.count(name) != 0) {
+      payload.push_back(static_cast<char>(kRelPaged));
+      PutString(payload, name);
+      PutString(payload, next.at(name).file);
+      PutU64(payload, static_cast<std::uint64_t>(rel.size()));
+    } else {
+      if (!paged.empty()) payload.push_back(static_cast<char>(kRelInline));
+      if (Status s = EncodeRelation(rel, payload, ctx); !s.ok()) return s;
     }
   }
+  const std::string_view magic =
+      paged.empty() ? kSnapshotMagic : kSnapshotMagic2;
 
   std::string file_bytes;
   file_bytes.reserve(magic.size() + kFrameHeaderBytes + payload.size());
@@ -728,7 +787,7 @@ Status Catalog::Checkpoint(QueryContext* ctx) {
   }
   stats_.fsyncs += 2;  // AtomicWriteFile: file sync + dir sync
   // The snapshot naming these sidecars is the durable one now.
-  sidecars_ = std::move(next);
+  versions_ = std::move(next);
   // Only now, with the snapshot durable, may the log shrink. A crash
   // in between replays stale records, which LSN skipping neutralizes.
   // The reset is an atomic rewrite, so a failure cannot tear the log —
@@ -743,7 +802,7 @@ Status Catalog::Checkpoint(QueryContext* ctx) {
   SweepOrphans(referenced, /*sweep_spill=*/false);
   ++stats_.snapshots;
   stats_.sidecars_written += written;
-  stats_.sidecars_kept += sidecars_.size() - written;
+  stats_.sidecars_kept += versions_.size() - written;
   stats_.snapshot_bytes += file_bytes.size();
   stats_.snapshot_ns += MetricsNowNs() - t0;
   return Status::Ok();

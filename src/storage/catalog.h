@@ -49,6 +49,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/resource.h"
@@ -113,6 +114,7 @@ class Catalog {
     std::uint64_t truncated_bytes = 0;   // torn/corrupt tail dropped
     std::uint64_t paged_relations = 0;   // stubs resolved from page files
     std::uint64_t adopted_relations = 0; // ...of which `previous` held
+    std::uint64_t appends_adopted = 0;   // append records not replayed
     std::uint64_t orphans_removed = 0;   // stale page + spill files swept
     double replay_ms = 0.0;
   };
@@ -126,13 +128,20 @@ class Catalog {
   //
   // `previous` (nullable) is the catalog of the same directory and Vfs
   // that this one replaces. Every paged stub's sidecar is opened and its
-  // footer, directory, name and row count are checked as always; but when
-  // `previous` recorded that very file for a relation handle that is
-  // still alive, the new state adopts that handle instead of decoding the
-  // pages (ReadAll). The rows are the ones the file was written from or
-  // read into, so this is the trust the buffer pool already extends to a
-  // cached page. Adopted rows allocate nothing, so nothing is charged to
-  // `ctx` for them. A catalog of another directory or Vfs is ignored.
+  // footer, directory, name and row count are checked as always, but its
+  // pages are decoded (ReadAll) only when the rows are needed. When
+  // `previous` holds a live handle whose version record names the same
+  // file and the same append records (LSN and CRC each) that replay meets
+  // on top of it, the new state adopts that handle: neither the sidecar
+  // nor the appends are decoded onto it. Each such append's base is still
+  // checked — the first against the footer and the sidecar's last row
+  // (DiskRelation::ReadLastRow), later ones against the held handle,
+  // whose leading rows are every earlier version's — so a mismatched base
+  // fails with CORRUPT_WAL as in a fresh Open. Any other record on that
+  // relation, or a chain that stops short, makes Open start over without
+  // `previous`: the path a fresh session takes. Adopted rows allocate
+  // nothing, so nothing is charged to `ctx` for them. A catalog of
+  // another directory or Vfs is ignored.
   static Result<std::unique_ptr<Catalog>> Open(
       Vfs& vfs, std::string dir, QueryContext* ctx = nullptr,
       CatalogOptions options = {}, const Catalog* previous = nullptr);
@@ -172,12 +181,11 @@ class Catalog {
   // ENOSPC here is retryable.
   //
   // A page sidecar is write-once and belongs to one relation version: a
-  // paged relation whose handle is the one its recorded sidecar holds
-  // (read by Open, or written by an earlier Checkpoint of this catalog)
-  // keeps that file — the new snapshot names it again, nothing is
-  // written or synced for it, and the sweep spares it. Only changed
-  // relations get new sidecars. A kept file is durable and named by both
-  // the old and the new snapshot, so no crash point loses it.
+  // paged relation whose version record holds no appends and whose handle
+  // is unchanged keeps its file — the new snapshot names it again,
+  // nothing is written or synced for it, and the sweep spares it. Only
+  // changed relations get new sidecars. A kept file is durable and named
+  // by both the old and the new snapshot, so no crash point loses it.
   Status Checkpoint(QueryContext* ctx = nullptr);
 
   // --- inspection ---
@@ -194,6 +202,22 @@ class Catalog {
   std::string PagesDir() const { return dir_ + "/pages"; }
   // Directory the shell points spill grants at for this catalog.
   std::string SpillDir() const { return dir_ + "/spill"; }
+
+  // Per relation built from a page sidecar, "this handle is the relation
+  // at version V": V is the sidecar `file` under PagesDir() that the
+  // current snapshot names, followed by the append records applied on top
+  // of it since, each identified by its LSN and the CRC32C of its record
+  // body. `rows` is the state_.db handle at that version (a weak_ptr
+  // compared by owner, so a reused address never matches). Open records
+  // one for every paged stub, a commit's append extends it, a put drops
+  // it, and Checkpoint replaces them all with the sidecars its snapshot
+  // names. Checkpoint keeps a file, and a later Open adopts a handle, only
+  // on this record.
+  struct Version {
+    std::string file;
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> appends;
+    std::weak_ptr<const Relation> rows;
+  };
 
  private:
   Catalog(Vfs& vfs, std::string dir, CatalogOptions options);
@@ -212,17 +236,7 @@ class Catalog {
   std::string dir_;
   CatalogOptions options_;
   CatalogState state_;
-  // Per paged relation, the sidecar under PagesDir() that the current
-  // snapshot names and the state_.db handle whose rows it holds (a
-  // weak_ptr compared by owner, so a reused address never matches).
-  // Recorded only when Open builds a relation from its sidecar and when
-  // Checkpoint's snapshot naming a sidecar has rotated in — never for a
-  // relation from the WAL, an inline snapshot or a commit.
-  struct Sidecar {
-    std::string file;
-    std::weak_ptr<const Relation> rows;
-  };
-  std::map<std::string, Sidecar, std::less<>> sidecars_;
+  std::map<std::string, Version, std::less<>> versions_;  // by relation
   std::unique_ptr<WalWriter> wal_;
   std::uint64_t next_lsn_ = 1;
   StorageStats stats_;

@@ -219,15 +219,23 @@ Result<std::unique_ptr<DiskRelation>> DiskRelation::Open(Vfs& vfs,
   return rel;
 }
 
+Result<std::string_view> DiskRelation::ReadFrame(std::size_t index,
+                                                 std::string* framed) const {
+  const PageEntry& e = pages_[index];
+  Result<std::string> bytes = vfs_->ReadAt(path_, e.offset, e.stored_len);
+  if (!bytes.ok()) return bytes.status();
+  if (bytes->size() != e.stored_len) {
+    return IoError("paged relation: short page read in " + path_);
+  }
+  *framed = std::move(*bytes);
+  return ParseFramed(*framed, path_, "page");
+}
+
 Result<std::shared_ptr<const RelationPage>> DiskRelation::FetchPage(
     std::size_t index) const {
   const PageEntry& e = pages_[index];
-  Result<std::string> framed = vfs_->ReadAt(path_, e.offset, e.stored_len);
-  if (!framed.ok()) return framed.status();
-  if (framed->size() != e.stored_len) {
-    return IoError("paged relation: short page read in " + path_);
-  }
-  Result<std::string_view> payload = ParseFramed(*framed, path_, "page");
+  std::string framed;
+  Result<std::string_view> payload = ReadFrame(index, &framed);
   if (!payload.ok()) return payload.status();
 
   ByteReader in(*payload);
@@ -290,6 +298,33 @@ Status DiskRelation::Scan(const std::function<Status(const Tuple&)>& fn,
     }
   }
   return Status::Ok();
+}
+
+Result<std::vector<Tuple>> DiskRelation::ReadLastRow() const {
+  std::vector<Tuple> last;
+  if (row_count_ == 0) return last;
+  if (pages_.empty()) {
+    return IoError("paged relation: rows but no pages in " + path_);
+  }
+  std::string framed;
+  Result<std::string_view> payload = ReadFrame(pages_.size() - 1, &framed);
+  if (!payload.ok()) return payload.status();
+  ByteReader in(*payload);
+  std::uint32_t n_rows = 0;
+  bool ok = in.GetU32(&n_rows) && n_rows > 0 &&
+            n_rows == row_count_ - pages_.back().first_row;
+  last.emplace_back();
+  // Columnar: each column's last value ends its run of n_rows values.
+  for (std::size_t c = 0; ok && c < schema_.arity(); ++c) {
+    for (std::uint32_t r = 1; ok && r < n_rows; ++r) ok = in.SkipValue();
+    Value v;
+    ok = ok && in.GetValue(&v);
+    last.back().push_back(std::move(v));
+  }
+  if (!ok || !in.AtEnd()) {
+    return IoError("paged relation: malformed last page in " + path_);
+  }
+  return last;
 }
 
 Result<Relation> DiskRelation::ReadAll(QueryContext* ctx) const {

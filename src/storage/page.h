@@ -103,6 +103,10 @@ class DiskRelation {
   // for the output like any operator; the caller owns the bytes.
   Result<Relation> ReadAll(QueryContext* ctx = nullptr) const;
 
+  // The last row (none for an empty relation), read from the verified
+  // last page without building its other rows; bypasses the pool.
+  Result<std::vector<Tuple>> ReadLastRow() const;
+
  private:
   struct PageEntry {
     std::uint64_t offset = 0;     // file offset of the frame header
@@ -116,6 +120,10 @@ class DiskRelation {
   // Reads page `index` from disk, bypassing the pool.
   Result<std::shared_ptr<const RelationPage>> FetchPage(
       std::size_t index) const;
+  // Reads page `index`'s frame into `*framed` and verifies it; returns
+  // the payload: the u32 row count, then the columns.
+  Result<std::string_view> ReadFrame(std::size_t index,
+                                     std::string* framed) const;
 
   Vfs* vfs_;
   std::string path_;

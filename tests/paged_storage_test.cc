@@ -70,6 +70,9 @@ TEST(PagedRelationTest, RoundTripSinglePage) {
   Result<Relation> back = (*disk)->ReadAll();
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ(back->rows(), original.rows());
+  Result<std::vector<Tuple>> last = (*disk)->ReadLastRow();
+  ASSERT_TRUE(last.ok()) << last.status().ToString();
+  EXPECT_EQ(*last, std::vector<Tuple>{original.rows().back()});
 }
 
 TEST(PagedRelationTest, RoundTripManyPagesPreservesRowOrder) {
@@ -88,6 +91,10 @@ TEST(PagedRelationTest, RoundTripManyPagesPreservesRowOrder) {
   Result<Relation> back = (*disk)->ReadAll();
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->rows(), original.rows());
+  // The last row comes from the last page alone.
+  Result<std::vector<Tuple>> last = (*disk)->ReadLastRow();
+  ASSERT_TRUE(last.ok()) << last.status().ToString();
+  EXPECT_EQ(*last, std::vector<Tuple>{original.rows().back()});
 
   // Scan streams the same rows in the same order.
   std::vector<Tuple> scanned;
@@ -111,6 +118,9 @@ TEST(PagedRelationTest, RoundTripEmptyRelation) {
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->size(), 0u);
   EXPECT_EQ(back->schema().columns(), (std::vector<std::string>{"X", "Y"}));
+  Result<std::vector<Tuple>> last = (*disk)->ReadLastRow();
+  ASSERT_TRUE(last.ok()) << last.status().ToString();
+  EXPECT_TRUE(last->empty());
 }
 
 TEST(PagedRelationTest, CorruptPageByteIsTypedIoError) {
@@ -135,6 +145,19 @@ TEST(PagedRelationTest, CorruptPageByteIsTypedIoError) {
       << page.status().ToString();
   Result<Relation> all = (*disk)->ReadAll();
   EXPECT_FALSE(all.ok());
+
+  // The same flip in a one-page file fails ReadLastRow the same way.
+  ASSERT_TRUE(
+      WritePagedRelation(vfs, "one.qfp", BuildRelation("one", 10)).ok());
+  Result<std::string> one = vfs.ReadFile("one.qfp");
+  ASSERT_TRUE(one.ok());
+  std::string flipped = *one;
+  flipped[kPageMagicLen + 12] ^= 0x40;
+  RewriteFile(vfs, "one.qfp", flipped);
+  Result<std::unique_ptr<DiskRelation>> one_disk =
+      DiskRelation::Open(vfs, "one.qfp");
+  ASSERT_TRUE(one_disk.ok()) << one_disk.status().ToString();
+  EXPECT_EQ((*one_disk)->ReadLastRow().status().code(), StatusCode::kIoError);
 }
 
 TEST(PagedRelationTest, TruncationsFailCleanlyAtOpen) {
@@ -266,16 +289,28 @@ TEST(PagedCatalogTest, CrashAtEveryCheckpointOpRecoversExactState) {
   // durable view must recover to exactly the acknowledged state. The
   // second sweep crashes a *reusing* checkpoint: `keep` is unchanged
   // since the first checkpoint, so its sidecar is named again, and no
-  // crash point may lose or sweep it.
-  for (bool reusing : {false, true}) {
+  // crash point may lose or sweep it. The third crashes the same
+  // checkpoint run by the catalog of an adopting re-OPEN, whose version
+  // records came from the replaced catalog's.
+  for (int mode : {0, 1, 2}) {
+    const bool reusing = mode > 0;
     // Everything up to the checkpoint under test; returns the sidecar a
     // reusing checkpoint keeps ("" for the first).
-    auto prepare = [&](Catalog& cat, Vfs& vfs) -> std::string {
-      EXPECT_TRUE(cat.PutRelation(BuildRelation("big", 300)).ok());
+    auto prepare = [&](std::unique_ptr<Catalog>& cat, Vfs& vfs) -> std::string {
+      EXPECT_TRUE(cat->PutRelation(BuildRelation("big", 300)).ok());
       if (!reusing) return "";
-      EXPECT_TRUE(cat.PutRelation(BuildRelation("keep", 200)).ok());
-      EXPECT_TRUE(cat.Checkpoint().ok());
-      EXPECT_TRUE(cat.AppendRows("big", BuildRelation("big", 310)).ok());
+      EXPECT_TRUE(cat->PutRelation(BuildRelation("keep", 200)).ok());
+      EXPECT_TRUE(cat->Checkpoint().ok());
+      EXPECT_TRUE(cat->AppendRows("big", BuildRelation("big", 310)).ok());
+      if (mode == 2) {
+        Result<std::unique_ptr<Catalog>> again =
+            Catalog::Open(vfs, "db", nullptr, PageEverything(), cat.get());
+        EXPECT_TRUE(again.ok()) << again.status().ToString();
+        if (!again.ok()) return "";
+        EXPECT_EQ((*again)->open_info().adopted_relations, 2u);
+        EXPECT_EQ((*again)->open_info().appends_adopted, 1u);
+        cat = std::move(*again);
+      }
       for (const std::string& f : PageFiles(vfs)) {
         if (f.rfind("keep.", 0) == 0) return f;
       }
@@ -288,7 +323,7 @@ TEST(PagedCatalogTest, CrashAtEveryCheckpointOpRecoversExactState) {
       Result<std::unique_ptr<Catalog>> cat =
           Catalog::Open(fault, "db", nullptr, PageEverything());
       ASSERT_TRUE(cat.ok());
-      prepare(**cat, fault);
+      prepare(*cat, fault);
       std::uint64_t before = fault.op_count();
       ASSERT_TRUE((*cat)->Checkpoint().ok());
       checkpoint_ops = fault.op_count() - before;
@@ -305,7 +340,7 @@ TEST(PagedCatalogTest, CrashAtEveryCheckpointOpRecoversExactState) {
         Result<std::unique_ptr<Catalog>> cat =
             Catalog::Open(fault, "db", nullptr, PageEverything());
         ASSERT_TRUE(cat.ok());
-        kept = prepare(**cat, fault);
+        kept = prepare(*cat, fault);
         ASSERT_EQ(kept.empty(), !reusing);
         Result<std::string> enc = EncodeCatalogState((*cat)->state());
         ASSERT_TRUE(enc.ok());
@@ -400,21 +435,26 @@ TEST(PagedCatalogTest, OpenAdoptsOnlyWhatThePreviousCatalogRecorded) {
   ASSERT_TRUE(cat.ok()) << cat.status().ToString();
   ASSERT_TRUE((*cat)->PutRelation(BuildRelation("big", 300)).ok());
   ASSERT_TRUE((*cat)->PutRelation(BuildRelation("other", 40)).ok());
+  ASSERT_TRUE((*cat)->PutRelation(BuildRelation("redone", 30)).ok());
   ASSERT_TRUE((*cat)->Checkpoint().ok());
   ASSERT_TRUE((*cat)->AppendRows("big", BuildRelation("big", 305)).ok());
+  ASSERT_TRUE((*cat)->PutRelation(BuildRelation("redone", 20)).ok());
 
-  // `other` is held at the version its sidecar holds; `big`'s sidecar
-  // version is gone (the append replaced it), so it is read and the WAL
-  // append replays onto it.
+  // `other` is held at the version its sidecar holds, and `big` at its
+  // sidecar plus the append the WAL replays onto it: both are adopted.
+  // The put dropped `redone`'s record, so it comes from the WAL.
   Result<std::unique_ptr<Catalog>> again =
       Catalog::Open(vfs, "db", nullptr, PageEverything(), cat->get());
   ASSERT_TRUE(again.ok()) << again.status().ToString();
-  EXPECT_EQ((*again)->open_info().paged_relations, 2u);
-  EXPECT_EQ((*again)->open_info().adopted_relations, 1u);
+  EXPECT_EQ((*again)->open_info().paged_relations, 3u);
+  EXPECT_EQ((*again)->open_info().adopted_relations, 2u);
+  EXPECT_EQ((*again)->open_info().appends_adopted, 1u);
   EXPECT_EQ((*again)->state().db.GetShared("other"),
             (*cat)->state().db.GetShared("other"));
-  EXPECT_NE((*again)->state().db.GetShared("big"),
+  EXPECT_EQ((*again)->state().db.GetShared("big"),
             (*cat)->state().db.GetShared("big"));
+  EXPECT_NE((*again)->state().db.GetShared("redone"),
+            (*cat)->state().db.GetShared("redone"));
   Result<std::string> want = EncodeCatalogState((*cat)->state());
   Result<std::string> got = EncodeCatalogState((*again)->state());
   ASSERT_TRUE(want.ok() && got.ok());
@@ -437,6 +477,104 @@ TEST(PagedCatalogTest, OpenAdoptsOnlyWhatThePreviousCatalogRecorded) {
       Catalog::Open(vfs, "copy", nullptr, PageEverything(), again->get());
   ASSERT_TRUE(copy.ok()) << copy.status().ToString();
   EXPECT_EQ((*copy)->open_info().adopted_relations, 0u);
+}
+
+// The history both tests below replay in `dir`: `base` paged by a
+// checkpoint, then `delta` appended to it.
+std::unique_ptr<Catalog> AppendedCatalog(Vfs& vfs, const std::string& dir,
+                                         const Relation& base,
+                                         const Relation& delta) {
+  Result<std::unique_ptr<Catalog>> cat =
+      Catalog::Open(vfs, dir, nullptr, PageEverything());
+  EXPECT_TRUE(cat.ok()) << cat.status().ToString();
+  if (!cat.ok()) return nullptr;
+  EXPECT_TRUE((*cat)->PutRelation(base).ok());
+  EXPECT_TRUE((*cat)->Checkpoint().ok());
+  EXPECT_TRUE((*cat)->AppendRows(base.name(), delta).ok());
+  return std::move(*cat);
+}
+
+void CopyFile(Vfs& vfs, const std::string& from, const std::string& to) {
+  Result<std::string> bytes = vfs.ReadFile(from);
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+  RewriteFile(vfs, to, *bytes);
+}
+
+TEST(PagedCatalogTest, RewrittenAppendRecordIsDecodedNotAdopted) {
+  MemVfs vfs;
+  std::unique_ptr<Catalog> cat = AppendedCatalog(
+      vfs, "db", BuildRelation("big", 300), BuildRelation("big", 305));
+  ASSERT_NE(cat, nullptr);
+  // The same LSNs with another delta: the frame's CRC is valid, but the
+  // record is not the one the held handle was built from.
+  std::unique_ptr<Catalog> alt = AppendedCatalog(
+      vfs, "alt", BuildRelation("big", 300), BuildRelation("big", 303));
+  ASSERT_NE(alt, nullptr);
+  CopyFile(vfs, "alt/catalog.wal", "db/catalog.wal");
+
+  Result<std::unique_ptr<Catalog>> again =
+      Catalog::Open(vfs, "db", nullptr, PageEverything(), cat.get());
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ((*again)->open_info().paged_relations, 1u);
+  EXPECT_EQ((*again)->open_info().adopted_relations, 0u);
+  EXPECT_EQ((*again)->open_info().appends_adopted, 0u);
+  EXPECT_EQ((*again)->state().db.Get("big").size(), 303u);
+  Result<std::unique_ptr<Catalog>> fresh =
+      Catalog::Open(vfs, "db", nullptr, PageEverything());
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  Result<std::string> want = EncodeCatalogState((*fresh)->state());
+  Result<std::string> got = EncodeCatalogState((*again)->state());
+  ASSERT_TRUE(want.ok() && got.ok());
+  EXPECT_EQ(*got, *want);
+}
+
+TEST(PagedCatalogTest, ChainThatStopsShortIsNotAdopted) {
+  MemVfs vfs;
+  std::unique_ptr<Catalog> cat = AppendedCatalog(
+      vfs, "db", BuildRelation("big", 300), BuildRelation("big", 305));
+  ASSERT_NE(cat, nullptr);
+  ASSERT_TRUE(cat->AppendRows("big", BuildRelation("big", 310)).ok());
+  // A torn tail drops the second append: the held handle is a version
+  // replay does not reach.
+  Result<std::string> wal = vfs.ReadFile("db/catalog.wal");
+  ASSERT_TRUE(wal.ok());
+  RewriteFile(vfs, "db/catalog.wal", wal->substr(0, wal->size() - 1));
+
+  Result<std::unique_ptr<Catalog>> again =
+      Catalog::Open(vfs, "db", nullptr, PageEverything(), cat.get());
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ((*again)->open_info().adopted_relations, 0u);
+  EXPECT_GT((*again)->open_info().truncated_bytes, 0u);
+  EXPECT_EQ((*again)->state().db.Get("big").size(), 305u);
+}
+
+TEST(PagedCatalogTest, SwappedSidecarFailsAdoptingOpenLikeAFreshOpen) {
+  MemVfs vfs;
+  std::unique_ptr<Catalog> cat = AppendedCatalog(
+      vfs, "db", BuildRelation("big", 300), BuildRelation("big", 305));
+  ASSERT_NE(cat, nullptr);
+  // Another version of `big` with the same row count, name and file
+  // name: the footer and stub checks pass, the append's base check not.
+  Relation other("big", Schema({"A", "B", "C"}));
+  for (int i = 1; i <= 300; ++i) {
+    other.AddRow({Value(i), Value("swapped"), Value(0.5)});
+  }
+  std::unique_ptr<Catalog> alt =
+      AppendedCatalog(vfs, "alt", other, BuildRelation("big", 305));
+  ASSERT_NE(alt, nullptr);
+  const std::vector<std::string> files = PageFiles(vfs);
+  ASSERT_EQ(files.size(), 1u);
+  CopyFile(vfs, "alt/pages/" + files[0], "db/pages/" + files[0]);
+
+  Result<std::unique_ptr<Catalog>> again =
+      Catalog::Open(vfs, "db", nullptr, PageEverything(), cat.get());
+  Result<std::unique_ptr<Catalog>> fresh =
+      Catalog::Open(vfs, "db", nullptr, PageEverything());
+  ASSERT_FALSE(again.ok());
+  ASSERT_FALSE(fresh.ok());
+  EXPECT_EQ(again.status().code(), StatusCode::kCorruptWal)
+      << again.status().ToString();
+  EXPECT_EQ(again.status().ToString(), fresh.status().ToString());
 }
 
 TEST(PagedCatalogTest, ReopenThroughBufferPoolPopulatesCache) {
@@ -516,9 +654,10 @@ std::string GenBig(const std::string& name, int seed, int baskets = 3000) {
 }
 
 // Appends one new basket row to relation `name` through a TSV file.
-void AppendOneRow(Shell& shell, MemVfs& vfs, const std::string& name) {
+void AppendOneRow(Shell& shell, MemVfs& vfs, const std::string& name,
+                  int basket = 1000000) {
   Relation delta(name, Schema({"BID", "Item"}));
-  delta.AddRow({Value(1000000), Value("item_new")});
+  delta.AddRow({Value(basket), Value("item_new")});
   ASSERT_TRUE(StoreTsv(delta, "delta.tsv", &vfs).ok());
   MustRun(shell, "LOAD " + name + " APPEND FROM delta.tsv");
 }
@@ -567,9 +706,9 @@ TEST(PagedShellTest, ReopenAdoptsHeldRelationsAndMatchesAFreshOpen) {
   EXPECT_NE(explain.find("paged_adopted=2 paged_read=0"), std::string::npos)
       << explain;
 
-  // The append replaces `a`, but a0 keeps the version its sidecar holds
-  // alive: OPEN adopts it and replays the append onto it, which builds a
-  // new relation. `b` is adopted as it is.
+  // The append replaces `a`: OPEN adopts the appended handle the session
+  // holds, whose statistics no statement has computed yet. `b` is adopted
+  // as it is.
   AppendOneRow(shell, vfs, "a");
   opened = MustRun(shell, "OPEN db");
   EXPECT_NE(opened.find("paged: 2 relations from page files (2 adopted)"),
@@ -587,6 +726,55 @@ TEST(PagedShellTest, ReopenAdoptsHeldRelationsAndMatchesAFreshOpen) {
   EXPECT_NE(opened.find("(0 adopted)"), std::string::npos) << opened;
   EXPECT_EQ(ResultBody(MustRun(fresh, "RUN pairs LIMIT 10000")), answers);
   EXPECT_EQ(EncodedState(fresh), EncodedState(shell));
+}
+
+TEST(PagedShellTest, ReopensAfterAppendsAdoptAndMatchAFreshOpen) {
+  MemVfs vfs;
+  Shell shell;
+  shell.set_vfs(&vfs);
+  MustRun(shell, "OPEN db");
+  MustRun(shell, GenBig("a", 7));
+  MustRun(shell, GenBig("b", 8));
+  MustRun(shell,
+          "FLOCK pairs QUERY answer(B) :- a(B,$1) AND b(B,$2) "
+          "AND $1 < $2 FILTER COUNT >= 40");
+  MustRun(shell, "CHECKPOINT");
+  // Two appends, each followed by a re-OPEN, before any CHECKPOINT: each
+  // re-OPEN adopts the appended handle the session holds, decoding
+  // neither the sidecar nor the appends onto it.
+  for (int round = 1; round <= 2; ++round) {
+    AppendOneRow(shell, vfs, "a", 1000000 + round);
+    std::shared_ptr<const Relation> a = shell.database().GetShared("a");
+    std::string opened = MustRun(shell, "OPEN db");
+    EXPECT_NE(opened.find("paged: 2 relations from page files (2 adopted)"),
+              std::string::npos)
+        << opened;
+    EXPECT_EQ(shell.database().GetShared("a"), a);
+    std::string explain = MustRun(shell, "EXPLAIN ANALYZE pairs PLAN");
+    EXPECT_NE(explain.find("paged_adopted=2 paged_read=0 appends_adopted=" +
+                           std::to_string(round)),
+              std::string::npos)
+        << explain;
+  }
+  const std::string answers =
+      ResultBody(MustRun(shell, "RUN pairs LIMIT 10000"));
+
+  Shell fresh;
+  fresh.set_vfs(&vfs);
+  std::string opened = MustRun(fresh, "OPEN db");
+  EXPECT_NE(opened.find("(0 adopted)"), std::string::npos) << opened;
+  EXPECT_EQ(ResultBody(MustRun(fresh, "RUN pairs LIMIT 10000")), answers);
+  EXPECT_EQ(EncodedState(fresh), EncodedState(shell));
+  EXPECT_EQ(fresh.database().Get("a").size(), shell.database().Get("a").size());
+
+  // A CHECKPOINT writes the appended relation's sidecar; the next re-OPEN
+  // adopts it with no append on top.
+  MustRun(shell, "CHECKPOINT");
+  opened = MustRun(shell, "OPEN db");
+  EXPECT_NE(opened.find("(2 adopted)"), std::string::npos) << opened;
+  EXPECT_NE(MustRun(shell, "EXPLAIN ANALYZE pairs PLAN")
+                .find("paged_adopted=2 paged_read=0 appends_adopted=0"),
+            std::string::npos);
 }
 
 TEST(PagedShellTest, DamagedKeptSidecarFailsReopenLikeAFreshOpen) {
@@ -637,6 +825,27 @@ TEST(PagedShellTest, AdoptedRelationsAreNotChargedToTheBudget) {
   EXPECT_NE(opened.find("(1 adopted)"), std::string::npos) << opened;
 
   // Decoding the same sidecar under that budget trips it.
+  Shell fresh;
+  fresh.set_vfs(&vfs);
+  MustRun(fresh, "SET MEMORY 1");
+  EXPECT_EQ(fresh.Execute("OPEN db").status().code(),
+            StatusCode::kResourceExhausted);
+}
+
+TEST(PagedShellTest, AdoptedAppendedRelationIsNotChargedToTheBudget) {
+  MemVfs vfs;
+  Shell shell;
+  shell.set_vfs(&vfs);
+  MustRun(shell, "OPEN db");
+  MustRun(shell, GenBig("big", 7, 8000));
+  MustRun(shell, "CHECKPOINT");
+  AppendOneRow(shell, vfs, "big");
+  MustRun(shell, "SET MEMORY 1");
+  std::string opened = MustRun(shell, "OPEN db");
+  EXPECT_NE(opened.find("(1 adopted)"), std::string::npos) << opened;
+
+  // Decoding the sidecar and replaying the append under that budget
+  // trips it.
   Shell fresh;
   fresh.set_vfs(&vfs);
   MustRun(fresh, "SET MEMORY 1");

@@ -830,6 +830,36 @@ TEST(ShellStatsTest, ViewsRematerializeOnlyForRelationsRulesRead) {
             StatusCode::kAlreadyExists);
 }
 
+TEST(ShellStatsTest, ViewsSurviveAnAdoptingReopen) {
+  MemVfs vfs;
+  Shell shell;
+  shell.set_vfs(&vfs);
+  MustRun(shell, "OPEN cat");
+  // Over the default paged threshold, so CHECKPOINT gives `a` a sidecar
+  // and a re-OPEN adopts the session's handle.
+  MustRun(shell,
+          "GEN BASKETS a n_baskets=3000 n_items=40 avg_size=5 theta=0.8 "
+          "locality=0.5 topics=4 seed=7");
+  MustRun(shell, "DEFINE seen(B) :- a(B, I)");
+  MustRun(shell, "FLOCK f QUERY answer(B) :- seen(B) AND a(B,$1) "
+                 "FILTER COUNT >= 3");
+  MustRun(shell, "CHECKPOINT");
+  MustRun(shell, "EXPLAIN ANALYZE f PLAN");
+  // Same rules, same handle: the view and its statistics are kept.
+  std::string opened = MustRun(shell, "OPEN cat");
+  EXPECT_NE(opened.find("(1 adopted)"), std::string::npos) << opened;
+  EXPECT_EQ(Restatted(MustRun(shell, "EXPLAIN ANALYZE f PLAN")), 0u);
+  // An append to `a` still rematerializes the view across a re-OPEN.
+  Relation delta("a", Schema({"BID", "Item"}));
+  delta.AddRow({Value(1000000), Value("item_new")});
+  ASSERT_TRUE(StoreTsv(delta, "delta.tsv", &vfs).ok());
+  MustRun(shell, "LOAD a APPEND FROM delta.tsv");
+  opened = MustRun(shell, "OPEN cat");
+  EXPECT_NE(opened.find("(1 adopted)"), std::string::npos) << opened;
+  EXPECT_EQ(Restatted(MustRun(shell, "EXPLAIN ANALYZE f PLAN")), 2u);
+  EXPECT_EQ(Restatted(MustRun(shell, "EXPLAIN ANALYZE f PLAN")), 0u);
+}
+
 TEST(ShellStatsTest, DefineAndOpenRestat) {
   MemVfs vfs;
   Shell shell;
