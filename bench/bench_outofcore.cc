@@ -8,7 +8,11 @@
 //                  bit-identical (checked every iteration);
 //   * PagedScan/P — streaming scan of a paged relation file through a
 //                  buffer pool sized at P% of the file, measuring the
-//                  re-read cost the clock replacer pays under pressure.
+//                  re-read cost the clock replacer pays under pressure;
+//   * PagedReadAll — a fresh DiskRelation::Open plus ReadAll through a
+//                  pool at 1/6 of the decoded file: the restore path of a
+//                  fresh-session OPEN (read, CRC-verify, decode each page
+//                  once, build each output row once).
 //
 // Startup also proves the before picture: the same halved budget WITHOUT
 // a spill environment must return RESOURCE_EXHAUSTED — that is the abort
@@ -17,6 +21,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -184,7 +189,7 @@ void BM_OutOfCore_PagedScan(benchmark::State& state) {
   std::unique_ptr<DiskRelation> disk =
       bench::MustOk(DiskRelation::Open(vfs, file.path, &pool));
   std::uint64_t rows = 0;
-  auto count = [&rows](const Tuple&) {
+  auto count = [&rows](std::span<const Value>) {
     ++rows;
     return Status::Ok();
   };
@@ -205,6 +210,27 @@ void BM_OutOfCore_PagedScan(benchmark::State& state) {
   state.counters["evictions"] = static_cast<double>(st.evictions);
 }
 
+// The restore path of a fresh OPEN: every iteration opens the file anew
+// with a new pool at 1/6 of the decoded size (so every page misses and
+// most are evicted) and materializes the relation.
+void BM_OutOfCore_PagedReadAll(benchmark::State& state) {
+  const PagedFile& file = BenchPagedFile();
+  PosixVfs vfs;
+  std::uint64_t misses = 0;
+  for (auto _ : state) {
+    BufferPool pool(file.decoded_bytes / 6);
+    std::unique_ptr<DiskRelation> disk =
+        bench::MustOk(DiskRelation::Open(vfs, file.path, &pool));
+    Relation rel = bench::MustOk(disk->ReadAll());
+    QF_CHECK(rel.size() == file.rows);
+    misses = pool.stats().misses;
+    QF_CHECK(misses == disk->page_count());
+    bench::ConsumeScalar(rel.size());
+  }
+  state.counters["pages"] = static_cast<double>(misses);
+  state.counters["rows"] = static_cast<double>(file.rows);
+}
+
 BENCHMARK(BM_OutOfCore_InMemory)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_OutOfCore_Spill)
     ->Arg(2)
@@ -215,6 +241,7 @@ BENCHMARK(BM_OutOfCore_PagedScan)
     ->Arg(10)
     ->Arg(100)
     ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_OutOfCore_PagedReadAll)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace qf

@@ -72,8 +72,9 @@ void AppendTreeLines(const OpMetrics& node, int depth, std::string& out) {
   out += buf;
   if (node.est_rows >= 0) {
     // Skew as actual/estimate; "inf" when the model predicted zero rows
-    // but some showed up.
-    if (node.est_rows > 0) {
+    // but some showed up. An estimate that prints as 0 renders as zero,
+    // not as a skew of actual/1e-17.
+    if (node.est_rows > 0.5) {
       std::snprintf(buf, sizeof(buf), " est=%.0f (x%.2f)", node.est_rows,
                     static_cast<double>(node.rows_out) / node.est_rows);
     } else {

@@ -25,6 +25,23 @@ Result<std::string_view> ParseFramed(std::string_view framed,
   return frame.payload;
 }
 
+// The one column decoder of a page payload (after its u32 row count):
+// each column is a run of n_rows values. Writes rows [first, n_rows) of
+// every column into `out`, row-major and `arity` wide, skipping each
+// column's earlier values. False on a malformed value.
+bool DecodeColumns(ByteReader& in, std::size_t arity, std::uint32_t n_rows,
+                   std::uint32_t first, Value* out) {
+  for (std::size_t c = 0; c < arity; ++c) {
+    for (std::uint32_t r = 0; r < first; ++r) {
+      if (!in.SkipValue()) return false;
+    }
+    for (std::uint32_t r = first; r < n_rows; ++r) {
+      if (!in.GetValue(&out[(r - first) * arity + c])) return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 Result<PagedWriteInfo> WritePagedRelation(Vfs& vfs, const std::string& path,
@@ -233,7 +250,6 @@ Result<std::string_view> DiskRelation::ReadFrame(std::size_t index,
 
 Result<std::shared_ptr<const RelationPage>> DiskRelation::FetchPage(
     std::size_t index) const {
-  const PageEntry& e = pages_[index];
   std::string framed;
   Result<std::string_view> payload = ReadFrame(index, &framed);
   if (!payload.ok()) return payload.status();
@@ -243,31 +259,24 @@ Result<std::shared_ptr<const RelationPage>> DiskRelation::FetchPage(
   if (!in.GetU32(&n_rows)) {
     return IoError("paged relation: malformed page in " + path_);
   }
+  std::uint64_t expect =
+      (index + 1 < pages_.size() ? pages_[index + 1].first_row
+                                 : row_count_) -
+      pages_[index].first_row;
+  if (n_rows != expect) {
+    return IoError("paged relation: page row count mismatch in " + path_);
+  }
   auto page = std::make_shared<RelationPage>();
-  page->rows.assign(n_rows, Tuple());
-  const std::size_t arity = schema_.arity();
-  for (std::uint32_t r = 0; r < n_rows; ++r) page->rows[r].reserve(arity);
-  // Columnar: each column is a contiguous run of n_rows values.
-  for (std::size_t c = 0; c < arity; ++c) {
-    for (std::uint32_t r = 0; r < n_rows; ++r) {
-      Value v;
-      if (!in.GetValue(&v)) {
-        return IoError("paged relation: malformed page in " + path_);
-      }
-      page->rows[r].push_back(std::move(v));
-    }
+  page->n_rows = n_rows;
+  page->arity = schema_.arity();
+  page->values.resize(page->n_rows * page->arity);
+  if (!DecodeColumns(in, page->arity, n_rows, 0, page->values.data())) {
+    return IoError("paged relation: malformed page in " + path_);
   }
   if (!in.AtEnd()) {
     return IoError("paged relation: trailing page bytes in " + path_);
   }
-  std::uint64_t expect =
-      (index + 1 < pages_.size() ? pages_[index + 1].first_row
-                                 : row_count_) -
-      e.first_row;
-  if (n_rows != expect) {
-    return IoError("paged relation: page row count mismatch in " + path_);
-  }
-  page->bytes = static_cast<std::uint64_t>(n_rows) * ApproxTupleBytes(arity);
+  page->bytes = n_rows * ApproxTupleBytes(page->arity);
   return std::shared_ptr<const RelationPage>(std::move(page));
 }
 
@@ -287,14 +296,16 @@ Result<std::shared_ptr<const RelationPage>> DiskRelation::ReadPage(
   return ref->page();
 }
 
-Status DiskRelation::Scan(const std::function<Status(const Tuple&)>& fn,
-                          QueryContext* ctx) const {
+Status DiskRelation::Scan(
+    const std::function<Status(std::span<const Value>)>& fn,
+    QueryContext* ctx) const {
   for (std::size_t i = 0; i < pages_.size(); ++i) {
     if (ctx != nullptr && !ctx->Poll()) return ctx->Check();
     Result<std::shared_ptr<const RelationPage>> page = ReadPage(i, ctx);
     if (!page.ok()) return page.status();
-    for (const Tuple& row : (*page)->rows) {
-      if (Status s = fn(row); !s.ok()) return s;
+    const RelationPage& pinned = **page;
+    for (std::size_t r = 0; r < pinned.n_rows; ++r) {
+      if (Status s = fn(pinned.row(r)); !s.ok()) return s;
     }
   }
   return Status::Ok();
@@ -311,17 +322,14 @@ Result<std::vector<Tuple>> DiskRelation::ReadLastRow() const {
   if (!payload.ok()) return payload.status();
   ByteReader in(*payload);
   std::uint32_t n_rows = 0;
+  last.emplace_back(schema_.arity());
+  // Decodes only the last row; each column's earlier values are skipped.
   bool ok = in.GetU32(&n_rows) && n_rows > 0 &&
-            n_rows == row_count_ - pages_.back().first_row;
-  last.emplace_back();
-  // Columnar: each column's last value ends its run of n_rows values.
-  for (std::size_t c = 0; ok && c < schema_.arity(); ++c) {
-    for (std::uint32_t r = 1; ok && r < n_rows; ++r) ok = in.SkipValue();
-    Value v;
-    ok = ok && in.GetValue(&v);
-    last.back().push_back(std::move(v));
-  }
-  if (!ok || !in.AtEnd()) {
+            n_rows == row_count_ - pages_.back().first_row &&
+            DecodeColumns(in, schema_.arity(), n_rows, n_rows - 1,
+                          last.back().data()) &&
+            in.AtEnd();
+  if (!ok) {
     return IoError("paged relation: malformed last page in " + path_);
   }
   return last;
@@ -329,17 +337,16 @@ Result<std::vector<Tuple>> DiskRelation::ReadLastRow() const {
 
 Result<Relation> DiskRelation::ReadAll(QueryContext* ctx) const {
   Relation out{schema_};
-  out.mutable_rows().reserve(row_count_);
+  std::vector<Tuple>& rows = out.mutable_rows();
+  rows.reserve(row_count_);
   OpGovernor gov(ctx, ApproxTupleBytes(schema_.arity()));
-  Status admit;
   Status scan = Scan(
-      [&](const Tuple& row) {
+      [&](std::span<const Value> row) -> Status {
         if (!gov.Admit()) {
-          admit = ctx != nullptr ? ctx->Check()
-                                 : InternalError("governor tripped");
-          return admit;
+          return ctx != nullptr ? ctx->Check()
+                                : InternalError("governor tripped");
         }
-        out.Add(row);
+        rows.emplace_back(row.begin(), row.end());
         return Status::Ok();
       },
       ctx);

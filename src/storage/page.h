@@ -37,6 +37,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -69,9 +70,22 @@ Result<PagedWriteInfo> WritePagedRelation(
     QueryContext* ctx = nullptr, std::size_t page_bytes = kDefaultPageBytes);
 
 // One decoded page, shaped for the buffer pool: immutable after load.
+// The rows live in one flat row-major block of n_rows * arity Values —
+// one heap allocation per page, not one per row — which the page's
+// columns decode straight into. row(r) views row r in place; readers
+// copy a row out only where they keep it (ReadAll builds each output
+// row once from here). `bytes` is the accounting charge, still
+// n_rows * ApproxTupleBytes(arity), so pool eviction and governor
+// arithmetic match the one-Tuple-per-row layout it replaced.
 struct RelationPage {
-  std::vector<Tuple> rows;
-  std::uint64_t bytes = 0;  // accounting charge (ApproxTupleBytes sum)
+  std::size_t n_rows = 0;
+  std::size_t arity = 0;
+  std::vector<Value> values;  // row r is [r * arity, (r + 1) * arity)
+  std::uint64_t bytes = 0;
+
+  std::span<const Value> row(std::size_t r) const {
+    return {values.data() + r * arity, arity};
+  }
 };
 
 // A paged relation file opened for reading. Construction reads and
@@ -95,8 +109,10 @@ class DiskRelation {
   Result<std::shared_ptr<const RelationPage>> ReadPage(
       std::size_t index, QueryContext* ctx = nullptr) const;
 
-  // Streams every row in stored order, one page resident at a time.
-  Status Scan(const std::function<Status(const Tuple&)>& fn,
+  // Streams every row in stored order, one page resident at a time
+  // (polling `ctx` per page); stops at the first error `fn` returns. Each
+  // row is a view into the pinned page, valid only during the call.
+  Status Scan(const std::function<Status(std::span<const Value>)>& fn,
               QueryContext* ctx = nullptr) const;
 
   // Materializes the whole relation (name and schema set). Charges `ctx`

@@ -121,6 +121,25 @@ TEST(OpMetricsTest, ToStringRendersCountersAndSkew) {
   EXPECT_NE(node.ToString().find("est=0 (exact)"), std::string::npos);
 }
 
+TEST(OpMetricsTest, ToStringRendersSubHalfEstimateAsZero) {
+  // A positive estimate that rounds to 0 prints like a zero estimate,
+  // never as a skew against the unrounded value (actual / 1e-17).
+  OpMetrics node("join baskets");
+  node.rows_out = 9;
+  node.est_rows = 1e-17;
+  std::string text = node.ToString();
+  EXPECT_NE(text.find("est=0 (xinf)"), std::string::npos) << text;
+  EXPECT_EQ(text.find("(x9"), std::string::npos) << text;
+  node.rows_out = 0;
+  EXPECT_NE(node.ToString().find("est=0 (exact)"), std::string::npos);
+  node.est_rows = 0.5;  // "%.0f" rounds half to even: prints 0
+  EXPECT_NE(node.ToString().find("est=0 (exact)"), std::string::npos);
+  node.rows_out = 2;
+  node.est_rows = 0.6;
+  EXPECT_NE(node.ToString().find("est=1 (x3.33)"), std::string::npos)
+      << node.ToString();
+}
+
 TEST(OpMetricsTest, ToStringIndentsChildren) {
   OpMetrics root("plan");
   root.AddChild("step", "ok1")->AddChild("scan", "baskets");

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -98,8 +99,8 @@ TEST(PagedRelationTest, RoundTripManyPagesPreservesRowOrder) {
 
   // Scan streams the same rows in the same order.
   std::vector<Tuple> scanned;
-  Status s = (*disk)->Scan([&](const Tuple& t) {
-    scanned.push_back(t);
+  Status s = (*disk)->Scan([&](std::span<const Value> row) {
+    scanned.emplace_back(row.begin(), row.end());
     return Status::Ok();
   });
   ASSERT_TRUE(s.ok());
@@ -195,6 +196,128 @@ TEST(PagedRelationTest, BufferPoolBackedReadsHitOnRepeat) {
   BufferPoolStats after_second = pool.stats();
   EXPECT_EQ(after_second.misses, after_first.misses);  // all hits
   EXPECT_EQ(after_second.hits, after_first.hits + (*disk)->page_count());
+}
+
+// A relation of `arity` columns mixing ints, doubles and strings, the
+// empty string included, so every value kind crosses page boundaries.
+Relation MixedRelation(const std::string& name, std::size_t arity, int rows) {
+  std::vector<std::string> cols;
+  for (std::size_t c = 0; c < arity; ++c) {
+    cols.push_back("C" + std::to_string(c));
+  }
+  Relation r(name, Schema(cols));
+  for (int i = 0; i < rows; ++i) {
+    Tuple t;
+    for (std::size_t c = 0; c < arity; ++c) {
+      switch ((i + static_cast<int>(c)) % 4) {
+        case 0:
+          t.emplace_back(static_cast<std::int64_t>(i) * 7919 - 5000);
+          break;
+        case 1:
+          t.emplace_back(i * 0.25 - 3.5);
+          break;
+        case 2:
+          t.emplace_back(std::string_view(""));
+          break;
+        default:
+          t.emplace_back("s" + std::to_string(i % 53));
+          break;
+      }
+    }
+    r.Add(std::move(t));
+  }
+  return r;
+}
+
+// Every reader of a paged file returns the same rows in the same order:
+// ReadAll, Scan, ReadPage page by page, and ReadLastRow for the last row.
+void ExpectReadersAgree(const DiskRelation& disk, const Relation& original) {
+  Result<Relation> all = disk.ReadAll();
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
+  EXPECT_EQ(all->name(), original.name());
+  EXPECT_EQ(all->schema().columns(), original.schema().columns());
+  EXPECT_EQ(all->rows(), original.rows());
+
+  std::vector<Tuple> scanned;
+  ASSERT_TRUE(disk.Scan([&](std::span<const Value> row) {
+                    scanned.emplace_back(row.begin(), row.end());
+                    return Status::Ok();
+                  }).ok());
+  EXPECT_EQ(scanned, original.rows());
+
+  std::vector<Tuple> paged;
+  for (std::size_t p = 0; p < disk.page_count(); ++p) {
+    Result<std::shared_ptr<const RelationPage>> page = disk.ReadPage(p);
+    ASSERT_TRUE(page.ok()) << page.status().ToString();
+    EXPECT_EQ((*page)->arity, original.arity());
+    EXPECT_EQ((*page)->bytes,
+              (*page)->n_rows * ApproxTupleBytes(original.arity()));
+    for (std::size_t r = 0; r < (*page)->n_rows; ++r) {
+      std::span<const Value> row = (*page)->row(r);
+      paged.emplace_back(row.begin(), row.end());
+    }
+  }
+  EXPECT_EQ(paged, original.rows());
+
+  Result<std::vector<Tuple>> last = disk.ReadLastRow();
+  ASSERT_TRUE(last.ok()) << last.status().ToString();
+  if (original.size() == 0) {
+    EXPECT_TRUE(last->empty());
+  } else {
+    EXPECT_EQ(*last, std::vector<Tuple>{original.rows().back()});
+  }
+}
+
+TEST(PagedRelationTest, MixedKindsRoundTripAtArityOneAndThree) {
+  for (std::size_t arity : {std::size_t{1}, std::size_t{3}}) {
+    for (int rows : {0, 1, 997}) {
+      SCOPED_TRACE("arity " + std::to_string(arity) + " rows " +
+                   std::to_string(rows));
+      MemVfs vfs;
+      Relation original = MixedRelation("mixed", arity, rows);
+      Result<PagedWriteInfo> info =
+          WritePagedRelation(vfs, "r.qfp", original, nullptr, 700);
+      ASSERT_TRUE(info.ok()) << info.status().ToString();
+      if (rows > 100) {
+        EXPECT_GT(info->pages, 5u);
+      }
+      Result<std::unique_ptr<DiskRelation>> disk =
+          DiskRelation::Open(vfs, "r.qfp");
+      ASSERT_TRUE(disk.ok()) << disk.status().ToString();
+      ExpectReadersAgree(**disk, original);
+      // Through a pool small enough to evict, the readers still agree.
+      BufferPool pool(2048);
+      Result<std::unique_ptr<DiskRelation>> pooled =
+          DiskRelation::Open(vfs, "r.qfp", &pool);
+      ASSERT_TRUE(pooled.ok()) << pooled.status().ToString();
+      ExpectReadersAgree(**pooled, original);
+    }
+  }
+}
+
+TEST(PagedRelationTest, FreshReadAllThroughSmallPoolCountsEveryPage) {
+  // A fixed file read once through a pool a sixth of its decoded size:
+  // every page misses once, and the pool evicts all but what fits. The
+  // counts are pinned so a change to page decoding cannot move pool
+  // behaviour (the charge per page is n_rows * ApproxTupleBytes(arity)).
+  MemVfs vfs;
+  Relation original = BuildRelation("big", 3000);
+  Result<PagedWriteInfo> info =
+      WritePagedRelation(vfs, "r.qfp", original, nullptr, 4096);
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  BufferPool pool(3000 * ApproxTupleBytes(3) / 6);
+  Result<std::unique_ptr<DiskRelation>> disk =
+      DiskRelation::Open(vfs, "r.qfp", &pool);
+  ASSERT_TRUE(disk.ok()) << disk.status().ToString();
+  Result<Relation> all = (*disk)->ReadAll();
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
+  EXPECT_EQ(all->rows(), original.rows());
+  BufferPoolStats stats = pool.stats();
+  EXPECT_EQ((*disk)->page_count(), 22u);
+  EXPECT_EQ(stats.misses, 22u);
+  EXPECT_EQ(stats.evictions, 19u);
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.resident_bytes, 27216u);
 }
 
 // ------------------------------------------------------ catalog paging

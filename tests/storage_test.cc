@@ -40,6 +40,56 @@ TEST(Crc32cTest, ExtendMatchesOneShot) {
   EXPECT_EQ(whole, split);
 }
 
+// A deterministic pseudo-random byte buffer (xorshift64).
+std::string RandomBytes(std::size_t n, std::uint64_t seed) {
+  std::string out(n, '\0');
+  for (char& c : out) {
+    seed ^= seed << 13;
+    seed ^= seed >> 7;
+    seed ^= seed << 17;
+    c = static_cast<char>(seed >> 56);
+  }
+  return out;
+}
+
+TEST(Crc32cTest, KnownVectorsPortable) {
+  EXPECT_EQ(detail::Crc32cExtendPortable(0, "123456789"), 0xE3069283u);
+  EXPECT_EQ(detail::Crc32cExtendPortable(0, std::string(32, '\0')),
+            0x8A9136AAu);
+}
+
+TEST(Crc32cTest, DispatchedMatchesPortableAtEveryLengthAndAlignment) {
+  // The word loop and the byte tail split differently at each length and
+  // start offset; every split must agree with the portable tables.
+  std::string buf = RandomBytes(300 + 8, 1);
+  for (std::size_t align = 0; align < 8; ++align) {
+    for (std::size_t len = 0; len <= 300; ++len) {
+      std::string_view piece(buf.data() + align, len);
+      ASSERT_EQ(Crc32c(piece), detail::Crc32cExtendPortable(0, piece))
+          << "align " << align << " len " << len;
+    }
+  }
+}
+
+TEST(Crc32cTest, DispatchedMatchesPortableOnOneMiB) {
+  std::string buf = RandomBytes(1 << 20, 7);
+  EXPECT_EQ(Crc32c(buf), detail::Crc32cExtendPortable(0, buf));
+  EXPECT_EQ(Crc32cExtend(0x12345678u, buf),
+            detail::Crc32cExtendPortable(0x12345678u, buf));
+}
+
+TEST(Crc32cTest, ExtendSplitAtEveryPointMatchesOneShot) {
+  std::string data = RandomBytes(64, 3);
+  std::string_view view(data);
+  std::uint32_t whole = detail::Crc32cExtendPortable(0, view);
+  for (std::size_t cut = 0; cut <= view.size(); ++cut) {
+    EXPECT_EQ(Crc32cExtend(Crc32cExtend(0, view.substr(0, cut)),
+                           view.substr(cut)),
+              whole)
+        << "cut " << cut;
+  }
+}
+
 TEST(Crc32cTest, MaskRoundTripsAndDiffers) {
   std::uint32_t crc = Crc32c("payload");
   EXPECT_NE(Crc32cMask(crc), crc);
